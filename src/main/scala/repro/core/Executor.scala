@@ -55,7 +55,9 @@ final class Executor(
   }
 
   def run(plan: Compiler.Plan, inputs: Map[String, DataFrame]): ExecResult = {
+    // Metrics and leakage describe this run only, also on a reused executor.
     mpcRealNs = 0L; closedRows = 0L
+    backend.meter.reset(); backend.leakage.clear()
     val t0 = System.nanoTime()
     val cache = scala.collection.mutable.HashMap.empty[Int, RelValue]
     val outputs = scala.collection.mutable.LinkedHashMap.empty[String, DataFrame]
@@ -80,7 +82,7 @@ final class Executor(
       outputs.toMap,
       ExecMetrics(wall, mpcRealNs / 1e9, backend.meter.modeledSeconds, closedRows,
         backend.meter.snapshot),
-      backend.leakage,
+      backend.leakage.snapshot,
     )
   }
 
@@ -143,29 +145,21 @@ final class Executor(
 
   // ------------------------------------------------------------ mpc helpers
 
-  private def mCmp(c: CmpOp): MCmp = c match {
-    case CmpOp.Eq => MCmp.Eq; case CmpOp.Neq => MCmp.Neq
-    case CmpOp.Lt => MCmp.Lt; case CmpOp.Leq => MCmp.Leq
-    case CmpOp.Gt => MCmp.Gt; case CmpOp.Geq => MCmp.Geq
-  }
-
-  private def mAgg(fn: AggFn): MAggFn = fn match {
-    case AggFn.Sum => MAggFn.Sum; case AggFn.Count => MAggFn.Count
-    case AggFn.Min => MAggFn.Min; case AggFn.Max => MAggFn.Max
-  }
-
-  private def collectRows(df: DataFrame): Seq[Seq[Double]] = {
-    val rows = df.collect().toSeq.map(r =>
-      (0 until r.length).map(i => if (r.isNullAt(i)) 0.0 else r.getDouble(i)))
-    closedRows += rows.length
+  /** Count rows crossing into the MPC simulator against the safety cap. */
+  private def countClosed(rows: Long): Unit = {
+    closedRows += rows
     require(closedRows <= maxCloseRows,
       s"safety cap: $closedRows rows crossed into the MPC simulator (max $maxCloseRows)")
-    rows
   }
 
+  /** Collected rows as double columns (NULL reads as 0.0). */
+  private def columns(rows: Array[Row], width: Int): IndexedSeq[Array[Double]] =
+    (0 until width).map(c => rows.map(r => if (r.isNullAt(c)) 0.0 else r.getDouble(c)))
+
   private def close(name: String, schema: Seq[String], df: DataFrame): SharedRelation = {
-    val rows = collectRows(df)
-    timedMpc(backend.close(name, schema, rows))
+    val rows = df.collect()
+    countClosed(rows.length.toLong)
+    timedMpc(backend.close(name, schema, columns(rows, schema.length)))
   }
 
   private def asSecure(n: Node, v: RelValue): SharedRelation = v match {
@@ -251,13 +245,13 @@ final class Executor(
         val out = timedMpc(n.kind match {
           case OpKind.Project(cols)       => backend.project(shared.head, cols)
           case OpKind.Filter(c, cmp, rhs) =>
-            rhs.fold(c2 => backend.filterCol(shared.head, c, mCmp(cmp), c2),
-                     v => backend.filterLit(shared.head, c, mCmp(cmp), v))
+            rhs.fold(c2 => backend.filterCol(shared.head, c, cmp, c2),
+                     v => backend.filterLit(shared.head, c, cmp, v))
           case OpKind.Agg(group, fn, aggCol, out2, _) =>
-            if (group.isEmpty) backend.globalAggregate(shared.head, aggCol, mAgg(fn), out2)
-            else backend.aggregate(name, shared.head, group, aggCol, mAgg(fn), out2, n.preSorted)
+            if (group.isEmpty) backend.globalAggregate(shared.head, aggCol, fn, out2)
+            else backend.aggregate(name, shared.head, group, aggCol, fn, out2, n.preSorted)
           case OpKind.HybridAgg(group, fn, aggCol, out2, stp) =>
-            backend.hybridAggregate(name, shared.head, group, aggCol, mAgg(fn), out2, stp)
+            backend.hybridAggregate(name, shared.head, group, aggCol, fn, out2, stp)
           case OpKind.Join(lk, rk) =>
             backend.join(name, shared(0), shared(1), lk, rk)
           case OpKind.HybridJoin(lk, rk, stp) =>
@@ -265,14 +259,11 @@ final class Executor(
           case OpKind.PublicJoin(lk, rk, host) =>
             backend.publicJoin(name, shared(0), shared(1), lk, rk, host)
           case OpKind.Arith(fn, out2, lhs, rhs) =>
-            val mfn = fn match {
-              case ArithFn.Add => MArith.Add; case ArithFn.Sub => MArith.Sub
-              case ArithFn.Mul => MArith.Mul; case ArithFn.Div => MArith.Div
-            }
-            backend.arith(shared.head, mfn, out2, lhs, rhs.left.map(identity))
+            backend.arith(shared.head, fn, out2, lhs, rhs)
           case OpKind.ConstCol(cn, v) => backend.constCol(shared.head, cn, v)
           case OpKind.Sort(c, asc)    => backend.sort(shared.head, Seq((c, asc)))
-          case OpKind.Limit(k)        => backend.limit(backend.compact(name, shared.head), k)
+          case OpKind.Limit(k)        =>
+            backend.limit(name, shared.head, k, sorted = n.children.head.kind.isInstanceOf[OpKind.Sort])
           case OpKind.Distinct(_)     => backend.distinct(shared.head, n.preSorted)
           case other                  => sys.error(s"MPC executor cannot evaluate ${other.label}")
         })
@@ -296,42 +287,38 @@ final class Executor(
     rk.foreach(k => backend.leakage.record(ColumnLeak(s"#${n.id}", s"right:$k", all)))
 
     // Collect each party's partition (a partitioned concat defers here).
-    def gather(c: ClearRel): IndexedSeq[IndexedSeq[Double]] =
-      c.parts.toSeq.sortBy(_._1).flatMap { case (_, partDf) =>
-        partDf.collect().toSeq.map(r => (0 until r.length).map(i => r.getDouble(i)): IndexedSeq[Double])
-      }.toIndexedSeq
+    def gather(c: ClearRel): Array[Row] =
+      c.parts.toSeq.sortBy(_._1).flatMap { case (_, partDf) => partDf.collect() }.toArray
     val lRows = gather(lc)
     val rRows = gather(rc)
     val lkIdx = lk.map(lSchema.indexOf)
     val rkIdx = rk.map(rSchema.indexOf)
-    val byKey = lRows.indices.groupBy(i => lkIdx.map(lRows(i)))
+    def key(r: Row, idx: Seq[Int]): Seq[Double] = idx.map(r.getDouble)
+    val byKey = lRows.indices.groupBy(i => key(lRows(i), lkIdx))
     import scala.math.Ordering.Implicits.seqOrdering
     val pairs = (for {
       j <- rRows.indices
-      key = rkIdx.map(rRows(j))
-      i <- byKey.getOrElse(key, Seq.empty)
-    } yield (key, i, j)).sortBy(_._1: Seq[Double])
+      k = key(rRows(j), rkIdx)
+      i <- byKey.getOrElse(k, Seq.empty)
+    } yield (k, i, j)).sortBy(_._1)
     backend.leakage.record(CardinalityLeak(s"#${n.id}", pairs.length.toLong, all))
 
     // Each side secret-shares *only its matched rows*, in the public pair
     // order — unmatched rows never enter MPC.
     val lRest = lSchema.indices.filterNot(lkIdx.contains)
     val rRest = rSchema.indices.filterNot(rkIdx.contains)
-    val outSchema = lk ++ lRest.map(lSchema) ++ rRest.map(rSchema)
-    closedRows += 2L * pairs.length
-    require(closedRows <= maxCloseRows,
-      s"safety cap: $closedRows rows crossed into the MPC simulator (max $maxCloseRows)")
+    countClosed(2L * pairs.length)
     timedMpc {
-      val lShared = backend.close(s"#${n.id}:left",
-        lk ++ lRest.map(lSchema),
-        pairs.map { case (_, i, _) => lkIdx.map(lRows(i)) ++ lRest.map(lRows(i)) })
-      val rShared = backend.close(s"#${n.id}:right",
-        rRest.map(rSchema),
-        pairs.map { case (_, _, j) => rRest.map(rRows(j)).toSeq })
-      SharedRelation(
-        outSchema.toVector,
-        lShared.rows.lazyZip(rShared.rows).map(_ ++ _).toVector,
-        None)
+      val lCols = columns(lRows, lSchema.length)
+      val rCols = columns(rRows, rSchema.length)
+      val li = pairs.map(_._2).toArray
+      val rj = pairs.map(_._3).toArray
+      val lShared = backend.close(s"#${n.id}:left", (lkIdx ++ lRest).map(lSchema),
+        (lkIdx ++ lRest).map(c => li.map(i => lCols(c)(i))))
+      val rShared = backend.close(s"#${n.id}:right", rRest.map(rSchema),
+        rRest.map(c => rj.map(j => rCols(c)(j))))
+      SharedRelation((lk ++ lRest.map(lSchema) ++ rRest.map(rSchema)).toVector,
+        lShared.cols ++ rShared.cols)
     }
   }
 

@@ -2,7 +2,7 @@ package repro.eval
 
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
-import repro.core.Party
+import repro.core.{AggFn, Party}
 import repro.data.Generators
 import repro.mpc._
 
@@ -69,16 +69,16 @@ object Fig1Microbench {
       op match {
         case AggOp =>
           val rows = mkRows(n, nKeys = math.max(1, n / 10))
-          b.aggregate("agg", b.close("in", Seq("k", "v"), rows), Seq("k"), Some("v"),
-            MAggFn.Sum, "s")
+          b.aggregate("agg", b.closeRows("in", Seq("k", "v"), rows), Seq("k"), Some("v"),
+            AggFn.Sum, "s")
         case JoinOp =>
           val l = mkRows(n / 2, nKeys = math.max(1, n / 2))
           val r = mkRows(n - n / 2, nKeys = math.max(1, n / 2))
-          b.join("join", b.close("l", Seq("k", "x"), l), b.close("r", Seq("k", "y"), r),
+          b.join("join", b.closeRows("l", Seq("k", "x"), l), b.closeRows("r", Seq("k", "y"), r),
             Seq("k"), Seq("k"))
         case ProjectOp =>
           val rows = mkRows(n, nKeys = math.max(1, n / 10))
-          b.project(b.close("in", Seq("k", "v"), rows), Seq("k"))
+          b.project(b.closeRows("in", Seq("k", "v"), rows), Seq("k"))
       }
       val s = b.meter.modeledSeconds
       if (s > Bench.TimeoutSeconds) BenchPoint(sys, n, None, ">2h")

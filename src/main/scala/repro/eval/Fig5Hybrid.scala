@@ -1,6 +1,6 @@
 package repro.eval
 
-import repro.core.Party
+import repro.core.{AggFn, Party}
 import repro.mpc._
 
 /** Table T3 (paper Fig. 5): hybrid operator microbenchmarks.
@@ -38,22 +38,22 @@ object Fig5Hybrid {
     if (n.toDouble * n * CostParams.Sharemind.eq > Bench.TimeoutSeconds)
       return BenchPoint("mpc-join", n, None, ">2h")
     val b = MpcBackend.sharemind(parties)
-    b.join("j", b.close("l", Seq("k", "x"), mkRows(n, n, 1)),
-      b.close("r", Seq("k", "y"), mkRows(n, n, 2)), Seq("k"), Seq("k"))
+    b.join("j", b.closeRows("l", Seq("k", "x"), mkRows(n, n, 1)),
+      b.closeRows("r", Seq("k", "y"), mkRows(n, n, 2)), Seq("k"), Seq("k"))
     BenchPoint("mpc-join", n, Some(b.meter.modeledSeconds))
   }
 
   private def hybridJoin(n: Long): BenchPoint = {
     val b = MpcBackend.sharemind(parties)
-    b.hybridJoin("j", b.close("l", Seq("k", "x"), mkRows(n, n, 1)),
-      b.close("r", Seq("k", "y"), mkRows(n, n, 2)), Seq("k"), Seq("k"), stp = pC)
+    b.hybridJoin("j", b.closeRows("l", Seq("k", "x"), mkRows(n, n, 1)),
+      b.closeRows("r", Seq("k", "y"), mkRows(n, n, 2)), Seq("k"), Seq("k"), stp = pC)
     BenchPoint("hybrid-join", n, Some(b.meter.modeledSeconds))
   }
 
   private def publicJoin(n: Long): BenchPoint = {
     val b = MpcBackend.sharemind(parties)
-    b.publicJoin("j", b.close("l", Seq("k", "x"), mkRows(n, n, 1)),
-      b.close("r", Seq("k", "y"), mkRows(n, n, 2)), Seq("k"), Seq("k"), host = pA)
+    b.publicJoin("j", b.closeRows("l", Seq("k", "x"), mkRows(n, n, 1)),
+      b.closeRows("r", Seq("k", "y"), mkRows(n, n, 2)), Seq("k"), Seq("k"), host = pA)
     BenchPoint("public-join", n, Some(b.meter.modeledSeconds))
   }
 
@@ -61,15 +61,15 @@ object Fig5Hybrid {
     if (Fig4MarketConc.estimateAggSeconds(n) > Bench.TimeoutSeconds)
       return BenchPoint("mpc-agg", n, None, ">2h")
     val b = MpcBackend.sharemind(parties)
-    b.aggregate("a", b.close("in", Seq("k", "v"), mkRows(n, math.max(1, n / 10), 3)),
-      Seq("k"), Some("v"), MAggFn.Sum, "s")
+    b.aggregate("a", b.closeRows("in", Seq("k", "v"), mkRows(n, math.max(1, n / 10), 3)),
+      Seq("k"), Some("v"), AggFn.Sum, "s")
     BenchPoint("mpc-agg", n, Some(b.meter.modeledSeconds))
   }
 
   private def hybridAgg(n: Long): BenchPoint = {
     val b = MpcBackend.sharemind(parties)
-    b.hybridAggregate("a", b.close("in", Seq("k", "v"), mkRows(n, math.max(1, n / 10), 3)),
-      Seq("k"), Some("v"), MAggFn.Sum, "s", stp = pC)
+    b.hybridAggregate("a", b.closeRows("in", Seq("k", "v"), mkRows(n, math.max(1, n / 10), 3)),
+      Seq("k"), Some("v"), AggFn.Sum, "s", stp = pC)
     BenchPoint("hybrid-agg", n, Some(b.meter.modeledSeconds))
   }
 }

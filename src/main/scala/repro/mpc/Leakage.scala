@@ -50,4 +50,11 @@ final class LeakageLog {
     columns.filter(_.to.contains(p)).map(e => (e.relation, e.column)).toSet
 
   def clear(): Unit = buf.clear()
+
+  /** An independent copy holding the events recorded so far. */
+  def snapshot: LeakageLog = {
+    val copy = new LeakageLog
+    buf.foreach(copy.record)
+    copy
+  }
 }

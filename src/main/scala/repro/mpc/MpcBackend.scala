@@ -1,26 +1,6 @@
 package repro.mpc
 
-import repro.core.Party
-
-/** Comparison operators available in MPC filters. */
-sealed trait MCmp
-object MCmp {
-  case object Eq extends MCmp
-  case object Neq extends MCmp
-  case object Lt extends MCmp
-  case object Leq extends MCmp
-  case object Gt extends MCmp
-  case object Geq extends MCmp
-}
-
-/** Row-wise arithmetic available in MPC. */
-sealed trait MArith
-object MArith {
-  case object Add extends MArith
-  case object Sub extends MArith
-  case object Mul extends MArith
-  case object Div extends MArith
-}
+import repro.core.{AggFn, ArithFn, CmpOp, Party}
 
 /** Relation-level MPC backend: the API Conclave's executor programs against
   * (the role Sharemind / Obliv-C play in the paper, §6).
@@ -37,19 +17,21 @@ final class MpcBackend(
 ) {
   def meter: CostMeter = engine.meter
 
-  /** Secret-share a cleartext relation into the MPC. The row count becomes
-    * public (standard MPC input-length leakage, §3.2).
+  /** Secret-share a cleartext relation, given by column, into the MPC. The
+    * row count becomes public (standard MPC input-length leakage, §3.2).
     */
-  def close(relName: String, schema: Seq[String], rows: Seq[Seq[Double]]): SharedRelation = {
-    leakage.record(CardinalityLeak(relName, rows.size.toLong, allParties))
-    engine.chargeRows(rows.size.toLong, schema.length.toLong)
-    engine.checkRelationMem("close", rows.size.toLong, GcOpWidth.Projection)
-    SharedRelation(
-      schema.toVector,
-      rows.map(r => r.map(d => engine.input(Fixed.encode(d))).toVector).toVector,
-      None,
-    )
+  def close(relName: String, schema: Seq[String], cols: Seq[Array[Double]]): SharedRelation = {
+    require(cols.length == schema.length, s"${cols.length} columns for schema $schema")
+    val n = cols.headOption.map(_.length).getOrElse(0)
+    leakage.record(CardinalityLeak(relName, n.toLong, allParties))
+    engine.chargeRows(n.toLong, schema.length.toLong)
+    engine.checkRelationMem("close", n.toLong, GcOpWidth.Projection)
+    SharedRelation(schema.toVector, cols.map(c => engine.input(c.map(Fixed.encode))).toVector)
   }
+
+  /** [[close]] for a relation given by row. */
+  def closeRows(relName: String, schema: Seq[String], rows: Seq[Seq[Double]]): SharedRelation =
+    close(relName, schema, schema.indices.map(c => rows.map(_(c)).toArray))
 
   /** Reveal a relation to `to` (invalid rows compacted away first). */
   def reveal(relName: String, rel: SharedRelation, to: Set[Party]): Vector[Vector[Double]] = {
@@ -61,31 +43,31 @@ final class MpcBackend(
     val idxs = rel.colIdxs(cols)
     engine.chargeRows(rel.size.toLong, cols.length.toLong)
     engine.checkRelationMem("project", rel.size.toLong, GcOpWidth.Projection)
-    SharedRelation(cols.toVector, rel.rows.map(r => idxs.map(r)), rel.validity)
+    SharedRelation(cols.toVector, idxs.map(rel.cols), rel.validity)
   }
 
-  private def cmpFlag(a: MpcVal, cmp: MCmp, b: MpcVal): MpcVal = cmp match {
-    case MCmp.Eq  => engine.eq(a, b)
-    case MCmp.Neq => engine.not(engine.eq(a, b))
-    case MCmp.Lt  => engine.lt(a, b)
-    case MCmp.Gt  => engine.lt(b, a)
-    case MCmp.Leq => engine.not(engine.lt(b, a))
-    case MCmp.Geq => engine.not(engine.lt(a, b))
+  private def cmpFlag(a: SharedCol, cmp: CmpOp, b: SharedCol): SharedCol = cmp match {
+    case CmpOp.Eq  => engine.eq(a, b)
+    case CmpOp.Neq => engine.not(engine.eq(a, b))
+    case CmpOp.Lt  => engine.lt(a, b)
+    case CmpOp.Gt  => engine.lt(b, a)
+    case CmpOp.Leq => engine.not(engine.lt(b, a))
+    case CmpOp.Geq => engine.not(engine.lt(a, b))
   }
 
   /** Oblivious filter against a public literal (size-hiding, order-preserving). */
-  def filterLit(rel: SharedRelation, col: String, cmp: MCmp, lit: Double): SharedRelation = {
+  def filterLit(rel: SharedRelation, col: String, cmp: CmpOp, lit: Double): SharedRelation = {
     val c = rel.colIdx(col)
-    val litV = engine.input(Fixed.encode(lit))
+    val litV = engine.constant(Fixed.encode(lit), rel.size)
     engine.checkRelationMem("filter", rel.size.toLong, GcOpWidth.Projection)
-    Oblivious.filter(engine, rel)(row => cmpFlag(row(c), cmp, litV))
+    Oblivious.filter(engine, rel, cmpFlag(rel.cols(c), cmp, litV))
   }
 
   /** Oblivious filter comparing two columns. */
-  def filterCol(rel: SharedRelation, colA: String, cmp: MCmp, colB: String): SharedRelation = {
+  def filterCol(rel: SharedRelation, colA: String, cmp: CmpOp, colB: String): SharedRelation = {
     val a = rel.colIdx(colA); val b = rel.colIdx(colB)
     engine.checkRelationMem("filter", rel.size.toLong, GcOpWidth.Projection)
-    Oblivious.filter(engine, rel)(row => cmpFlag(row(a), cmp, row(b)))
+    Oblivious.filter(engine, rel, cmpFlag(rel.cols(a), cmp, rel.cols(b)))
   }
 
   /** Grouped oblivious aggregation; reveals the group count to all parties. */
@@ -94,7 +76,7 @@ final class MpcBackend(
       rel: SharedRelation,
       group: Seq[String],
       aggCol: Option[String],
-      fn: MAggFn,
+      fn: AggFn,
       outName: String,
       preSorted: Boolean = false,
   ): SharedRelation = {
@@ -109,7 +91,7 @@ final class MpcBackend(
   def globalAggregate(
       rel: SharedRelation,
       aggCol: Option[String],
-      fn: MAggFn,
+      fn: AggFn,
       outName: String,
   ): SharedRelation = {
     engine.checkRelationMem("aggregate", rel.size.toLong, GcOpWidth.Aggregation)
@@ -143,23 +125,38 @@ final class MpcBackend(
     Oblivious.sortBy(engine, rel, keys.map { case (c, asc) => Oblivious.SortKey(rel.colIdx(c), asc) })
   }
 
-  /** First `k` rows (public positions; input must be compacted). */
-  def limit(rel: SharedRelation, k: Int): SharedRelation = {
-    require(rel.validity.isEmpty, "limit requires a compacted relation")
-    engine.chargeRows(math.min(rel.size, k).toLong, rel.width.toLong)
-    rel.copy(rows = rel.rows.take(k))
-  }
+  /** First `k` rows, compacted. A `sorted` input comes straight from an
+    * oblivious sort, which moves invalid rows last: its order is kept by
+    * opening the validity flags of the k-prefix in place, a 1…1 0…0 pattern
+    * that reveals only min(k, valid rows) — which the output reveals anyway.
+    * Any other input is compacted first, which shuffles it.
+    */
+  def limit(relName: String, rel: SharedRelation, k: Int, sorted: Boolean): SharedRelation =
+    rel.validity match {
+      case Some(_) if sorted =>
+        val prefix = rel.take(k)
+        engine.chargeRows(prefix.size.toLong, rel.width.toLong)
+        val flags = engine.open(prefix.validity.get)
+        val valid = flags.count(_ == 1L)
+        require(flags.take(valid).forall(_ == 1L) && flags.drop(valid).forall(_ == 0L),
+          "limit: a sorted input must carry its valid rows first")
+        leakage.record(CardinalityLeak(relName, valid.toLong, allParties))
+        prefix.take(valid).copy(validity = None)
+      case _ =>
+        val compacted = compact(relName, rel)
+        engine.chargeRows(math.min(compacted.size, k).toLong, compacted.width.toLong)
+        compacted.take(k)
+    }
 
   def concat(rels: Seq[SharedRelation]): SharedRelation = {
     require(rels.nonEmpty, "concat of nothing")
     val schema = rels.head.schema
     require(rels.forall(_.schema == schema), s"concat schema mismatch: ${rels.map(_.schema)}")
-    val anyValidity = rels.exists(_.validity.isDefined)
-    val rows = rels.flatMap(_.rows).toVector
     val validity =
-      if (!anyValidity) None
-      else Some(rels.flatMap(r => r.validity.getOrElse(Vector.fill(r.size)(engine.input(1L)))).toVector)
-    SharedRelation(schema, rows, validity)
+      if (!rels.exists(_.validity.isDefined)) None
+      else Some(SharedCol.concat(rels.map(r => r.validity.getOrElse(engine.constant(1L, r.size)))))
+    SharedRelation(schema, schema.indices.map(c => SharedCol.concat(rels.map(_.cols(c)))).toVector,
+      validity)
   }
 
   /** Row-wise arithmetic: `out = lhs fn rhs` where rhs is a column or a
@@ -167,36 +164,36 @@ final class MpcBackend(
     */
   def arith(
       rel: SharedRelation,
-      fn: MArith,
+      fn: ArithFn,
       outName: String,
       lhs: String,
       rhs: Either[String, Double],
   ): SharedRelation = {
-    val l = rel.colIdx(lhs)
+    val l = rel.col(lhs)
     engine.chargeRows(rel.size.toLong, 1L)
     engine.checkRelationMem("arith", rel.size.toLong, GcOpWidth.Projection)
-    def compute(row: Vector[MpcVal]): MpcVal = (fn, rhs) match {
-      case (MArith.Add, Right(s)) => engine.addPub(row(l), Fixed.encode(s))
-      case (MArith.Sub, Right(s)) => engine.addPub(row(l), -Fixed.encode(s))
-      case (MArith.Mul, Right(s)) if s == math.rint(s) => engine.mulPub(row(l), s.toLong)
-      case (MArith.Mul, Right(s)) => engine.mulFx(row(l), engine.input(Fixed.encode(s)))
-      case (MArith.Div, Right(s)) => engine.divFx(row(l), engine.input(Fixed.encode(s)))
-      case (MArith.Add, Left(c))  => engine.add(row(l), row(rel.colIdx(c)))
-      case (MArith.Sub, Left(c))  => engine.sub(row(l), row(rel.colIdx(c)))
-      case (MArith.Mul, Left(c))  => engine.mulFx(row(l), row(rel.colIdx(c)))
-      case (MArith.Div, Left(c))  => engine.divFx(row(l), row(rel.colIdx(c)))
+    def scalar(s: Double) = engine.constant(Fixed.encode(s), rel.size)
+    val out = (fn, rhs) match {
+      case (ArithFn.Add, Right(s)) => engine.addPub(l, Fixed.encode(s))
+      case (ArithFn.Sub, Right(s)) => engine.addPub(l, -Fixed.encode(s))
+      case (ArithFn.Mul, Right(s)) if s == math.rint(s) => engine.mulPub(l, s.toLong)
+      case (ArithFn.Mul, Right(s)) => engine.mulFx(l, scalar(s))
+      case (ArithFn.Div, Right(s)) => engine.divFx(l, scalar(s))
+      case (ArithFn.Add, Left(c))  => engine.add(l, rel.col(c))
+      case (ArithFn.Sub, Left(c))  => engine.sub(l, rel.col(c))
+      case (ArithFn.Mul, Left(c))  => engine.mulFx(l, rel.col(c))
+      case (ArithFn.Div, Left(c))  => engine.divFx(l, rel.col(c))
     }
     val existing = rel.schema.indexOf(outName)
-    if (existing >= 0)
-      rel.copy(rows = rel.rows.map(r => r.updated(existing, compute(r))))
-    else
-      SharedRelation(rel.schema :+ outName, rel.rows.map(r => r :+ compute(r)), rel.validity)
+    if (existing >= 0) rel.copy(cols = rel.cols.updated(existing, out))
+    else SharedRelation(rel.schema :+ outName, rel.cols :+ out, rel.validity)
   }
 
   /** Append a public constant column (used to key group-less join results). */
   def constCol(rel: SharedRelation, name: String, value: Double): SharedRelation = {
     engine.chargeRows(rel.size.toLong, 1L)
-    SharedRelation(rel.schema :+ name, rel.rows.map(_ :+ engine.input(Fixed.encode(value))), rel.validity)
+    SharedRelation(rel.schema :+ name, rel.cols :+ engine.constant(Fixed.encode(value), rel.size),
+      rel.validity)
   }
 
   /** Compact away invalid rows; reveals the surviving count to all parties. */
@@ -223,7 +220,7 @@ final class MpcBackend(
       left.colIdxs(lKeys), right.colIdxs(rKeys), host, allParties)
 
   def hybridAggregate(relName: String, rel: SharedRelation, group: Seq[String],
-      aggCol: Option[String], fn: MAggFn, outName: String, stp: Party): SharedRelation = {
+      aggCol: Option[String], fn: AggFn, outName: String, stp: Party): SharedRelation = {
     val compacted = compact(relName + ":in", rel)
     Protocols.hybridAggregate(engine, leakage, relName, compacted,
       compacted.colIdxs(group), aggCol.map(compacted.colIdx), fn, outName, stp, allParties)

@@ -1,15 +1,8 @@
 package repro.mpc
 
-import scala.collection.mutable.ArrayBuffer
+import repro.core.AggFn
 
-/** Aggregation functions supported under MPC. */
-sealed trait MAggFn
-object MAggFn {
-  case object Sum extends MAggFn
-  case object Count extends MAggFn
-  case object Min extends MAggFn
-  case object Max extends MAggFn
-}
+import scala.collection.mutable.ArrayBuilder
 
 /** Data-oblivious relational algorithms, generic over the MPC engine.
   *
@@ -19,6 +12,11 @@ object MAggFn {
   * a Cartesian-product join that opens match flags only after an oblivious
   * shuffle (the output-size-leaking Sharemind join the paper benchmarks),
   * and the oblivious indexing protocol of Laud [45] used by hybrid joins.
+  *
+  * Data-parallel steps run a whole column per engine call (a bitonic layer,
+  * a filter predicate, the keep flags, one left row's join candidates).
+  * Inherently sequential scans (the group fold, distinct's seen-chain, the
+  * global min/max folds) run element by element over the same arrays.
   */
 object Oblivious {
 
@@ -27,28 +25,47 @@ object Oblivious {
 
   // ---------------------------------------------------------------- shuffle
 
-  /** Resharing-based oblivious shuffle: no party learns the permutation. */
-  def shuffle(e: MpcEngine, rel: SharedRelation): SharedRelation = {
+  /** Draw and charge the permutation of a resharing-based oblivious shuffle
+    * of `rel`: no party learns it.
+    */
+  private def shufflePermutation(e: MpcEngine, rel: SharedRelation): Array[Int] = {
     val perm = e.secretPermutation(rel.size)
     e.chargeShuffle(rel.size.toLong, rel.width.toLong + 1)
-    applyPerm(rel, perm)
+    perm
   }
+
+  /** Resharing-based oblivious shuffle: no party learns the permutation. */
+  def shuffle(e: MpcEngine, rel: SharedRelation): SharedRelation =
+    rel.gather(shufflePermutation(e, rel))
 
   /** Reorder rows by a public permutation (no oblivious cost beyond I/O) —
     * e.g. the STP-provided ordering in a hybrid aggregation.
     */
-  def applyPublicPermutation(e: MpcEngine, rel: SharedRelation, perm: Seq[Int]): SharedRelation = {
+  def applyPublicPermutation(e: MpcEngine, rel: SharedRelation, perm: Array[Int]): SharedRelation = {
+    require(perm.length == rel.size, "permutation size mismatch")
     e.chargeRows(rel.size.toLong, rel.width.toLong)
-    applyPerm(rel, perm.toArray)
+    rel.gather(perm)
   }
 
-  private def applyPerm(rel: SharedRelation, perm: Array[Int]): SharedRelation = {
-    require(perm.length == rel.size, "permutation size mismatch")
-    SharedRelation(
-      rel.schema,
-      Vector.tabulate(rel.size)(i => rel.rows(perm(i))),
-      rel.validity.map(v => Vector.tabulate(rel.size)(i => v(perm(i)))),
-    )
+  /** Open the 0/1 `flags` in shuffled order `perm` (one round) and return the
+    * positions of the flagged rows in that order.
+    */
+  private def openFlagged(e: MpcEngine, perm: Array[Int], flags: SharedCol): Array[Int] = {
+    val opened = e.open(flags.gather(perm))
+    val kept = new ArrayBuilder.ofInt
+    var t = 0
+    while (t < perm.length) { if (opened(t) == 1L) kept += perm(t); t += 1 }
+    kept.result()
+  }
+
+  /** Shuffle `cols` together with their 0/1 `keep` flags, open the flags and
+    * keep the flagged rows. Reveals the kept count (caller must log it).
+    */
+  private[mpc] def shuffleKeep(e: MpcEngine, schema: Vector[String], cols: Vector[SharedCol],
+      keep: SharedCol): SharedRelation = {
+    val tagged = SharedRelation(schema :+ "__keep", cols :+ keep)
+    val kept = openFlagged(e, shufflePermutation(e, tagged), keep)
+    SharedRelation(schema, cols.map(_.gather(kept)))
   }
 
   // ------------------------------------------------------------------- sort
@@ -58,6 +75,9 @@ object Oblivious {
     * ones; the relative order of data is by `keys`. Rows are padded to a
     * power of two with invalid sentinel rows that are dropped afterwards
     * (their final positions are data-independent in count).
+    *
+    * Each layer of the network (all p/2 compare-exchanges of one step) is
+    * gathered into scratch columns, run as one batch and scattered back.
     */
   def sortBy(e: MpcEngine, rel: SharedRelation, keys: Seq[SortKey]): SharedRelation = {
     val n = rel.size
@@ -65,69 +85,72 @@ object Oblivious {
     var p = 1
     while (p < n) p <<= 1
 
-    val hadValidity = rel.validity.isDefined
-    // Working state: per-row validity flag + cells.
-    val valid = new Array[MpcVal](p)
-    val cells = new Array[Array[MpcVal]](p)
-    var i = 0
-    while (i < n) {
-      valid(i) = rel.validity.map(_(i)).getOrElse(e.input(1L))
-      cells(i) = rel.rows(i).toArray
-      i += 1
-    }
-    while (i < p) { // sentinel padding
-      valid(i) = e.input(0L)
-      cells(i) = Array.fill[MpcVal](rel.width)(e.input(0L))
-      i += 1
-    }
+    // Working state: cells and per-row validity, padded with sentinel rows.
+    def padded(c: SharedCol): SharedCol =
+      if (p == n) c.slice(0, n) else SharedCol.concat(Seq(c, e.constant(0L, p - n)))
+    val cells = rel.cols.map(padded)
+    val valid = padded(rel.validity.getOrElse(e.constant(1L, n)))
     e.chargeRows(p.toLong, rel.width.toLong)
 
-    // "Row a sorts after row b": validity descending, then keys in order.
-    def after(a: Int, b: Int): MpcVal = {
-      val va = valid(a); val vb = valid(b)
+    // Per layer: pair t compares row first(t) with row second(t), and
+    // swaps them if first(t) sorts after second(t).
+    val h = p / 2
+    val first = new Array[Int](h); val second = new Array[Int](h)
+    val as = cells.map(_ => e.alloc(h)); val bs = cells.map(_ => e.alloc(h))
+    val va = e.alloc(h); val vb = e.alloc(h)
+    val sw = e.alloc(h); val eqSoFar = e.alloc(h)
+    val t1 = e.alloc(h); val t2 = e.alloc(h); val ltf = e.alloc(h); val eqf = e.alloc(h)
+
+    // sw = "a sorts after b": validity descending, then keys in order.
+    def after(): Unit = {
       // validity level: a after b iff va < vb, i.e. vb AND NOT va = vb - va*vb
-      var res = e.sub(vb, e.mulFlag(va, vb))
+      e.mulFlag(va, vb, t1, h); e.sub(vb, t1, sw, h)
       // eq on 0/1 flags: 1 - (va XOR vb) = 1 - va - vb + 2*va*vb
-      var eqSoFar =
-        e.addPub(e.sub(e.add(e.mulFlag(va, vb), e.mulFlag(va, vb)), e.add(va, vb)), 1L)
+      e.mulFlag(va, vb, t1, h); e.mulFlag(va, vb, t2, h); e.add(t1, t2, t1, h)
+      e.add(va, vb, t2, h); e.sub(t1, t2, t1, h); e.addPub(t1, 1L, eqSoFar, h)
       keys.foreach { k =>
-        val x = cells(a)(k.col); val y = cells(b)(k.col)
-        val ltf = e.lt(x, y)
-        val eqf = e.eq(x, y)
+        val x = as(k.col); val y = bs(k.col)
+        e.lt(x, y, ltf, h); e.eq(x, y, eqf, h)
         // ascending: a after b iff x > y  = 1 - lt - eq (disjoint events)
         val cmpFlag =
-          if (k.ascending) e.sub(e.sub(e.input(1L), ltf), eqf)
+          if (k.ascending) { e.not(ltf, t1, h); e.sub(t1, eqf, t1, h); t1 }
           else ltf
-        res = e.add(res, e.mulFlag(eqSoFar, cmpFlag)) // disjoint OR
-        eqSoFar = e.mulFlag(eqSoFar, eqf)
+        e.mulFlag(eqSoFar, cmpFlag, t2, h); e.add(sw, t2, sw, h) // disjoint OR
+        e.mulFlag(eqSoFar, eqf, eqSoFar, h)
       }
-      res
     }
 
-    def exchange(a: Int, b: Int, up: Boolean): Unit = {
-      val sw = if (up) after(a, b) else after(b, a)
-      var c = 0
-      while (c < rel.width) {
-        val d = e.mulFlag(sw, e.sub(cells(b)(c), cells(a)(c)))
-        cells(a)(c) = e.add(cells(a)(c), d)
-        cells(b)(c) = e.sub(cells(b)(c), d)
-        c += 1
-      }
-      val dv = e.mulFlag(sw, e.sub(valid(b), valid(a)))
-      valid(a) = e.add(valid(a), dv)
-      valid(b) = e.sub(valid(b), dv)
+    // a, b = sw ? (b, a) : (a, b)
+    def exchange(a: SharedCol, b: SharedCol): Unit = {
+      e.sub(b, a, t1, h); e.mulFlag(sw, t1, t1, h)
+      e.add(a, t1, a, h); e.sub(b, t1, b, h)
     }
 
     var k = 2
     while (k <= p) {
       var j = k >> 1
       while (j > 0) {
-        var x = 0
+        var x = 0; var t = 0
         while (x < p) {
           val l = x ^ j
-          if (l > x) exchange(x, l, (x & k) == 0)
+          if (l > x) {
+            // Ascending blocks keep the smaller row at x, descending at l.
+            if ((x & k) == 0) { first(t) = x; second(t) = l } else { first(t) = l; second(t) = x }
+            t += 1
+          }
           x += 1
         }
+        cells.indices.foreach { c =>
+          cells(c).gatherInto(first, as(c)); cells(c).gatherInto(second, bs(c))
+        }
+        valid.gatherInto(first, va); valid.gatherInto(second, vb)
+        after()
+        cells.indices.foreach(c => exchange(as(c), bs(c)))
+        exchange(va, vb)
+        cells.indices.foreach { c =>
+          cells(c).scatterFrom(as(c), first); cells(c).scatterFrom(bs(c), second)
+        }
+        valid.scatterFrom(va, first); valid.scatterFrom(vb, second)
         j >>= 1
       }
       k <<= 1
@@ -135,25 +158,19 @@ object Oblivious {
 
     SharedRelation(
       rel.schema,
-      Vector.tabulate(n)(i => cells(i).toVector),
-      if (hadValidity) Some(Vector.tabulate(n)(valid(_))) else None,
+      cells.map(_.slice(0, n)),
+      if (rel.validity.isDefined) Some(valid.slice(0, n)) else None,
     )
   }
 
   // ----------------------------------------------------------------- filter
 
-  /** Order-preserving, size-hiding filter: evaluates `pred` per row and ANDs
-    * the result into the validity column. Nothing is revealed.
+  /** Order-preserving, size-hiding filter: ANDs the predicate's 0/1 `flags`
+    * (one per row) into the validity column. Nothing is revealed.
     */
-  def filter(e: MpcEngine, rel: SharedRelation)(
-      pred: Vector[MpcVal] => MpcVal): SharedRelation = {
+  def filter(e: MpcEngine, rel: SharedRelation, flags: SharedCol): SharedRelation = {
     e.chargeRows(rel.size.toLong, rel.width.toLong)
-    val flags = rel.rows.map(pred)
-    val merged = rel.validity match {
-      case Some(v) => v.lazyZip(flags).map((a, b) => e.and(a, b)).toVector
-      case None    => flags
-    }
-    rel.copy(validity = Some(merged))
+    rel.copy(validity = Some(rel.validity.fold(flags)(e.and(_, flags))))
   }
 
   /** Materialize a filtered relation: shuffle, open validity flags, drop
@@ -161,14 +178,60 @@ object Oblivious {
     */
   def compact(e: MpcEngine, rel: SharedRelation): SharedRelation = rel.validity match {
     case None => rel
-    case Some(_) =>
-      val shuffled = shuffle(e, rel)
-      val flags = e.openMany(shuffled.validity.get)
-      val kept = shuffled.rows.lazyZip(flags).collect { case (r, 1L) => r }.toVector
-      SharedRelation(rel.schema, kept, None)
+    case Some(v) =>
+      val kept = openFlagged(e, shufflePermutation(e, rel), v)
+      SharedRelation(rel.schema, rel.cols.map(_.gather(kept)))
   }
 
   // ------------------------------------------------------------- aggregation
+
+  /** `same(i)` = 1 iff row i equals row i-1 on every column of `cols`;
+    * `same(0)` = 0.
+    */
+  private def continues(e: MpcEngine, cols: Seq[SharedCol], n: Int): SharedCol = {
+    val same = SharedCol.concat(Seq(e.alloc(1), e.constant(1L, n - 1)))
+    val eqc = e.alloc(n - 1)
+    cols.foreach { c =>
+      e.eq(c, c, eqc, n - 1, ai = 1)
+      e.mulFlag(same, eqc, same, n - 1, ai = 1, oi = 1)
+    }
+    same
+  }
+
+  /** Flags marking the last row of each run: `not(same(i + 1))`, and 1 for
+    * the last row.
+    */
+  private[mpc] def lastOfRun(e: MpcEngine, same: SharedCol): SharedCol = {
+    val n = same.length
+    val last = e.constant(1L, n)
+    e.not(same, last, n - 1, ai = 1)
+    last
+  }
+
+  /** Jónsson's linear scan: fold each run of rows into its last row, where
+    * `same(i)` says row i continues row i-1's run. Sequential by nature, so
+    * it runs one element at a time over `agg`, in place.
+    */
+  private[mpc] def foldRuns(e: MpcEngine, fn: AggFn, same: SharedCol, agg: SharedCol): Unit = {
+    val take = e.alloc(1)
+    var i = 1
+    while (i < agg.length) {
+      fn match {
+        case AggFn.Sum | AggFn.Count =>
+          e.mulFlag(same, agg, take, 1, ai = i, bi = i - 1)
+          e.add(agg, take, agg, 1, ai = i, oi = i)
+        case AggFn.Min =>
+          e.lt(agg, agg, take, 1, ai = i - 1, bi = i)
+          e.mulFlag(same, take, take, 1, ai = i)
+          e.mux(take, agg, agg, agg, 1, ai = i - 1, bi = i, oi = i)
+        case AggFn.Max =>
+          e.lt(agg, agg, take, 1, ai = i, bi = i - 1)
+          e.mulFlag(same, take, take, 1, ai = i)
+          e.mux(take, agg, agg, agg, 1, ai = i - 1, bi = i, oi = i)
+      }
+      i += 1
+    }
+  }
 
   /** Grouped aggregation per Jónsson et al.: sort by group key, obliviously
     * fold each group into its last row, shuffle, open keep-flags, discard.
@@ -182,13 +245,13 @@ object Oblivious {
       rel: SharedRelation,
       groupIdxs: Seq[Int],
       aggIdx: Option[Int],
-      fn: MAggFn,
+      fn: AggFn,
       outName: String,
       preSorted: Boolean = false,
   ): SharedRelation = {
     require(groupIdxs.nonEmpty, "use globalAggregate for group-less aggregation")
     val outSchema = groupIdxs.map(rel.schema).toVector :+ outName
-    if (rel.size == 0) return SharedRelation(outSchema, Vector.empty, None)
+    if (rel.size == 0) return SharedRelation(outSchema, outSchema.map(_ => e.alloc(0)))
 
     // The sorting network may be skipped when the input is already grouped
     // (sort elimination, §5.4) — but only if no validity column could
@@ -197,58 +260,28 @@ object Oblivious {
       if (preSorted && rel.validity.isEmpty) rel
       else sortBy(e, rel, groupIdxs.map(SortKey(_)))
     val n = sorted.size
-    val valid = sorted.validity.getOrElse(Vector.fill(n)(e.input(1L)))
+    val valid = sorted.validity.getOrElse(e.constant(1L, n))
+    val groups = groupIdxs.map(sorted.cols).toVector
 
     // Initial per-row contribution, gated by validity.
-    def contribution(i: Int): MpcVal = fn match {
-      case MAggFn.Count => e.mulPub(valid(i), Fixed.Scale)
-      case MAggFn.Sum   => e.mulFlag(valid(i), sorted.rows(i)(aggIdx.get))
-      case MAggFn.Min   => e.mux(valid(i), sorted.rows(i)(aggIdx.get), e.input(Fixed.Big))
-      case MAggFn.Max   => e.mux(valid(i), sorted.rows(i)(aggIdx.get), e.input(-Fixed.Big))
+    val agg = fn match {
+      case AggFn.Count => e.mulPub(valid, Fixed.Scale)
+      case AggFn.Sum   => e.mulFlag(valid, sorted.cols(aggIdx.get))
+      case AggFn.Min   => e.mux(valid, sorted.cols(aggIdx.get), e.constant(Fixed.Big, n))
+      case AggFn.Max   => e.mux(valid, sorted.cols(aggIdx.get), e.constant(-Fixed.Big, n))
     }
-    val agg = ArrayBuffer.tabulate(n)(contribution)
-
-    def sameGroup(i: Int, j: Int): MpcVal =
-      groupIdxs.foldLeft(e.input(1L)) { (acc, c) =>
-        e.and(acc, e.eq(sorted.rows(i)(c), sorted.rows(j)(c)))
-      }
 
     // same(i): row i continues row i-1's group. Gated by row i's validity so
     // an invalid row with an equal key can never absorb (and then drop) a
     // group's accumulated aggregate.
-    val same = new Array[MpcVal](n)
-    var i = 1
-    while (i < n) {
-      same(i) = e.and(sameGroup(i, i - 1), valid(i))
-      fn match {
-        case MAggFn.Sum | MAggFn.Count =>
-          agg(i) = e.add(agg(i), e.mulFlag(same(i), agg(i - 1)))
-        case MAggFn.Min =>
-          val take = e.and(same(i), e.lt(agg(i - 1), agg(i)))
-          agg(i) = e.mux(take, agg(i - 1), agg(i))
-        case MAggFn.Max =>
-          val take = e.and(same(i), e.lt(agg(i), agg(i - 1)))
-          agg(i) = e.mux(take, agg(i - 1), agg(i))
-      }
-      i += 1
-    }
+    val same = continues(e, groups, n)
+    e.mulFlag(same, valid, same, n - 1, ai = 1, bi = 1, oi = 1)
+    foldRuns(e, fn, same, agg)
 
     // Keep the last row of each (valid) group.
-    val keep = Vector.tabulate(n) { i =>
-      val lastOfRun = if (i == n - 1) e.input(1L) else e.not(same(i + 1))
-      e.and(lastOfRun, valid(i))
-    }
-
-    // Shuffle rows together with their keep flags, then open the flags.
-    val tagged = SharedRelation(
-      outSchema :+ "__keep",
-      Vector.tabulate(n)(i => groupIdxs.map(sorted.rows(i)).toVector :+ agg(i) :+ keep(i)),
-      None,
-    )
-    val shuffled = shuffle(e, tagged)
-    val flags = e.openMany(shuffled.rows.map(_.last))
-    val outRows = shuffled.rows.lazyZip(flags).collect { case (r, 1L) => r.dropRight(1) }.toVector
-    SharedRelation(outSchema, outRows, None)
+    val keep = lastOfRun(e, same)
+    e.mulFlag(keep, valid, keep, n)
+    shuffleKeep(e, outSchema, groups :+ agg, keep)
   }
 
   /** Group-less aggregation: a single output row, nothing revealed. */
@@ -256,30 +289,35 @@ object Oblivious {
       e: MpcEngine,
       rel: SharedRelation,
       aggIdx: Option[Int],
-      fn: MAggFn,
+      fn: AggFn,
       outName: String,
   ): SharedRelation = {
-    e.chargeRows(rel.size.toLong, 1L)
-    val valid = rel.validity.getOrElse(Vector.fill(rel.size)(e.input(1L)))
-    val result = fn match {
-      case MAggFn.Count =>
-        valid.foldLeft(e.input(0L))((acc, v) => e.add(acc, e.mulPub(v, Fixed.Scale)))
-      case MAggFn.Sum =>
-        rel.rows.indices.foldLeft(e.input(0L)) { (acc, i) =>
-          e.add(acc, e.mulFlag(valid(i), rel.rows(i)(aggIdx.get)))
-        }
-      case MAggFn.Min =>
-        rel.rows.indices.foldLeft(e.input(Fixed.Big)) { (acc, i) =>
-          val x = e.mux(valid(i), rel.rows(i)(aggIdx.get), e.input(Fixed.Big))
-          e.mux(e.lt(x, acc), x, acc)
-        }
-      case MAggFn.Max =>
-        rel.rows.indices.foldLeft(e.input(-Fixed.Big)) { (acc, i) =>
-          val x = e.mux(valid(i), rel.rows(i)(aggIdx.get), e.input(-Fixed.Big))
-          e.mux(e.lt(acc, x), x, acc)
-        }
+    val n = rel.size
+    e.chargeRows(n.toLong, 1L)
+    val valid = rel.validity.getOrElse(e.constant(1L, n))
+    def values = rel.cols(aggIdx.get)
+    // Each row's contribution, and the fold's starting value.
+    val (xs, acc) = fn match {
+      case AggFn.Count => (e.mulPub(valid, Fixed.Scale), e.constant(0L, 1))
+      case AggFn.Sum   => (e.mulFlag(valid, values), e.constant(0L, 1))
+      case AggFn.Min   => (e.mux(valid, values, e.constant(Fixed.Big, n)), e.constant(Fixed.Big, 1))
+      case AggFn.Max   => (e.mux(valid, values, e.constant(-Fixed.Big, n)), e.constant(-Fixed.Big, 1))
     }
-    SharedRelation(Vector(outName), Vector(Vector(result)), None)
+    val better = e.alloc(1)
+    var i = 0
+    while (i < n) {
+      fn match {
+        case AggFn.Sum | AggFn.Count => e.add(acc, xs, acc, 1, bi = i)
+        case AggFn.Min =>
+          e.lt(xs, acc, better, 1, ai = i)
+          e.mux(better, xs, acc, acc, 1, ai = i)
+        case AggFn.Max =>
+          e.lt(acc, xs, better, 1, bi = i)
+          e.mux(better, xs, acc, acc, 1, ai = i)
+      }
+      i += 1
+    }
+    SharedRelation(Vector(outName), Vector(acc))
   }
 
   // ---------------------------------------------------------------- distinct
@@ -299,26 +337,26 @@ object Oblivious {
     if (rel.size == 0) return rel
     val sorted = if (preSorted) rel else sortBy(e, rel, keyIdxs.map(SortKey(_)))
     val n = sorted.size
-    val valid = sorted.validity.getOrElse(Vector.fill(n)(e.input(1L)))
+    val valid = sorted.validity.getOrElse(e.constant(1L, n))
     e.chargeRows(n.toLong, rel.width.toLong)
+    val same = continues(e, keyIdxs.map(sorted.cols), n)
 
-    def sameKey(i: Int): MpcVal =
-      keyIdxs.foldLeft(e.input(1L)) { (acc, c) =>
-        e.and(acc, e.eq(sorted.rows(i)(c), sorted.rows(i - 1)(c)))
-      }
-
-    // seen(i): an earlier row of this key run was valid.
-    val newValid = new Array[MpcVal](n)
-    newValid(0) = valid(0)
-    var seen = e.input(0L)
+    // seen(i): an earlier row of this key run was valid:
+    // seen(i) = same(i) AND (seen(i-1) OR valid(i-1)).
+    val seen = e.alloc(n)
+    val or = e.alloc(1); val both = e.alloc(1)
     var i = 1
     while (i < n) {
-      val or = e.sub(e.add(seen, valid(i - 1)), e.and(seen, valid(i - 1)))
-      seen = e.mulFlag(sameKey(i), or)
-      newValid(i) = e.and(valid(i), e.not(seen))
+      e.add(seen, valid, or, 1, ai = i - 1, bi = i - 1)
+      e.mulFlag(seen, valid, both, 1, ai = i - 1, bi = i - 1)
+      e.sub(or, both, or, 1)
+      e.mulFlag(same, or, seen, 1, ai = i, oi = i)
       i += 1
     }
-    sorted.copy(validity = Some(newValid.toVector))
+    val newValid = valid.slice(0, n)
+    e.not(seen, seen, n - 1, ai = 1, oi = 1)
+    e.mulFlag(valid, seen, newValid, n - 1, ai = 1, bi = 1, oi = 1)
+    sorted.copy(validity = Some(newValid))
   }
 
   // -------------------------------------------------------------------- join
@@ -336,7 +374,7 @@ object Oblivious {
       lKeys: Seq[Int],
       rKeys: Seq[Int],
   ): SharedRelation = {
-    require(lKeys.length == rKeys.length, "join key arity mismatch")
+    require(lKeys.length == rKeys.length && lKeys.nonEmpty, "bad join keys")
     val lRest = left.schema.indices.filterNot(lKeys.contains)
     val rRest = right.schema.indices.filterNot(rKeys.contains)
     val outSchema =
@@ -345,38 +383,42 @@ object Oblivious {
     val n = left.size.toLong; val m = right.size.toLong
     require(n * m <= 2_000_000_000L,
       s"simulated MPC join too large: $n x $m candidate pairs")
-    val lValid = left.validity
-    val rValid = right.validity
 
-    val matches = ArrayBuffer.empty[Vector[MpcVal]]
+    // One left row against the whole right relation per step: the left
+    // row's cells are broadcast into `lv`, the candidate flags built in `f`.
+    val mi = right.size
+    val row = new Array[Int](mi)
+    val lv = e.alloc(mi); val f = e.alloc(mi); val eqf = e.alloc(mi)
+    val lMatch = new ArrayBuilder.ofInt; val rMatch = new ArrayBuilder.ofInt
     var i = 0
     while (i < left.size) {
-      var j = 0
-      while (j < right.size) {
-        var f = lKeys.indices.foldLeft(null: MpcVal) { (acc, k) =>
-          val eqf = e.eq(left.rows(i)(lKeys(k)), right.rows(j)(rKeys(k)))
-          if (acc == null) eqf else e.and(acc, eqf)
-        }
-        lValid.foreach(v => f = e.and(f, v(i)))
-        rValid.foreach(v => f = e.and(f, v(j)))
-        // The protocol shuffles the bit-packed candidate-flag vector and
-        // opens it; we materialize only the matches (the open reveals them
-        // anyway). The O(n·m) oblivious equality tests above dominate, as
-        // in the paper's complexity analysis (§5.3).
-        if (e.idealOpen(f) == 1L) {
-          matches += (lKeys.map(left.rows(i)).toVector ++
-            lRest.map(left.rows(i)) ++ rRest.map(right.rows(j)))
-        }
-        j += 1
+      java.util.Arrays.fill(row, i)
+      lKeys.indices.foreach { k =>
+        left.cols(lKeys(k)).gatherInto(row, lv)
+        if (k == 0) e.eq(lv, right.cols(rKeys(k)), f, mi)
+        else { e.eq(lv, right.cols(rKeys(k)), eqf, mi); e.mulFlag(f, eqf, f, mi) }
       }
+      left.validity.foreach { v => v.gatherInto(row, lv); e.mulFlag(f, lv, f, mi) }
+      right.validity.foreach(v => e.mulFlag(f, v, f, mi))
+      // The protocol shuffles the bit-packed candidate-flag vector and
+      // opens it; we materialize only the matches (the open reveals them
+      // anyway). The O(n·m) oblivious equality tests above dominate, as
+      // in the paper's complexity analysis (§5.3).
+      val flags = e.idealOpen(f)
+      var j = 0
+      while (j < mi) { if (flags(j) == 1L) { lMatch += i; rMatch += j }; j += 1 }
       i += 1
     }
-    e.chargeRows(n + m + matches.length, outSchema.length.toLong)
+    val ls = lMatch.result(); val rs = rMatch.result()
+    val matches = ls.length.toLong
+    e.chargeRows(n + m + matches, outSchema.length.toLong)
     e.chargeShuffle(n * m / 64 + 1, 1L) // bit-packed flag vector shuffle
-    e.chargeShuffle(matches.length.toLong, outSchema.length.toLong)
-    e.openMany(Seq.empty) // one opening round for the flag vector
-    val perm = e.secretPermutation(matches.length)
-    SharedRelation(outSchema, Vector.tabulate(matches.length)(k => matches(perm(k))), None)
+    e.chargeShuffle(matches, outSchema.length.toLong)
+    e.meter.addRound(1) // one opening round for the flag vector
+    val perm = e.secretPermutation(ls.length)
+    val lIdx = perm.map(ls(_)); val rIdx = perm.map(rs(_))
+    SharedRelation(outSchema,
+      (lKeys ++ lRest).map(left.cols(_).gather(lIdx)).toVector ++ rRest.map(right.cols(_).gather(rIdx)))
   }
 
   // --------------------------------------------------- oblivious indexing
@@ -387,20 +429,18 @@ object Oblivious {
     * asymptotic improvement over the Cartesian join.
     * Simulated as its ideal functionality with the protocol's cost charged.
     */
-  def select(e: MpcEngine, rel: SharedRelation, idxs: Vector[MpcVal]): SharedRelation = {
+  def select(e: MpcEngine, rel: SharedRelation, idxs: SharedCol): SharedRelation = {
     require(rel.validity.isEmpty, "select requires a compacted relation")
-    val n = rel.size.toLong; val m = idxs.size.toLong
-    val nm = math.max(2L, n + m)
-    val logNm = 64 - java.lang.Long.numberOfLeadingZeros(nm - 1)
+    val n = rel.size.toLong; val m = idxs.length.toLong
+    val logNm = Log2.ceil(n + m)
     e.meter.addMul((n + m) * logNm * rel.width)
-    e.meter.addRound(logNm.toLong)
+    e.meter.addRound(logNm)
     e.chargeRows(n + m, rel.width.toLong)
-    val rows = idxs.map { iv =>
-      val i = e.idealOpen(iv).toInt
+    val pos = e.idealOpen(idxs).map { i =>
       require(i >= 0 && i < rel.size, s"oblivious index $i out of range 0..${rel.size}")
-      rel.rows(i)
+      i.toInt
     }
-    SharedRelation(rel.schema, rows, None)
+    rel.gather(pos)
   }
 
   // ------------------------------------------------------------------ reveal
@@ -412,7 +452,8 @@ object Oblivious {
   def reveal(e: MpcEngine, rel: SharedRelation): Vector[Vector[Double]] = {
     val compacted = compact(e, rel)
     e.chargeRows(compacted.size.toLong, compacted.width.toLong)
-    if (compacted.size > 0) e.openMany(Seq.empty) // one opening round
-    compacted.rows.map(_.map(v => Fixed.decode(e.idealOpen(v))))
+    if (compacted.size == 0) return Vector.empty
+    val opened = e.open(compacted.cols) // one opening round
+    Vector.tabulate(compacted.size)(i => opened.map(c => Fixed.decode(c(i))).toVector)
   }
 }

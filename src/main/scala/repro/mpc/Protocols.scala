@@ -1,8 +1,6 @@
 package repro.mpc
 
-import repro.core.Party
-
-import scala.collection.mutable
+import repro.core.{AggFn, Party}
 
 /** Conclave's hybrid MPC–cleartext protocols (paper §5.3, Fig. 3).
   *
@@ -43,31 +41,22 @@ object Protocols {
 
     // 2-4. Project the key columns, reveal them to the STP; the STP
     //      enumerates rows and joins in the clear.
-    def revealKeys(rel: SharedRelation, keys: Seq[Int], side: String): Vector[Vector[Long]] = {
-      keys.foreach(k => leakage.record(ColumnLeak(relName, s"$side:${rel.schema(k)}", Set(stp))))
-      e.chargeRows(rel.size.toLong, keys.length.toLong)
-      if (rel.size > 0) e.openMany(Seq.empty) // one opening round for the column
-      rel.rows.map(r => keys.map(k => e.idealOpen(r(k))).toVector)
-    }
-    val lKeyRows = revealKeys(lS, lKeys, "left")
-    val rKeyRows = revealKeys(rS, rKeys, "right")
+    val lKeyRows = openKeys(e, leakage, relName, lS, lKeys, "left", Set(stp))
+    val rKeyRows = openKeys(e, leakage, relName, rS, rKeys, "right", Set(stp))
 
     // Cleartext hash join at the STP over (key, rowIndex) pairs.
-    val byKey = mutable.HashMap.empty[Vector[Long], mutable.ArrayBuffer[Int]]
-    lKeyRows.zipWithIndex.foreach { case (k, i) =>
-      byKey.getOrElseUpdate(k, mutable.ArrayBuffer.empty) += i
-    }
+    val byKey = lKeyRows.indices.groupBy(lKeyRows)
     val pairs = for {
       (k, j) <- rKeyRows.zipWithIndex
-      i <- byKey.getOrElse(k, mutable.ArrayBuffer.empty)
+      i <- byKey.getOrElse(k, Seq.empty)
     } yield (i, j)
 
     // All parties learn the join's output cardinality.
     leakage.record(CardinalityLeak(relName, pairs.length.toLong, allParties))
 
     // 5. The STP secret-shares the two index relations back into the MPC.
-    val lIdx = pairs.map(p => e.input(p._1.toLong)).toVector
-    val rIdx = pairs.map(p => e.input(p._2.toLong)).toVector
+    val lIdx = e.input(pairs.map(_._1.toLong).toArray)
+    val rIdx = e.input(pairs.map(_._2.toLong).toArray)
     e.chargeRows(pairs.length.toLong, 2L)
 
     // 6. Oblivious indexing recovers the joined rows under MPC.
@@ -79,14 +68,21 @@ object Protocols {
     val rRest = right.schema.indices.filterNot(rKeys.contains)
     val outSchema =
       lKeys.map(left.schema).toVector ++ lRest.map(left.schema) ++ rRest.map(right.schema)
-    val joined = SharedRelation(
-      outSchema,
-      lRows.rows.lazyZip(rRows.rows).map { (lr, rr) =>
-        lKeys.map(lr).toVector ++ lRest.map(lr) ++ rRest.map(rr)
-      }.toVector,
-      None,
-    )
+    val joined = SharedRelation(outSchema,
+      (lKeys ++ lRest).map(lRows.cols).toVector ++ rRest.map(rRows.cols))
     Oblivious.shuffle(e, joined)
+  }
+
+  /** Reveal the key columns `keys` of `rel` to `to` in one round, logging each
+    * as a column leak; one key vector per row.
+    */
+  private def openKeys(e: MpcEngine, leakage: LeakageLog, relName: String, rel: SharedRelation,
+      keys: Seq[Int], side: String, to: Set[Party]): IndexedSeq[Vector[Long]] = {
+    keys.foreach(k => leakage.record(ColumnLeak(relName, s"$side:${rel.schema(k)}", to)))
+    e.chargeRows(rel.size.toLong, keys.length.toLong)
+    if (rel.size == 0) return IndexedSeq.empty
+    val opened = e.open(keys.map(rel.cols))
+    IndexedSeq.tabulate(rel.size)(i => opened.map(_(i)).toVector)
   }
 
   /** Public join: both key columns are public, so the keys are revealed to
@@ -109,25 +105,16 @@ object Protocols {
   ): SharedRelation = {
     require(left.validity.isEmpty && right.validity.isEmpty,
       "public join requires compacted inputs")
-    def openKeys(rel: SharedRelation, keys: Seq[Int], side: String): Vector[Vector[Long]] = {
-      keys.foreach(k => leakage.record(ColumnLeak(relName, s"$side:${rel.schema(k)}", allParties)))
-      e.chargeRows(rel.size.toLong, keys.length.toLong)
-      if (rel.size > 0) e.openMany(Seq.empty)
-      rel.rows.map(r => keys.map(k => e.idealOpen(r(k))).toVector)
-    }
-    val lKeyRows = openKeys(left, lKeys, "left")
-    val rKeyRows = openKeys(right, rKeys, "right")
+    val lKeyRows = openKeys(e, leakage, relName, left, lKeys, "left", allParties)
+    val rKeyRows = openKeys(e, leakage, relName, right, rKeys, "right", allParties)
 
-    val byKey = mutable.HashMap.empty[Vector[Long], mutable.ArrayBuffer[Int]]
-    rKeyRows.zipWithIndex.foreach { case (k, j) =>
-      byKey.getOrElseUpdate(k, mutable.ArrayBuffer.empty) += j
-    }
+    val byKey = rKeyRows.indices.groupBy(rKeyRows)
     // Sorted by key: the host returns matches in key order (free in the
     // clear) so MPC consumers can skip oblivious sorts on the key.
     import scala.math.Ordering.Implicits.seqOrdering
     val pairs = lKeyRows.zipWithIndex
-      .flatMap { case (k, i) => byKey.getOrElse(k, mutable.ArrayBuffer.empty).map(j => (k, i, j)) }
-      .sortBy(t => t._1: Seq[Long])
+      .flatMap { case (k, i) => byKey.getOrElse(k, Seq.empty).map(j => (k, i, j)) }
+      .sortBy(_._1)
     leakage.record(CardinalityLeak(relName, pairs.length.toLong, allParties))
 
     val lRest = left.schema.indices.filterNot(lKeys.contains)
@@ -135,13 +122,10 @@ object Protocols {
     val outSchema =
       lKeys.map(left.schema).toVector ++ lRest.map(left.schema) ++ rRest.map(right.schema)
     e.chargeRows(pairs.length.toLong, outSchema.length.toLong)
-    SharedRelation(
-      outSchema,
-      pairs.map { case (_, i, j) =>
-        lKeys.map(left.rows(i)).toVector ++ lRest.map(left.rows(i)) ++ rRest.map(right.rows(j))
-      }.toVector,
-      None,
-    )
+    val lIdx = pairs.map(_._2).toArray
+    val rIdx = pairs.map(_._3).toArray
+    SharedRelation(outSchema,
+      (lKeys ++ lRest).map(left.cols(_).gather(lIdx)).toVector ++ rRest.map(right.cols(_).gather(rIdx)))
   }
 
   /** Hybrid aggregation (§5.3): oblivious shuffle, group-by column revealed
@@ -157,7 +141,7 @@ object Protocols {
       rel: SharedRelation,
       groupIdxs: Seq[Int],
       aggIdx: Option[Int],
-      fn: MAggFn,
+      fn: AggFn,
       outName: String,
       stp: Party,
       allParties: Set[Party],
@@ -165,68 +149,40 @@ object Protocols {
     require(rel.validity.isEmpty, "hybrid aggregation requires a compacted input")
     require(groupIdxs.nonEmpty, "hybrid aggregation needs group-by columns")
     val outSchema = groupIdxs.map(rel.schema).toVector :+ outName
-    if (rel.size == 0) return SharedRelation(outSchema, Vector.empty, None)
+    if (rel.size == 0) return SharedRelation(outSchema, outSchema.map(_ => e.alloc(0)))
 
     // 1. Oblivious shuffle, then reveal the (shuffled) group-by column(s)
     //    to the STP.
     val shuffled = Oblivious.shuffle(e, rel)
     groupIdxs.foreach(g => leakage.record(ColumnLeak(relName, rel.schema(g), Set(stp))))
     e.chargeRows(shuffled.size.toLong, groupIdxs.length.toLong)
-    e.openMany(Seq.empty)
-    val keys = shuffled.rows.map(r => groupIdxs.map(g => e.idealOpen(r(g))).toVector)
+    val opened = e.open(groupIdxs.map(shuffled.cols))
+    val keys = IndexedSeq.tabulate(shuffled.size)(i => opened.map(_(i)).toVector)
 
     // 2-4. STP: enumerate, sort by key, compute equality flags, publish the
     //      ordering (public) and secret-share the flags.
-    val order = keys.indices.sortBy(i => keys(i).mkString(","))
-    val eqFlags = order.indices.map { pos =>
-      if (pos == 0) 0L
-      else if (keys(order(pos)) == keys(order(pos - 1))) 1L
-      else 0L
-    }
-    val same = eqFlags.map(e.input) // STP secret-shares the equality flags
-    e.chargeRows(order.length.toLong, 1L)
+    import scala.math.Ordering.Implicits.seqOrdering
+    val order = keys.indices.sortBy(keys).toArray
+    val n = order.length
+    val eqFlags = Array.tabulate(n)(pos => if (pos > 0 && keys(order(pos)) == keys(order(pos - 1))) 1L else 0L)
+    val same = e.input(eqFlags) // STP secret-shares the equality flags
+    e.chargeRows(n.toLong, 1L)
 
     // 5-6. Parties reorder the shuffled relation by the public ordering.
     val sorted = Oblivious.applyPublicPermutation(e, shuffled, order)
 
     // 7. Linear oblivious accumulation into each group's last row.
-    val n = sorted.size
-    val agg = new Array[MpcVal](n)
-    var i = 0
-    while (i < n) {
-      agg(i) = fn match {
-        case MAggFn.Count => e.input(Fixed.Scale)
-        case _            => sorted.rows(i)(aggIdx.get)
-      }
-      i += 1
+    val agg = fn match {
+      case AggFn.Count => e.constant(Fixed.Scale, n)
+      case _           => sorted.cols(aggIdx.get).slice(0, n) // folded in place
     }
-    i = 1
-    while (i < n) {
-      fn match {
-        case MAggFn.Sum | MAggFn.Count =>
-          agg(i) = e.add(agg(i), e.mulFlag(same(i), agg(i - 1)))
-        case MAggFn.Min =>
-          val take = e.and(same(i), e.lt(agg(i - 1), agg(i)))
-          agg(i) = e.mux(take, agg(i - 1), agg(i))
-        case MAggFn.Max =>
-          val take = e.and(same(i), e.lt(agg(i), agg(i - 1)))
-          agg(i) = e.mux(take, agg(i - 1), agg(i))
-      }
-      i += 1
-    }
-    val keep = Vector.tabulate(n)(i => if (i == n - 1) e.input(1L) else e.not(same(i + 1)))
+    Oblivious.foldRuns(e, fn, same, agg)
+    val keep = Oblivious.lastOfRun(e, same)
 
     // 8. Shuffle, open keep flags, discard: all parties learn the number of
     //    groups (the output size).
-    val tagged = SharedRelation(
-      outSchema :+ "__keep",
-      Vector.tabulate(n)(i => groupIdxs.map(sorted.rows(i)).toVector :+ agg(i) :+ keep(i)),
-      None,
-    )
-    val reshuffled = Oblivious.shuffle(e, tagged)
-    val flags = e.openMany(reshuffled.rows.map(_.last))
-    val outRows = reshuffled.rows.lazyZip(flags).collect { case (r, 1L) => r.dropRight(1) }.toVector
-    leakage.record(CardinalityLeak(relName, outRows.length.toLong, allParties))
-    SharedRelation(outSchema, outRows, None)
+    val out = Oblivious.shuffleKeep(e, outSchema, groupIdxs.map(sorted.cols).toVector :+ agg, keep)
+    leakage.record(CardinalityLeak(relName, out.size.toLong, allParties))
+    out
   }
 }

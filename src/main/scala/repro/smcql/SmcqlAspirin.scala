@@ -2,7 +2,7 @@ package repro.smcql
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.Party
+import repro.core.{AggFn, CmpOp, Party}
 import repro.mpc._
 import repro.queries.AspirinCount
 
@@ -68,15 +68,15 @@ object SmcqlAspirin {
   private def runSlice(b: MpcBackend, patient: Double,
       d: Seq[Seq[Double]], m: Seq[Seq[Double]]): Long = {
     val name = s"slice:$patient"
-    val dRel = b.close(s"$name:d", Seq("patient", "diag", "dtime"), d)
-    val mRel = b.close(s"$name:m", Seq("patient", "med", "mtime"), m)
+    val dRel = b.closeRows(s"$name:d", Seq("patient", "diag", "dtime"), d)
+    val mRel = b.closeRows(s"$name:m", Seq("patient", "med", "mtime"), m)
     val j = b.join(name, dRel, mRel, Seq("patient"), Seq("patient"))
     val f = b.filterCol(
-      b.filterLit(b.filterLit(j, "diag", MCmp.Eq, AspirinCount.TargetDiag),
-        "med", MCmp.Eq, AspirinCount.TargetMed),
-      "mtime", MCmp.Geq, "dtime")
+      b.filterLit(b.filterLit(j, "diag", CmpOp.Eq, AspirinCount.TargetDiag),
+        "med", CmpOp.Eq, AspirinCount.TargetMed),
+      "mtime", CmpOp.Geq, "dtime")
     val dist = b.distinct(b.project(f, Seq("patient")), preSorted = false)
-    val cnt = b.globalAggregate(dist, None, MAggFn.Count, "c")
+    val cnt = b.globalAggregate(dist, None, AggFn.Count, "c")
     Oblivious.reveal(b.engine, cnt).head.head.toLong
   }
 

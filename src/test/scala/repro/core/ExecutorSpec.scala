@@ -153,6 +153,41 @@ class ExecutorSpec extends SparkSpec {
     assertThrows[IllegalArgumentException](ex.run(plan, inputs))
   }
 
+  test("MPC limit after filter and sort returns the sorted prefix") {
+    // Under mpcOnly the filter only marks rows invalid and the sort moves
+    // them last; the limit must keep that order rather than shuffle.
+    val inputs = twoPartyKeyed(40)
+    val dag = new Dag
+    val q = new Dsl(dag)
+    import q._
+    concat(table("t", pA, col("k"), col("v")), table("u", pB, col("k"), col("v")))
+      .filter("k", CmpOp.Gt, 3).sortBy("v").limit(5).writeTo("out", pA)
+    val res = run(dag, CompileConfig.mpcOnly, inputs, Set(pA, pB))
+    val got = res.outputs("out").collect().map(_.getDouble(1)).toSeq
+    val want = inputs("t").unionAll(inputs("u")).where("k > 3").orderBy("v").limit(5)
+      .collect().map(_.getDouble(1)).toSeq
+    assert(got == want)
+    assert(got == Seq(16.0, 24.0, 24.0, 35.0, 35.0))
+  }
+
+  test("a reused executor reports each run's metrics and leakage alone") {
+    val dag = new Dag
+    val q = new Dsl(dag)
+    import q._
+    concat(table("t", pA, col("k"), col("v")), table("u", pB, col("k"), col("v")))
+      .filter("v", CmpOp.Gt, 100).sum(Seq("k"), "v", "s").writeTo("out", pA)
+    val plan = Compiler.compile(dag, CompileConfig.mpcOnly)
+    val ex = new Executor(spark, MpcBackend.sharemind(Set(pA, pB)))
+    val inputs = twoPartyKeyed(30)
+    val first = ex.run(plan, inputs)
+    val second = ex.run(plan, inputs)
+    def multiset(r: ExecResult) = r.leakage.events.groupBy(identity).view.mapValues(_.size).toMap
+    assert(first.metrics.cost.muls > 0)
+    assert(second.metrics.cost == first.metrics.cost)
+    assert(second.metrics.closedRows == first.metrics.closedRows)
+    assert(multiset(second) == multiset(first))
+  }
+
   // --------------------------------------------------- market concentration
 
   test("market concentration: per-company revenue matches DuckDB bit-for-bit") {

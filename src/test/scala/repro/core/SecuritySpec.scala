@@ -100,8 +100,8 @@ class SecuritySpec extends SparkSpec {
     def trace(filterVal: Double): Seq[Long] = {
       val b = MpcBackend.sharemind(Set(Party("a"), Party("b")))
       val rows = (1 to 12).map(i => Seq((i % 3).toDouble, i.toDouble))
-      val f = b.filterLit(b.close("in", Seq("k", "v"), rows), "v", MCmp.Neq, filterVal)
-      b.aggregate("agg", f, Seq("k"), Some("v"), MAggFn.Sum, "s")
+      val f = b.filterLit(b.closeRows("in", Seq("k", "v"), rows), "v", CmpOp.Neq, filterVal)
+      b.aggregate("agg", f, Seq("k"), Some("v"), AggFn.Sum, "s")
       b.leakage.cardinalities.map(_.rows)
     }
     assert(trace(5.0) == trace(8.0), "leakage must be independent of which rows matched")
@@ -115,7 +115,7 @@ class SecuritySpec extends SparkSpec {
     def bias(x: Long): Double = {
       val n = 2000
       (1 to n).count { _ =>
-        e.input(x).asInstanceOf[SharesVal].s1 < 0
+        e.input(Array(x)).asInstanceOf[ShareCol].s1(0) < 0
       }.toDouble / n
     }
     assert(math.abs(bias(0L) - bias(1000000000L)) < 0.1)
@@ -124,7 +124,7 @@ class SecuritySpec extends SparkSpec {
   test("reveal of a filtered relation discloses only the surviving rows") {
     val b = MpcBackend.sharemind(Set(Party("a"), Party("b")))
     val rows = (1 to 10).map(i => Seq(i.toDouble))
-    val f = b.filterLit(b.close("in", Seq("v"), rows), "v", MCmp.Leq, 4.0)
+    val f = b.filterLit(b.closeRows("in", Seq("v"), rows), "v", CmpOp.Leq, 4.0)
     val out = b.reveal("out", f, Set(Party("a")))
     assert(out.map(_.head).sorted == Seq(1.0, 2.0, 3.0, 4.0))
     // The relation leak targets only the recipient.

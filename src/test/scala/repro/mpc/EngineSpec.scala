@@ -4,8 +4,15 @@ import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 import repro.Props.{forAll, forAll2}
 
-/** Value-level tests of the secret-sharing and garbled-circuit engines. */
+/** Value-level tests of the secret-sharing and garbled-circuit engines,
+  * mostly through length-1 columns (the scalar view of the batch API).
+  */
 class EngineSpec extends AnyFunSuite {
+
+  private implicit class Scalars(e: MpcEngine) {
+    def in(x: Long): SharedCol = e.input(Array(x))
+    def value(c: SharedCol): Long = e.open(c).head
+  }
 
   private def freshSS(): SecretSharingEngine =
     new SecretSharingEngine(1L, new CostMeter(CostParams.Sharemind))
@@ -16,21 +23,21 @@ class EngineSpec extends AnyFunSuite {
 
   test("secret sharing round-trips arbitrary ring elements") {
     val e = freshSS()
-    forAll(smallLongs) { x => assert(e.open(e.input(x)) == x) }
+    forAll(smallLongs) { x => assert(e.value(e.in(x)) == x) }
   }
 
   test("shares of the same value differ (fresh randomness)") {
     val e = freshSS()
-    val a = e.input(42L); val b = e.input(42L)
-    assert(a != b)
-    assert(e.open(a) == 42L && e.open(b) == 42L)
+    val a = e.in(42L); val b = e.in(42L)
+    assert(a.parts.map(_.toSeq).toSeq != b.parts.map(_.toSeq).toSeq)
+    assert(e.value(a) == 42L && e.value(b) == 42L)
   }
 
   test("individual shares look uniform: no single share equals the secret") {
     val e = freshSS()
     val hits = (1 to 200).count { _ =>
-      val s = e.input(123456789L).asInstanceOf[SharesVal]
-      s.s1 == 123456789L || s.s2 == 123456789L || s.s3 == 123456789L
+      val s = e.in(123456789L).asInstanceOf[ShareCol]
+      s.s1(0) == 123456789L || s.s2(0) == 123456789L || s.s3(0) == 123456789L
     }
     assert(hits == 0)
   }
@@ -38,8 +45,8 @@ class EngineSpec extends AnyFunSuite {
   test("addition and subtraction are exact") {
     val e = freshSS()
     forAll2(smallLongs, smallLongs) { (x, y) =>
-      assert(e.open(e.add(e.input(x), e.input(y))) == x + y)
-      assert(e.open(e.sub(e.input(x), e.input(y))) == x - y)
+      assert(e.value(e.add(e.in(x), e.in(y))) == x + y)
+      assert(e.value(e.sub(e.in(x), e.in(y))) == x - y)
     }
   }
 
@@ -47,8 +54,8 @@ class EngineSpec extends AnyFunSuite {
     val e = freshSS()
     val before = e.meter.muls
     forAll2(smallLongs, smallLongs) { (x, k) =>
-      assert(e.open(e.addPub(e.input(x), k)) == x + k)
-      assert(e.open(e.mulPub(e.input(x), k)) == x * k)
+      assert(e.value(e.addPub(e.in(x), k)) == x + k)
+      assert(e.value(e.mulPub(e.in(x), k)) == x * k)
     }
     assert(e.meter.muls == before, "linear ops must not consume Beaver triples")
   }
@@ -56,21 +63,21 @@ class EngineSpec extends AnyFunSuite {
   test("Beaver multiplication is exact") {
     val e = freshSS()
     forAll2(smallLongs, smallLongs) { (x, y) =>
-      assert(e.open(e.mulRaw(e.input(x), e.input(y))) == x * y)
+      assert(e.value(e.mulRaw(e.in(x), e.in(y))) == x * y)
     }
   }
 
   test("Beaver multiplication charges exactly one triple") {
     val e = freshSS()
     val before = e.meter.muls
-    e.mulRaw(e.input(3), e.input(4))
+    e.mulRaw(e.in(3), e.in(4))
     assert(e.meter.muls == before + 1)
   }
 
   test("fixed-point multiply rescales correctly") {
     val e = freshSS()
     forAll2(Gen.chooseNum(-10000, 10000), Gen.chooseNum(-10000, 10000)) { (a, b) =>
-      val got = Fixed.decode(e.open(e.mulFx(e.input(Fixed.encode(a)), e.input(Fixed.encode(b)))))
+      val got = Fixed.decode(e.value(e.mulFx(e.in(Fixed.encode(a)), e.in(Fixed.encode(b)))))
       assert(math.abs(got - a.toDouble * b) <= 1.0, s"$a*$b -> $got")
     }
   }
@@ -78,44 +85,44 @@ class EngineSpec extends AnyFunSuite {
   test("fixed-point divide approximates real division") {
     val e = freshSS()
     forAll2(Gen.chooseNum(1, 100000), Gen.chooseNum(1, 1000)) { (a, b) =>
-      val got = Fixed.decode(e.open(e.divFx(e.input(Fixed.encode(a)), e.input(Fixed.encode(b)))))
+      val got = Fixed.decode(e.value(e.divFx(e.in(Fixed.encode(a)), e.in(Fixed.encode(b)))))
       assert(math.abs(got - a.toDouble / b) <= 1e-4 * math.max(1.0, a.toDouble / b))
     }
   }
 
   test("divFx rejects division by zero") {
     val e = freshSS()
-    assertThrows[IllegalArgumentException](e.divFx(e.input(Fixed.encode(1)), e.input(0L)))
+    assertThrows[IllegalArgumentException](e.divFx(e.in(Fixed.encode(1)), e.in(0L)))
   }
 
   test("eq and lt produce correct 0/1 flags") {
     val e = freshSS()
     forAll2(smallLongs, smallLongs) { (x, y) =>
-      assert(e.open(e.eq(e.input(x), e.input(y))) == (if (x == y) 1L else 0L))
-      assert(e.open(e.lt(e.input(x), e.input(y))) == (if (x < y) 1L else 0L))
+      assert(e.value(e.eq(e.in(x), e.in(y))) == (if (x == y) 1L else 0L))
+      assert(e.value(e.lt(e.in(x), e.in(y))) == (if (x < y) 1L else 0L))
     }
   }
 
   test("mux selects by flag") {
     val e = freshSS()
     forAll2(smallLongs, smallLongs) { (x, y) =>
-      assert(e.open(e.mux(e.input(1L), e.input(x), e.input(y))) == x)
-      assert(e.open(e.mux(e.input(0L), e.input(x), e.input(y))) == y)
+      assert(e.value(e.mux(e.in(1L), e.in(x), e.in(y))) == x)
+      assert(e.value(e.mux(e.in(0L), e.in(x), e.in(y))) == y)
     }
   }
 
   test("not and and implement boolean logic on flags") {
     val e = freshSS()
     for (a <- Seq(0L, 1L); b <- Seq(0L, 1L)) {
-      assert(e.open(e.not(e.input(a))) == 1L - a)
-      assert(e.open(e.and(e.input(a), e.input(b))) == a * b)
+      assert(e.value(e.not(e.in(a))) == 1L - a)
+      assert(e.value(e.and(e.in(a), e.in(b))) == a * b)
     }
   }
 
   test("engines reject foreign values") {
     val ss = freshSS(); val gc = freshGC()
-    assertThrows[IllegalArgumentException](ss.add(ss.input(1), gc.input(1)))
-    assertThrows[IllegalArgumentException](gc.add(gc.input(1), ss.input(1)))
+    assertThrows[IllegalArgumentException](ss.add(ss.in(1), gc.in(1)))
+    assertThrows[IllegalArgumentException](gc.add(gc.in(1), ss.in(1)))
   }
 
   test("secretPermutation is a permutation") {
@@ -126,31 +133,60 @@ class EngineSpec extends AnyFunSuite {
 
   test("eq/lt/cmp operations are metered") {
     val e = freshSS()
-    e.eq(e.input(1), e.input(2)); e.lt(e.input(1), e.input(2))
+    e.eq(e.in(1), e.in(2)); e.lt(e.in(1), e.in(2))
     assert(e.meter.eqs == 1 && e.meter.cmps == 1)
   }
 
   test("garbled-circuit engine computes the same arithmetic") {
     val e = freshGC()
-    assert(e.open(e.add(e.input(3), e.input(4))) == 7L)
-    assert(e.open(e.mulRaw(e.input(3), e.input(4))) == 12L)
-    assert(e.open(e.eq(e.input(3), e.input(3))) == 1L)
-    assert(e.open(e.lt(e.input(3), e.input(4))) == 1L)
-    assert(Fixed.decode(e.open(e.mulFx(e.input(Fixed.encode(2.0)), e.input(Fixed.encode(3.0))))) == 6.0)
+    assert(e.value(e.add(e.in(3), e.in(4))) == 7L)
+    assert(e.value(e.mulRaw(e.in(3), e.in(4))) == 12L)
+    assert(e.value(e.eq(e.in(3), e.in(3))) == 1L)
+    assert(e.value(e.lt(e.in(3), e.in(4))) == 1L)
+    assert(Fixed.decode(e.value(e.mulFx(e.in(Fixed.encode(2.0)), e.in(Fixed.encode(3.0))))) == 6.0)
   }
 
   test("garbled-circuit engine meters gates, not triples") {
     val e = freshGC()
-    e.mulRaw(e.input(3), e.input(4))
+    e.mulRaw(e.in(3), e.in(4))
     assert(e.meter.gates > 0 && e.meter.muls == 0)
   }
 
   test("openMany charges one round for a batch") {
     val e = freshSS()
     val before = e.meter.rounds
-    val out = e.openMany((1L to 50L).map(e.input))
-    assert(out == (1L to 50L))
+    val out = e.open(e.input((1L to 50L).toArray))
+    assert(out.toSeq == (1L to 50L))
     assert(e.meter.rounds == before + 1)
+  }
+
+  test("batch operations act elementwise over whole columns") {
+    for (e <- Seq[MpcEngine](freshSS(), freshGC())) {
+      val xs = Array(5L, -3L, 7L, 0L); val ys = Array(2L, 4L, 7L, -1L)
+      val a = e.input(xs); val b = e.input(ys)
+      assert(e.open(e.add(a, b)).toSeq == xs.zip(ys).map { case (x, y) => x + y }.toSeq)
+      assert(e.open(e.mulRaw(a, b)).toSeq == xs.zip(ys).map { case (x, y) => x * y }.toSeq)
+      assert(e.open(e.lt(a, b)).toSeq == Seq(0L, 1L, 0L, 0L))
+      assert(e.open(e.eq(a, b)).toSeq == Seq(0L, 0L, 1L, 0L))
+      assert(e.open(e.mux(e.input(Array(1L, 0L, 1L, 0L)), a, b)).toSeq == Seq(5L, 4L, 7L, -1L))
+    }
+  }
+
+  test("offset form runs a sub-range in place, one element at a time") {
+    val e = freshSS()
+    val acc = e.input(Array(1L, 2L, 3L, 4L))
+    // prefix sums: acc(i) += acc(i - 1)
+    (1 until 4).foreach(i => e.add(acc, acc, acc, 1, ai = i, bi = i - 1, oi = i))
+    assert(e.open(acc).toSeq == Seq(1L, 3L, 6L, 10L))
+    val before = e.meter.muls
+    e.mulRaw(acc, acc, acc, 2, ai = 2, bi = 0, oi = 2) // acc(2..3) *= acc(0..1)
+    assert(e.open(acc).toSeq == Seq(1L, 3L, 6L, 30L))
+    assert(e.meter.muls == before + 2)
+  }
+
+  test("batch operations reject columns of different lengths") {
+    val e = freshSS()
+    assertThrows[IllegalArgumentException](e.add(e.input(Array(1L, 2L)), e.in(1L)))
   }
 
   test("fixed-point encode/decode round-trips integers exactly") {

@@ -12,7 +12,7 @@ object MpcTestKit {
   def oblivm(): MpcBackend = MpcBackend.oblivm(Set(pA, pB))
 
   def rel(b: MpcBackend, schema: Seq[String], rows: Seq[Seq[Double]]): SharedRelation =
-    b.close("test", schema, rows)
+    b.closeRows("test", schema, rows)
 
   /** Open a relation (compacting validity) into plain rows. */
   def open(b: MpcBackend, r: SharedRelation): Seq[Seq[Double]] =

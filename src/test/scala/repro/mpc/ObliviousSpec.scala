@@ -3,6 +3,7 @@ package repro.mpc
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 import repro.Props
+import repro.core.{AggFn, ArithFn, CmpOp}
 import MpcTestKit._
 
 /** Relation-level correctness of the oblivious algorithms, checked against
@@ -77,10 +78,14 @@ class ObliviousSpec extends AnyFunSuite {
     val b = sharemind()
     val rows = Seq(Seq(5.0), Seq(1.0), Seq(3.0), Seq(2.0))
     // filter out value 3, then sort: the valid prefix must be 1,2,5.
-    val filtered = b.filterLit(rel(b, Seq("k"), rows), "k", MCmp.Neq, 3.0)
+    val filtered = b.filterLit(rel(b, Seq("k"), rows), "k", CmpOp.Neq, 3.0)
     val sorted = Oblivious.sortBy(b.engine, filtered, Seq(Oblivious.SortKey(0)))
     assert(sorted.size == 4, "size-hiding: row count unchanged")
-    assert(open(b, sorted) == Seq(Seq(1.0), Seq(2.0), Seq(5.0)))
+    // By position (a reveal would shuffle): valid rows 1,2,5 first, then the
+    // invalid one.
+    assert(b.engine.idealOpen(sorted.validity.get).toSeq == Seq(1L, 1L, 1L, 0L))
+    assert(b.engine.idealOpen(sorted.cols(0)).take(3).map(Fixed.decode).toSeq == Seq(1.0, 2.0, 5.0))
+    assertSameRows(open(b, sorted), Seq(Seq(1.0), Seq(2.0), Seq(5.0)))
   }
 
   // ------------------------------------------------------------------- filter
@@ -88,16 +93,16 @@ class ObliviousSpec extends AnyFunSuite {
   test("filter is size-hiding and order-preserving; compact reveals") {
     val b = sharemind()
     val rows = Seq(Seq(1.0, 10.0), Seq(2.0, 20.0), Seq(3.0, 30.0), Seq(2.0, 40.0))
-    val f = b.filterLit(rel(b, Seq("k", "v"), rows), "k", MCmp.Eq, 2.0)
+    val f = b.filterLit(rel(b, Seq("k", "v"), rows), "k", CmpOp.Eq, 2.0)
     assert(f.size == 4 && f.validity.isDefined)
     assertSameRows(open(b, f), Seq(Seq(2.0, 20.0), Seq(2.0, 40.0)))
   }
 
   test("all comparison operators filter correctly") {
     val rows = (1 to 9).map(i => Seq(i.toDouble))
-    val cases = Seq[(MCmp, Double => Boolean)](
-      (MCmp.Eq, _ == 5.0), (MCmp.Neq, _ != 5.0), (MCmp.Lt, _ < 5.0),
-      (MCmp.Leq, _ <= 5.0), (MCmp.Gt, _ > 5.0), (MCmp.Geq, _ >= 5.0))
+    val cases = Seq[(CmpOp, Double => Boolean)](
+      (CmpOp.Eq, _ == 5.0), (CmpOp.Neq, _ != 5.0), (CmpOp.Lt, _ < 5.0),
+      (CmpOp.Leq, _ <= 5.0), (CmpOp.Gt, _ > 5.0), (CmpOp.Geq, _ >= 5.0))
     cases.foreach { case (cmp, pred) =>
       val b = sharemind()
       val f = b.filterLit(rel(b, Seq("k"), rows), "k", cmp, 5.0)
@@ -108,36 +113,36 @@ class ObliviousSpec extends AnyFunSuite {
   test("column-vs-column filter works") {
     val b = sharemind()
     val rows = Seq(Seq(1.0, 2.0), Seq(3.0, 3.0), Seq(5.0, 4.0))
-    val f = b.filterCol(rel(b, Seq("a", "b2"), rows), "b2", MCmp.Geq, "a")
+    val f = b.filterCol(rel(b, Seq("a", "b2"), rows), "b2", CmpOp.Geq, "a")
     assertSameRows(open(b, f), Seq(Seq(1.0, 2.0), Seq(3.0, 3.0)))
   }
 
   test("stacked filters AND their predicates") {
     val b = sharemind()
     val rows = (1 to 10).map(i => Seq(i.toDouble, (i % 3).toDouble))
-    val f1 = b.filterLit(rel(b, Seq("k", "m"), rows), "k", MCmp.Gt, 3.0)
-    val f2 = b.filterLit(f1, "m", MCmp.Eq, 1.0)
+    val f1 = b.filterLit(rel(b, Seq("k", "m"), rows), "k", CmpOp.Gt, 3.0)
+    val f2 = b.filterLit(f1, "m", CmpOp.Eq, 1.0)
     assertSameRows(open(b, f2), rows.filter(r => r.head > 3 && r(1) == 1.0))
   }
 
   // -------------------------------------------------------------- aggregation
 
-  private def refAgg(rows: Seq[Seq[Double]], fn: MAggFn): Map[Double, Double] =
+  private def refAgg(rows: Seq[Seq[Double]], fn: AggFn): Map[Double, Double] =
     rows.groupBy(_.head).map { case (k, rs) =>
       k -> (fn match {
-        case MAggFn.Sum   => rs.map(_(1)).sum
-        case MAggFn.Count => rs.size.toDouble
-        case MAggFn.Min   => rs.map(_(1)).min
-        case MAggFn.Max   => rs.map(_(1)).max
+        case AggFn.Sum   => rs.map(_(1)).sum
+        case AggFn.Count => rs.size.toDouble
+        case AggFn.Min   => rs.map(_(1)).min
+        case AggFn.Max   => rs.map(_(1)).max
       })
     }
 
-  for (fn <- Seq(MAggFn.Sum, MAggFn.Count, MAggFn.Min, MAggFn.Max)) {
+  for (fn <- Seq(AggFn.Sum, AggFn.Count, AggFn.Min, AggFn.Max)) {
     test(s"oblivious aggregation computes $fn per group") {
       Props.forAll(genRows(25, 2, 5), runs = 15) { rows =>
         val b = sharemind()
         val out = b.aggregate("t", rel(b, Seq("k", "v"), rows), Seq("k"),
-          if (fn == MAggFn.Count) None else Some("v"), fn, "out")
+          if (fn == AggFn.Count) None else Some("v"), fn, "out")
         val expected = refAgg(rows, fn).map { case (k, v) => Seq(k, v) }.toSeq
         assertSameRows(open(b, out), expected)
       }
@@ -147,16 +152,16 @@ class ObliviousSpec extends AnyFunSuite {
   test("aggregation after filter ignores invalid rows") {
     val b = sharemind()
     val rows = Seq(Seq(1.0, 10.0), Seq(1.0, 20.0), Seq(2.0, 30.0), Seq(2.0, 40.0))
-    val f = b.filterLit(rel(b, Seq("k", "v"), rows), "v", MCmp.Neq, 30.0)
-    val out = b.aggregate("t", f, Seq("k"), Some("v"), MAggFn.Sum, "s")
+    val f = b.filterLit(rel(b, Seq("k", "v"), rows), "v", CmpOp.Neq, 30.0)
+    val out = b.aggregate("t", f, Seq("k"), Some("v"), AggFn.Sum, "s")
     assertSameRows(open(b, out), Seq(Seq(1.0, 30.0), Seq(2.0, 40.0)))
   }
 
   test("aggregation drops groups whose rows are all invalid") {
     val b = sharemind()
     val rows = Seq(Seq(1.0, 10.0), Seq(2.0, 30.0))
-    val f = b.filterLit(rel(b, Seq("k", "v"), rows), "k", MCmp.Eq, 1.0)
-    val out = b.aggregate("t", f, Seq("k"), Some("v"), MAggFn.Sum, "s")
+    val f = b.filterLit(rel(b, Seq("k", "v"), rows), "k", CmpOp.Eq, 1.0)
+    val out = b.aggregate("t", f, Seq("k"), Some("v"), AggFn.Sum, "s")
     assertSameRows(open(b, out), Seq(Seq(1.0, 10.0)))
   }
 
@@ -164,14 +169,14 @@ class ObliviousSpec extends AnyFunSuite {
     val b = sharemind()
     val rows = Seq(Seq(1.0, 1.0, 5.0), Seq(1.0, 2.0, 6.0), Seq(1.0, 1.0, 7.0))
     val out = b.aggregate("t", rel(b, Seq("g1", "g2", "v"), rows), Seq("g1", "g2"),
-      Some("v"), MAggFn.Sum, "s")
+      Some("v"), AggFn.Sum, "s")
     assertSameRows(open(b, out), Seq(Seq(1.0, 1.0, 12.0), Seq(1.0, 2.0, 6.0)))
   }
 
   test("aggregation reveals only the group count (leakage check)") {
     val b = sharemind()
     val rows = Seq(Seq(1.0, 1.0), Seq(2.0, 1.0), Seq(1.0, 1.0))
-    b.aggregate("aggrel", rel(b, Seq("k", "v"), rows), Seq("k"), Some("v"), MAggFn.Sum, "s")
+    b.aggregate("aggrel", rel(b, Seq("k", "v"), rows), Seq("k"), Some("v"), AggFn.Sum, "s")
     val cards = b.leakage.cardinalities.filter(_.relation == "aggrel")
     assert(cards.map(_.rows) == Seq(2L))
     assert(b.leakage.columns.isEmpty, "no column values may leak")
@@ -179,20 +184,20 @@ class ObliviousSpec extends AnyFunSuite {
 
   test("global aggregation: sum, count, min, max over the whole relation") {
     val rows = Seq(Seq(4.0), Seq(9.0), Seq(1.0), Seq(6.0))
-    val expect = Map[MAggFn, Double](MAggFn.Sum -> 20.0, MAggFn.Count -> 4.0,
-      MAggFn.Min -> 1.0, MAggFn.Max -> 9.0)
+    val expect = Map[AggFn, Double](AggFn.Sum -> 20.0, AggFn.Count -> 4.0,
+      AggFn.Min -> 1.0, AggFn.Max -> 9.0)
     expect.foreach { case (fn, want) =>
       val b = sharemind()
       val out = b.globalAggregate(rel(b, Seq("v"), rows),
-        if (fn == MAggFn.Count) None else Some("v"), fn, "out")
+        if (fn == AggFn.Count) None else Some("v"), fn, "out")
       assert(open(b, out) == Seq(Seq(want)), fn.toString)
     }
   }
 
   test("global count respects validity") {
     val b = sharemind()
-    val r = b.filterLit(rel(b, Seq("v"), (1 to 6).map(i => Seq(i.toDouble))), "v", MCmp.Gt, 2.0)
-    assert(open(b, b.globalAggregate(r, None, MAggFn.Count, "c")) == Seq(Seq(4.0)))
+    val r = b.filterLit(rel(b, Seq("v"), (1 to 6).map(i => Seq(i.toDouble))), "v", CmpOp.Gt, 2.0)
+    assert(open(b, b.globalAggregate(r, None, AggFn.Count, "c")) == Seq(Seq(4.0)))
   }
 
   test("preSorted aggregation over an already-grouped relation matches") {
@@ -200,7 +205,7 @@ class ObliviousSpec extends AnyFunSuite {
     val rows = Seq(Seq(1.0, 5.0), Seq(1.0, 6.0), Seq(2.0, 7.0), Seq(3.0, 1.0), Seq(3.0, 1.0))
     val cmpsBefore = b.meter.cmps
     val out = b.aggregate("t", rel(b, Seq("k", "v"), rows), Seq("k"), Some("v"),
-      MAggFn.Sum, "s", preSorted = true)
+      AggFn.Sum, "s", preSorted = true)
     assert(b.meter.cmps == cmpsBefore, "preSorted aggregation must skip the sorting network")
     assertSameRows(open(b, out), Seq(Seq(1.0, 11.0), Seq(2.0, 7.0), Seq(3.0, 2.0)))
   }
@@ -227,7 +232,7 @@ class ObliviousSpec extends AnyFunSuite {
   test("distinct respects validity from a prior filter") {
     val b = sharemind()
     val rows = Seq(Seq(1.0), Seq(1.0), Seq(2.0), Seq(3.0), Seq(3.0))
-    val f = b.filterLit(rel(b, Seq("k"), rows), "k", MCmp.Neq, 2.0)
+    val f = b.filterLit(rel(b, Seq("k"), rows), "k", CmpOp.Neq, 2.0)
     val out = b.distinct(f, preSorted = false)
     assertSameRows(open(b, out), Seq(Seq(1.0), Seq(3.0)))
   }
@@ -235,9 +240,9 @@ class ObliviousSpec extends AnyFunSuite {
   test("distinct after filter then count (the aspirin tail) is exact") {
     val b = sharemind()
     val rows = Seq(Seq(1.0), Seq(1.0), Seq(2.0), Seq(5.0), Seq(5.0), Seq(9.0))
-    val f = b.filterLit(rel(b, Seq("k"), rows), "k", MCmp.Lt, 6.0)
+    val f = b.filterLit(rel(b, Seq("k"), rows), "k", CmpOp.Lt, 6.0)
     val d = b.distinct(f, preSorted = true) // input sorted by k
-    val c = b.globalAggregate(d, None, MAggFn.Count, "rc")
+    val c = b.globalAggregate(d, None, AggFn.Count, "rc")
     assert(open(b, c) == Seq(Seq(3.0)))
   }
 
@@ -260,7 +265,7 @@ class ObliviousSpec extends AnyFunSuite {
     val b = sharemind()
     val l = Seq(Seq(1.0, 10.0), Seq(2.0, 20.0))
     val r = Seq(Seq(1.0, 30.0), Seq(2.0, 40.0))
-    val lf = b.filterLit(rel(b, Seq("k", "x"), l), "k", MCmp.Eq, 1.0)
+    val lf = b.filterLit(rel(b, Seq("k", "x"), l), "k", CmpOp.Eq, 1.0)
     val rr = rel(b, Seq("k", "y"), r)
     assertSameRows(open(b, b.join("j", lf, rr, Seq("k"), Seq("k"))), Seq(Seq(1.0, 10.0, 30.0)))
   }
@@ -290,7 +295,7 @@ class ObliviousSpec extends AnyFunSuite {
     val b = sharemind()
     val rows = (0 until 10).map(i => Seq(i.toDouble, (i * 100).toDouble))
     val r = rel(b, Seq("i", "v"), rows)
-    val idxs = Vector(3L, 7L, 0L, 7L).map(i => b.engine.input(i))
+    val idxs = b.engine.input(Array(3L, 7L, 0L, 7L))
     val out = Oblivious.select(b.engine, r, idxs)
     assert(open(b, out) == Seq(Seq(3.0, 300.0), Seq(7.0, 700.0), Seq(0.0, 0.0), Seq(7.0, 700.0)))
   }
@@ -299,14 +304,25 @@ class ObliviousSpec extends AnyFunSuite {
     val b = sharemind()
     val r = rel(b, Seq("v"), Seq(Seq(1.0)))
     assertThrows[IllegalArgumentException](
-      Oblivious.select(b.engine, r, Vector(b.engine.input(5L))))
+      Oblivious.select(b.engine, r, b.engine.input(Array(5L))))
   }
 
   test("limit takes the first k rows") {
     val b = sharemind()
     val r = rel(b, Seq("v"), (1 to 5).map(i => Seq(i.toDouble)))
-    assert(open(b, b.limit(r, 3)) == Seq(Seq(1.0), Seq(2.0), Seq(3.0)))
-    assert(open(b, b.limit(r, 9)).size == 5)
+    assert(open(b, b.limit("l", r, 3, sorted = false)) == Seq(Seq(1.0), Seq(2.0), Seq(3.0)))
+    assert(open(b, b.limit("l", r, 9, sorted = false)).size == 5)
+  }
+
+  test("limit after an oblivious sort keeps the sorted order of the valid rows") {
+    val b = sharemind()
+    val rows = Seq(9.0, 4.0, 1.0, 7.0, 3.0, 8.0, 2.0).map(Seq(_))
+    val sorted = b.sort(b.filterLit(rel(b, Seq("k"), rows), "k", CmpOp.Gt, 2.0), Seq("k" -> true))
+    b.leakage.clear()
+    assert(open(b, b.limit("l", sorted, 3, sorted = true)) == Seq(Seq(3.0), Seq(4.0), Seq(7.0)))
+    assert(open(b, b.limit("l", sorted, 9, sorted = true)).map(_.head) == Seq(3.0, 4.0, 7.0, 8.0, 9.0))
+    // Only the prefix's valid count is revealed, once per limit.
+    assert(b.leakage.cardinalities.map(_.rows) == Seq(3L, 5L))
   }
 
   // ----------------------------------------------------- arith / const / etc
@@ -314,19 +330,19 @@ class ObliviousSpec extends AnyFunSuite {
   test("row-wise arithmetic against scalars and columns") {
     val b = sharemind()
     val r = rel(b, Seq("a", "b2"), Seq(Seq(6.0, 3.0), Seq(10.0, 5.0)))
-    assert(open(b, b.arith(r, MArith.Add, "o", "a", Right(1.0))).map(_.last) == Seq(7.0, 11.0))
-    assert(open(b, b.arith(r, MArith.Sub, "o", "a", Right(1.0))).map(_.last) == Seq(5.0, 9.0))
-    assert(open(b, b.arith(r, MArith.Mul, "o", "a", Right(3.0))).map(_.last) == Seq(18.0, 30.0))
-    assert(open(b, b.arith(r, MArith.Div, "o", "a", Right(2.0))).map(_.last) == Seq(3.0, 5.0))
-    assert(open(b, b.arith(r, MArith.Add, "o", "a", Left("b2"))).map(_.last) == Seq(9.0, 15.0))
-    assert(open(b, b.arith(r, MArith.Mul, "o", "a", Left("b2"))).map(_.last) == Seq(18.0, 50.0))
-    assert(open(b, b.arith(r, MArith.Div, "o", "a", Left("b2"))).map(_.last) == Seq(2.0, 2.0))
+    assert(open(b, b.arith(r, ArithFn.Add, "o", "a", Right(1.0))).map(_.last) == Seq(7.0, 11.0))
+    assert(open(b, b.arith(r, ArithFn.Sub, "o", "a", Right(1.0))).map(_.last) == Seq(5.0, 9.0))
+    assert(open(b, b.arith(r, ArithFn.Mul, "o", "a", Right(3.0))).map(_.last) == Seq(18.0, 30.0))
+    assert(open(b, b.arith(r, ArithFn.Div, "o", "a", Right(2.0))).map(_.last) == Seq(3.0, 5.0))
+    assert(open(b, b.arith(r, ArithFn.Add, "o", "a", Left("b2"))).map(_.last) == Seq(9.0, 15.0))
+    assert(open(b, b.arith(r, ArithFn.Mul, "o", "a", Left("b2"))).map(_.last) == Seq(18.0, 50.0))
+    assert(open(b, b.arith(r, ArithFn.Div, "o", "a", Left("b2"))).map(_.last) == Seq(2.0, 2.0))
   }
 
   test("arith replaces an existing output column in place") {
     val b = sharemind()
     val r = rel(b, Seq("a"), Seq(Seq(4.0)))
-    val out = b.arith(r, MArith.Mul, "a", "a", Right(2.0))
+    val out = b.arith(r, ArithFn.Mul, "a", "a", Right(2.0))
     assert(out.schema == Vector("a"))
     assert(open(b, out) == Seq(Seq(8.0)))
   }
@@ -348,7 +364,7 @@ class ObliviousSpec extends AnyFunSuite {
 
   test("concat appends relations and harmonizes validity") {
     val b = sharemind()
-    val r1 = b.filterLit(rel(b, Seq("a"), Seq(Seq(1.0), Seq(2.0))), "a", MCmp.Eq, 1.0)
+    val r1 = b.filterLit(rel(b, Seq("a"), Seq(Seq(1.0), Seq(2.0))), "a", CmpOp.Eq, 1.0)
     val r2 = rel(b, Seq("a"), Seq(Seq(3.0)))
     val out = b.concat(Seq(r1, r2))
     assert(out.size == 3)
@@ -376,7 +392,7 @@ class ObliviousSpec extends AnyFunSuite {
   test("garbled-circuit backend runs the same relational ops") {
     val b = oblivc()
     val rows = Seq(Seq(1.0, 10.0), Seq(2.0, 20.0), Seq(1.0, 30.0))
-    val out = b.aggregate("t", rel(b, Seq("k", "v"), rows), Seq("k"), Some("v"), MAggFn.Sum, "s")
+    val out = b.aggregate("t", rel(b, Seq("k", "v"), rows), Seq("k"), Some("v"), AggFn.Sum, "s")
     assertSameRows(open(b, out), Seq(Seq(1.0, 40.0), Seq(2.0, 20.0)))
     assert(b.meter.gates > 0)
   }

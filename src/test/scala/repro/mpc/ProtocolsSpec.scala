@@ -3,6 +3,7 @@ package repro.mpc
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 import repro.Props
+import repro.core.{AggFn, CmpOp}
 import MpcTestKit._
 
 /** Hybrid MPC–cleartext protocols (§5.3): correctness vs. cleartext
@@ -118,22 +119,22 @@ class ProtocolsSpec extends AnyFunSuite {
 
   // ------------------------------------------------------- hybrid aggregation
 
-  private def refAgg(rows: Seq[Seq[Double]], fn: MAggFn): Seq[Seq[Double]] =
+  private def refAgg(rows: Seq[Seq[Double]], fn: AggFn): Seq[Seq[Double]] =
     rows.groupBy(_.head).map { case (k, rs) =>
       Seq(k, fn match {
-        case MAggFn.Sum   => rs.map(_(1)).sum
-        case MAggFn.Count => rs.size.toDouble
-        case MAggFn.Min   => rs.map(_(1)).min
-        case MAggFn.Max   => rs.map(_(1)).max
+        case AggFn.Sum   => rs.map(_(1)).sum
+        case AggFn.Count => rs.size.toDouble
+        case AggFn.Min   => rs.map(_(1)).min
+        case AggFn.Max   => rs.map(_(1)).max
       })
     }.toSeq
 
-  for (fn <- Seq(MAggFn.Sum, MAggFn.Count, MAggFn.Min, MAggFn.Max)) {
+  for (fn <- Seq(AggFn.Sum, AggFn.Count, AggFn.Min, AggFn.Max)) {
     test(s"hybrid aggregation computes $fn per group (property)") {
       Props.forAll(genRows(25, 5), runs = 15) { rows =>
         val b = sharemind()
         val out = b.hybridAggregate("ha", rel(b, Seq("k", "v"), rows), Seq("k"),
-          if (fn == MAggFn.Count) None else Some("v"), fn, "out", stp = pA)
+          if (fn == AggFn.Count) None else Some("v"), fn, "out", stp = pA)
         assertSameRows(open(b, out), refAgg(rows, fn))
       }
     }
@@ -143,7 +144,7 @@ class ProtocolsSpec extends AnyFunSuite {
     val b = sharemind()
     val rows = Seq(Seq(1.0, 5.0), Seq(2.0, 6.0), Seq(1.0, 7.0))
     b.hybridAggregate("ha", rel(b, Seq("k", "v"), rows), Seq("k"), Some("v"),
-      MAggFn.Sum, "s", stp = pC)
+      AggFn.Sum, "s", stp = pC)
     val colLeaks = b.leakage.columns.filter(_.relation == "ha")
     assert(colLeaks.map(_.column) == Seq("k") && colLeaks.forall(_.to == Set(pC)))
     assert(b.leakage.cardinalities.exists(c => c.relation == "ha" && c.rows == 2L && c.to == parties3))
@@ -154,7 +155,7 @@ class ProtocolsSpec extends AnyFunSuite {
     val rows = (1 to 100).map(i => Seq((i % 10).toDouble, 1.0))
     val cmpsBefore = b.meter.cmps; val eqsBefore = b.meter.eqs
     b.hybridAggregate("ha", rel(b, Seq("k", "v"), rows), Seq("k"), Some("v"),
-      MAggFn.Sum, "s", stp = pA)
+      AggFn.Sum, "s", stp = pA)
     assert(b.meter.cmps == cmpsBefore && b.meter.eqs == eqsBefore,
       "sorting and equality happen in the clear at the STP")
   }
@@ -164,9 +165,9 @@ class ProtocolsSpec extends AnyFunSuite {
       val b = sharemind()
       val rows = (1 to 400).map(i => Seq((i % 20).toDouble, 1.0))
       if (hybrid)
-        b.hybridAggregate("a", rel(b, Seq("k", "v"), rows), Seq("k"), Some("v"), MAggFn.Sum, "s", pA)
+        b.hybridAggregate("a", rel(b, Seq("k", "v"), rows), Seq("k"), Some("v"), AggFn.Sum, "s", pA)
       else
-        b.aggregate("a", rel(b, Seq("k", "v"), rows), Seq("k"), Some("v"), MAggFn.Sum, "s")
+        b.aggregate("a", rel(b, Seq("k", "v"), rows), Seq("k"), Some("v"), AggFn.Sum, "s")
       b.meter.modeledSeconds
     }
     assert(modeled(hybrid = true) * 3 < modeled(hybrid = false))
@@ -176,7 +177,7 @@ class ProtocolsSpec extends AnyFunSuite {
     // Filtered (validity-carrying) inputs are compacted first, which logs
     // the surviving cardinality — verify the compact leak is recorded.
     val b = sharemind()
-    val l = b.filterLit(rel(b, Seq("k", "x"), Seq(Seq(1.0, 1.0), Seq(2.0, 2.0))), "k", MCmp.Eq, 1.0)
+    val l = b.filterLit(rel(b, Seq("k", "x"), Seq(Seq(1.0, 1.0), Seq(2.0, 2.0))), "k", CmpOp.Eq, 1.0)
     val r = rel(b, Seq("k", "y"), Seq(Seq(1.0, 3.0)))
     val out = b.hybridJoin("hj", l, r, Seq("k"), Seq("k"), pA)
     assertSameRows(open(b, out), Seq(Seq(1.0, 1.0, 3.0)))
@@ -186,8 +187,8 @@ class ProtocolsSpec extends AnyFunSuite {
   test("hybrid aggregation on a filtered relation compacts then aggregates") {
     val b = sharemind()
     val rows = Seq(Seq(1.0, 5.0), Seq(1.0, 6.0), Seq(2.0, 100.0))
-    val f = b.filterLit(rel(b, Seq("k", "v"), rows), "v", MCmp.Lt, 50.0)
-    val out = b.hybridAggregate("ha", f, Seq("k"), Some("v"), MAggFn.Sum, "s", pA)
+    val f = b.filterLit(rel(b, Seq("k", "v"), rows), "v", CmpOp.Lt, 50.0)
+    val out = b.hybridAggregate("ha", f, Seq("k"), Some("v"), AggFn.Sum, "s", pA)
     assertSameRows(open(b, out), Seq(Seq(1.0, 11.0)))
   }
 }
