@@ -2,8 +2,10 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{DoubleType, StructField, StructType}
+import org.apache.spark.sql.types.{DoubleType, NumericType, StructField, StructType}
 import repro.mpc._
+
+import scala.jdk.CollectionConverters._
 
 /** Execution metrics for one compiled query run.
   *
@@ -33,6 +35,11 @@ final case class ExecResult(
   * DataFrame pipelines; MPC stages run on the [[MpcBackend]]. Data crosses
   * the frontier through `close` (collect + secret-share, logged as a
   * cardinality leak) and `reveal`.
+  *
+  * At each crossing into MPC, every party's cleartext input is collected at
+  * once, as the parties' own clusters would run it; the closes then run on
+  * the calling thread, in a fixed order, after every collect has finished.
+  * Revealed rows stay on the driver as local DataFrames.
   */
 final class Executor(
     spark: SparkSession,
@@ -72,8 +79,10 @@ final class Executor(
             case SecureRel(_)    => sys.error("output must be cleartext after reveal")
           }
           backend.leakage.record(RelationLeak(name, recipients))
-          outputs(name) = out.cache()
-          outputs(name).count() // force materialization inside the timed window
+          // Revealed rows are already on the driver; a cleartext output is
+          // materialised here, inside the timed window.
+          if (!cache(n.children.head.id).isInstanceOf[SecureRel]) out.cache().count()
+          outputs(name) = out
         case _ => ()
       }
     }
@@ -90,6 +99,11 @@ final class Executor(
 
   private def inputDf(inputs: Map[String, DataFrame], relName: String, cols: Seq[InCol]): DataFrame = {
     val df = inputs.getOrElse(relName, sys.error(s"no input DataFrame provided for '$relName'"))
+    // A cast to double would turn a non-numeric value into NULL, and the
+    // frontier would read that as 0.0.
+    for (c <- cols; f <- df.schema.fields.find(_.name == c.name))
+      require(f.dataType.isInstanceOf[NumericType],
+        s"input '$relName': column '${c.name}' has non-numeric type ${f.dataType.simpleString}")
     df.select(cols.map(c => col(c.name).cast(DoubleType).as(c.name)): _*)
   }
 
@@ -156,27 +170,61 @@ final class Executor(
   private def columns(rows: Array[Row], width: Int): IndexedSeq[Array[Double]] =
     (0 until width).map(c => rows.map(r => if (r.isNullAt(c)) 0.0 else r.getDouble(c)))
 
-  private def close(name: String, schema: Seq[String], df: DataFrame): SharedRelation = {
-    val rows = df.collect()
-    countClosed(rows.length.toLong)
-    timedMpc(backend.close(name, schema, columns(rows, schema.length)))
+  /** Collect every cleartext partition of every child value in one batch:
+    * one fresh thread per partition, so the parties' Spark jobs run at the
+    * same time. Fresh threads, unlike a pool's, inherit the calling thread's
+    * Spark local properties, so their jobs are attributed as its own. Once
+    * every thread has finished, the first failure in batch order is
+    * rethrown. Per child, the result holds its partitions' rows in party
+    * order; a shared child has none.
+    */
+  private def collectClear(childVals: Seq[RelValue]): Seq[Seq[(Party, Array[Row])]] = {
+    val parts = childVals.map {
+      case ClearRel(byParty) => byParty.toSeq.sortBy(_._1)
+      case SecureRel(_)      => Seq.empty
+    }
+    val batch = parts.flatten
+    val rows = new Array[Array[Row]](batch.length)
+    val errors = new Array[Throwable](batch.length)
+    val threads = batch.zipWithIndex.map { case ((p, partDf), i) =>
+      val t = new Thread(() =>
+        try rows(i) = partDf.collect()
+        catch { case e: Throwable => errors(i) = e },
+        s"conclave-collect-${p.name}")
+      t.setDaemon(true)
+      t.start()
+      t
+    }
+    threads.foreach(_.join())
+    errors.find(_ != null).foreach(e => throw e)
+    val it = rows.iterator
+    parts.map(_.map { case (p, _) => p -> it.next() })
   }
 
-  private def asSecure(n: Node, v: RelValue): SharedRelation = v match {
-    case SecureRel(rel) => rel
-    case ClearRel(parts) =>
-      val shared = parts.toSeq.sortBy(_._1).map { case (p, df) =>
-        close(s"#${n.id}@${p.name}", n.schema, df)
-      }
-      if (shared.length == 1) shared.head else timedMpc(backend.concat(shared))
+  /** The children of MPC operator `n` as shared relations. The cleartext
+    * children are collected in one batch, then closed on this thread in
+    * child order and party order, so dealer draws, share names and the
+    * leakage sequence do not depend on which collect finished first.
+    */
+  private def asSecure(n: Node, childVals: Seq[RelValue]): Seq[SharedRelation] = {
+    val collected = collectClear(childVals)
+    countClosed(collected.flatten.map(_._2.length.toLong).sum)
+    n.children.zip(childVals).zip(collected).map {
+      case ((_, SecureRel(rel)), _) => rel
+      case ((c, ClearRel(_)), byParty) =>
+        val shared = byParty.map { case (p, rows) =>
+          timedMpc(backend.close(s"#${c.id}@${p.name}", c.schema, columns(rows, c.schema.length)))
+        }
+        if (shared.length == 1) shared.head else timedMpc(backend.concat(shared))
+    }.toSeq
   }
 
-  private def df(schema: Seq[String], rows: Seq[Seq[Double]]): DataFrame = {
-    val st = StructType(schema.map(StructField(_, DoubleType, nullable = false)))
-    spark.createDataFrame(
-      spark.sparkContext.parallelize(rows.map(r => Row.fromSeq(r)), math.max(1, rows.length / 50000 + 1)),
-      st)
-  }
+  /** Revealed rows as a driver-local DataFrame (a local relation: reading it
+    * starts no Spark job).
+    */
+  private def localDf(schema: Seq[String], rows: Seq[Seq[Double]]): DataFrame =
+    spark.createDataFrame(rows.map(Row.fromSeq).asJava,
+      StructType(schema.map(StructField(_, DoubleType, nullable = false))))
 
   /** Cleartext view of a child value at `party` (revealing MPC data if the
     * compiler lifted this consumer above the frontier).
@@ -191,7 +239,7 @@ final class Executor(
       parts.values.reduce(_ unionAll _)
     case SecureRel(rel) =>
       val rows = timedMpc(backend.reveal(s"#${child.id}", rel, Set(party)))
-      df(child.schema, rows)
+      localDf(child.schema, rows)
   }
 
   // -------------------------------------------------------------- evaluate
@@ -202,16 +250,15 @@ final class Executor(
         ClearRel(Map(owner -> inputDf(inputs, relName, cols)))
 
       case OpKind.Output(_, recipients) =>
-        childVals.head match {
-          case ClearRel(parts) if parts.size == 1 => ClearRel(parts)
+        val out = childVals.head match {
           case ClearRel(parts) =>
-            // A partitioned cleartext relation revealed directly: each party
-            // sends its partition to the recipients in the clear.
-            ClearRel(Map(parts.keys.head -> parts.values.reduce(_ unionAll _)))
+            // Cleartext revealed directly: each party sends its partition to
+            // the recipients in the clear.
+            parts.toSeq.sortBy(_._1).map(_._2).reduce(_ unionAll _)
           case SecureRel(rel) =>
-            val rows = timedMpc(backend.reveal(s"#${n.children.head.id}", rel, recipients))
-            ClearRel(recipients.map(_ -> df(n.schema, rows)).toMap)
+            localDf(n.schema, timedMpc(backend.reveal(s"#${n.children.head.id}", rel, recipients)))
         }
+        ClearRel(recipients.map(_ -> out).toMap)
 
       case _ if !n.isMpc =>
         // Cleartext operator at its owner (or at the recipient, post-reveal).
@@ -231,8 +278,7 @@ final class Executor(
         ClearRel(merged.toMap)
 
       case OpKind.Concat =>
-        val shared = n.children.zip(childVals).map { case (c, v) => asSecure(c, v) }
-        SecureRel(timedMpc(backend.concat(shared.toSeq)))
+        SecureRel(timedMpc(backend.concat(asSecure(n, childVals))))
 
       case OpKind.PublicJoin(lk, rk, host)
           if childVals.forall(_.isInstanceOf[ClearRel]) =>
@@ -240,7 +286,7 @@ final class Executor(
 
       case _ =>
         // Generic MPC operator.
-        val shared = n.children.zip(childVals).map { case (c, v) => asSecure(c, v) }
+        val shared = asSecure(n, childVals)
         val name = s"#${n.id}"
         val out = timedMpc(n.kind match {
           case OpKind.Project(cols)       => backend.project(shared.head, cols)
@@ -279,18 +325,15 @@ final class Executor(
   private def publicJoinFromClear(
       n: Node, lk: Seq[String], rk: Seq[String], host: Party,
       childVals: Seq[RelValue]): SharedRelation = {
-    val Seq(lc, rc) = childVals.map(_.asInstanceOf[ClearRel])
     val lSchema = n.children(0).schema
     val rSchema = n.children(1).schema
     val all = backend.allParties
     lk.foreach(k => backend.leakage.record(ColumnLeak(s"#${n.id}", s"left:$k", all)))
     rk.foreach(k => backend.leakage.record(ColumnLeak(s"#${n.id}", s"right:$k", all)))
 
-    // Collect each party's partition (a partitioned concat defers here).
-    def gather(c: ClearRel): Array[Row] =
-      c.parts.toSeq.sortBy(_._1).flatMap { case (_, partDf) => partDf.collect() }.toArray
-    val lRows = gather(lc)
-    val rRows = gather(rc)
+    // Every party's partition of both sides, collected in one batch (a
+    // partitioned concat defers here).
+    val Seq(lRows, rRows) = collectClear(childVals).map(_.flatMap(_._2).toArray)
     val lkIdx = lk.map(lSchema.indexOf)
     val rkIdx = rk.map(rSchema.indexOf)
     def key(r: Row, idx: Seq[Int]): Seq[Double] = idx.map(r.getDouble)
