@@ -1,0 +1,162 @@
+package repro.bench
+
+import org.scalatest.OptionValues._
+import repro.SparkSpec
+import repro.eval._
+
+/** Every reproduced table (`Tables.all`) at its bench sizes, printed, with
+  * the paper's shape assertions.
+  */
+class TablesBench extends SparkSpec {
+
+  /** Run table `id` at its bench sizes and print it. */
+  private def run(id: String): Seq[BenchPoint] = {
+    val t = Tables.byId(id).value
+    val pts = t.run(spark, t.benchSizes)
+    println(Bench.table(t.title, pts))
+    pts
+  }
+
+  /** The measured seconds of `sys` at `n`, if it has any. */
+  private def s(pts: Seq[BenchPoint], sys: String, n: Long): Option[Double] =
+    pts.find(p => p.system == sys && p.size == n).flatMap(_.seconds)
+
+  // T1 (paper Fig. 1): operator microbenchmarks. MPC backends scale poorly
+  // (superlinear joins, OOMing garbled circuits) while cleartext Spark
+  // handles orders of magnitude more data in seconds.
+
+  test("T1a aggregation: MPC is orders of magnitude slower than Spark and superlinear") {
+    val pts = run("T1a")
+    val sm1k = s(pts, "sharemind", 1000).value
+    val sm30k = s(pts, "sharemind", 30000).value
+    assert(sm30k / sm1k > 20, s"sorting network must be superlinear: $sm1k -> $sm30k")
+    // Fig. 5 caption anchor: ~10 minutes at 30k records.
+    assert(sm30k > 120 && sm30k < 2400, s"30k aggregation anchor: $sm30k s")
+    val spark1m = s(pts, "spark", 1000000).value
+    assert(spark1m < sm30k, "Spark at 1M beats Sharemind at 30k")
+  }
+
+  test("T1b join: quadratic MPC cost; Obliv-C worse than Sharemind") {
+    val pts = run("T1b")
+    val sm1k = s(pts, "sharemind", 1000).value
+    val sm10k = s(pts, "sharemind", 10000).value
+    assert(sm10k / sm1k > 50, s"join must scale ~quadratically: $sm1k -> $sm10k")
+    // Fig. 5 caption anchor: >20 minutes at 10k+10k records.
+    assert(sm10k > 200, s"10k join anchor: $sm10k s")
+    val oc10k = s(pts, "obliv-c", 10000).value
+    assert(oc10k > sm10k, "garbled-circuit join slower than secret sharing")
+  }
+
+  test("T1c projection: linear but heavy under MPC; Obliv-C OOMs at 1M") {
+    val pts = run("T1c")
+    val sm300k = s(pts, "sharemind", 300000).value
+    val sm1m = s(pts, "sharemind", 1000000).value
+    assert(sm1m / sm300k > 2 && sm1m / sm300k < 5, "projection is ~linear")
+    // Fig. 1c anchor: >10 minutes beyond 3M records => ~200s at 1M.
+    assert(sm1m > 100 && sm1m < 1000, s"1M projection anchor: $sm1m s")
+    val oom = pts.find(p => p.system == "obliv-c" && p.size == 1000000).get
+    assert(oom.seconds.isEmpty && oom.note == "OOM", s"Obliv-C must OOM at 1M: $oom")
+    val ok300k = pts.find(p => p.system == "obliv-c" && p.size == 300000).get
+    assert(ok300k.seconds.nonEmpty, "Obliv-C survives 300k (the paper's limit)")
+  }
+
+  // T2 (paper Fig. 4): Sharemind-only exceeds an hour at 100k input rows,
+  // while Conclave stays near-interactive (roughly linear, <20 min at 1B on
+  // the authors' clusters); insecure Spark is comparable to Conclave.
+
+  test("T2 market concentration: Conclave ~Spark-speed, Sharemind-only blows up") {
+    val pts = run("T2")
+    val sizes = Tables.byId("T2").value.benchSizes.mpc
+
+    // Conclave stays near-interactive at every size.
+    sizes.foreach { n =>
+      val c = s(pts, "conclave", n).value
+      assert(c < 60, s"conclave@$n = $c")
+    }
+    // Sharemind-only is already far slower at 10k and >paper-hour at 100k.
+    assert(s(pts, "sharemind-mpc", 10000).value > 10 * s(pts, "conclave", 10000).value)
+    assert(s(pts, "sharemind-mpc", 100000).value > 1800,
+      s"100k: ${s(pts, "sharemind-mpc", 100000).value}")
+    // Insecure Spark is in the same league as Conclave (within 10x).
+    assert(s(pts, "insecure-spark", 100000).value <
+      10 * math.max(1.0, s(pts, "conclave", 100000).value))
+  }
+
+  // T3 (paper Fig. 5): the hybrid join is asymptotically better than the
+  // MPC join (O((n+m)log(n+m)) vs O(n^2)); the public join avoids MPC
+  // altogether and scales further; the hybrid aggregation beats the
+  // sorting-network MPC aggregation.
+
+  test("T3a joins: hybrid beats MPC, public beats hybrid") {
+    val pts = run("T3a")
+    val mpc10k = s(pts, "mpc-join", 10000).value
+    val hyb10k = s(pts, "hybrid-join", 10000).value
+    val pub10k = s(pts, "public-join", 10000).value
+    assert(hyb10k * 5 < mpc10k, s"hybrid=$hyb10k mpc=$mpc10k")
+    assert(pub10k < hyb10k, s"public=$pub10k hybrid=$hyb10k")
+    // Paper: MPC join >20min at 10k/party; hybrid join ~10min at 200k.
+    assert(mpc10k > 500, s"mpc join anchor: $mpc10k")
+    // At 50k the MPC join is already past the 2h cap, the hybrid is not.
+    assert(pts.exists(p => p.system == "mpc-join" && p.size == 50000 && p.note == ">2h"))
+    assert(s(pts, "hybrid-join", 50000).exists(_ < Bench.TimeoutSeconds))
+  }
+
+  test("T3b aggregations: hybrid avoids the sorting network") {
+    val pts = run("T3b")
+    val mpc8k = s(pts, "mpc-agg", 8192).value
+    val hyb8k = s(pts, "hybrid-agg", 8192).value
+    assert(hyb8k * 3 < mpc8k, s"hybrid=$hyb8k mpc=$mpc8k")
+    // The gap must widen with size (asymptotic, not constant-factor).
+    val mpc64k = s(pts, "mpc-agg", 65536).value
+    val hyb64k = s(pts, "hybrid-agg", 65536).value
+    assert(mpc64k / hyb64k > mpc8k / hyb8k, "hybrid advantage grows with n")
+  }
+
+  // T4 (paper Fig. 6): pure Sharemind fails to scale past ~3k total records
+  // (does not finish 30k within two hours), while Conclave's hybrid join +
+  // aggregations process 300k records in under 25 minutes.
+
+  test("T4 credit regulation: hybrid operators are the difference between feasible and not") {
+    val pts = run("T4")
+    val hyb3k = s(pts, "conclave-hybrid", 3000).value
+    val mpc3k = s(pts, "sharemind-mpc", 3000).value
+    assert(hyb3k * 5 < mpc3k, s"hybrid=$hyb3k mpc=$mpc3k at 3k")
+
+    val hyb30k = s(pts, "conclave-hybrid", 30000).value
+    val mpc30k = s(pts, "sharemind-mpc", 30000)
+    // Paper: pure MPC does not complete 30k within two hours.
+    assert(mpc30k.forall(_ > 1800),
+      s"sharemind at 30k must be near/over the cap: $mpc30k")
+    assert(hyb30k < 1500, s"conclave-hybrid at 30k must stay feasible: $hyb30k")
+  }
+
+  // T5/T6 (paper Fig. 7): aspirin count — Conclave 3.7 s vs SMCQL 14.3 min
+  // at 40k rows/party, SMCQL over an hour at 400k; comorbidity — Conclave
+  // ahead and the gap grows with data size (same plan, faster backend).
+
+  test("T5 aspirin count: public join + slicing crushes per-slice garbled circuits") {
+    val pts = run("T5")
+    val c4k = s(pts, "conclave", 4000).value
+    val q4k = s(pts, "smcql", 4000).value
+    assert(c4k * 5 < q4k, s"conclave=$c4k smcql=$q4k at 4k")
+    // The gap grows with size (SMCQL pays setup per shared slice).
+    val c20k = s(pts, "conclave", 20000).value
+    val q20k = s(pts, "smcql", 20000).value
+    assert(q20k / c20k > q4k / c4k, "SMCQL's per-slice setups dominate as data grows")
+    // Conclave stays near-interactive (paper: 3.7s at 40k/party).
+    assert(c20k < 60, s"conclave at 20k/party: $c20k")
+  }
+
+  test("T6 comorbidity: same plan, Sharemind-class backend wins and the gap grows") {
+    val pts = run("T6")
+    val c5k = s(pts, "conclave", 5000).value
+    val q5k = s(pts, "smcql", 5000).value
+    assert(c5k < q5k, s"conclave=$c5k smcql=$q5k at 5k")
+    val c20k = s(pts, "conclave", 20000).value
+    val q20kOpt = s(pts, "smcql", 20000)
+    // Paper: SMCQL exceeds an hour at the 20k mark; Conclave keeps going.
+    assert(q20kOpt.forall(_ > 3600), s"smcql at 20k/party: $q20kOpt")
+    assert(q20kOpt.forall(q => q / c20k > q5k / c5k) || q20kOpt.isEmpty,
+      "the backend gap grows with size")
+  }
+}

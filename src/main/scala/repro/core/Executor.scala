@@ -336,26 +336,20 @@ final class Executor(
     val Seq(lRows, rRows) = collectClear(childVals).map(_.flatMap(_._2).toArray)
     val lkIdx = lk.map(lSchema.indexOf)
     val rkIdx = rk.map(rSchema.indexOf)
-    def key(r: Row, idx: Seq[Int]): Seq[Double] = idx.map(r.getDouble)
-    val byKey = lRows.indices.groupBy(i => key(lRows(i), lkIdx))
+    def keys(rows: Array[Row], idx: Seq[Int]): IndexedSeq[Seq[Double]] =
+      rows.toIndexedSeq.map(r => idx.map(r.getDouble))
     import scala.math.Ordering.Implicits.seqOrdering
-    val pairs = (for {
-      j <- rRows.indices
-      k = key(rRows(j), rkIdx)
-      i <- byKey.getOrElse(k, Seq.empty)
-    } yield (k, i, j)).sortBy(_._1)
-    backend.leakage.record(CardinalityLeak(s"#${n.id}", pairs.length.toLong, all))
+    val (li, rj) = Protocols.publicJoinPairs(keys(lRows, lkIdx), keys(rRows, rkIdx))
+    backend.leakage.record(CardinalityLeak(s"#${n.id}", li.length.toLong, all))
 
     // Each side secret-shares *only its matched rows*, in the public pair
     // order — unmatched rows never enter MPC.
     val lRest = lSchema.indices.filterNot(lkIdx.contains)
     val rRest = rSchema.indices.filterNot(rkIdx.contains)
-    countClosed(2L * pairs.length)
+    countClosed(2L * li.length)
     timedMpc {
       val lCols = columns(lRows, lSchema.length)
       val rCols = columns(rRows, rSchema.length)
-      val li = pairs.map(_._2).toArray
-      val rj = pairs.map(_._3).toArray
       val lShared = backend.close(s"#${n.id}:left", (lkIdx ++ lRest).map(lSchema),
         (lkIdx ++ lRest).map(c => li.map(i => lCols(c)(i))))
       val rShared = backend.close(s"#${n.id}:right", rRest.map(rSchema),

@@ -2,7 +2,7 @@ package repro.eval
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core._
-import repro.mpc.MpcBackend
+import repro.mpc.{MpcBackend, MpcOutOfMemory}
 
 /** One measured cell of a reproduced table: a (system, input size) pair with
   * its runtime, or a note explaining why it has none (simulated OOM, or a
@@ -21,6 +21,28 @@ object Bench {
 
   /** The paper stops experiments at two hours; so do we (on modeled time). */
   val TimeoutSeconds: Double = 7200.0
+
+  /** One point under the two-hour cap. When `predicted` (a lower bound on
+    * the run's modeled seconds, from `CostModel`) already exceeds the cap,
+    * the point is `>2h` without running; otherwise `run` gives its seconds,
+    * `>2h` past the cap, and a simulated out-of-memory gives `OOM`.
+    */
+  def capped(system: String, size: Long, predicted: Double)(run: => Double): BenchPoint =
+    if (predicted > TimeoutSeconds) BenchPoint(system, size, None, ">2h")
+    else
+      try {
+        val s = run
+        if (s > TimeoutSeconds) BenchPoint(system, size, None, ">2h")
+        else BenchPoint(system, size, Some(s))
+      } catch {
+        case _: MpcOutOfMemory => BenchPoint(system, size, None, "OOM")
+      }
+
+  /** `n` rows (k, v) of uniform keys in 1..nKeys and payloads in 0..999. */
+  def keyedRows(n: Long, nKeys: Long, seed: Long): Seq[Seq[Double]] = {
+    val rnd = new scala.util.Random(seed)
+    (0L until n).map(_ => Seq((rnd.nextLong(nKeys) + 1).toDouble, rnd.nextInt(1000).toDouble))
+  }
 
   /** Render points as a size × system table (sizes ascending). */
   def table(title: String, points: Seq[BenchPoint]): String = {

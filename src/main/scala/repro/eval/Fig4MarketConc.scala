@@ -3,6 +3,7 @@ package repro.eval
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core._
 import repro.data.Generators
+import repro.mpc.{CostModel, CostParams}
 import repro.queries.MarketConcentration
 
 /** Table T2 (paper Fig. 4): the market concentration (HHI) query end-to-end.
@@ -14,8 +15,6 @@ import repro.queries.MarketConcentration
   */
 object Fig4MarketConc {
 
-  val DefaultSizes: Seq[Long] = Seq(1000, 10000, 100000, 1000000, 10000000)
-
   def inputs(spark: SparkSession, totalRows: Long): Map[String, DataFrame] =
     MarketConcentration.InputNames.zipWithIndex.map { case (nm, i) =>
       nm -> Generators.taxiTrips(spark, totalRows / 3, seed = 100 + i)
@@ -24,26 +23,26 @@ object Fig4MarketConc {
   def run(spark: SparkSession, sizes: Seq[Long]): Seq[BenchPoint] =
     sizes.flatMap { n =>
       val in = inputs(spark, n)
-      Seq(conclave(spark, n, in), sharemindOnly(spark, n, in), insecureSpark(spark, n, in))
+      Seq(
+        BenchPoint("conclave", n, Some(runHhi(spark, in, CompileConfig.default).metrics.reportedSeconds)),
+        Bench.capped("sharemind-mpc", n, sharemindOnlyPredicted(n)) {
+          runHhi(spark, in, CompileConfig.mpcOnly).metrics.reportedSeconds
+        },
+        insecureSpark(spark, n, in))
     }
 
-  private def conclave(spark: SparkSession, n: Long, in: Map[String, DataFrame]): BenchPoint = {
-    val res = Bench.runConclave(spark, MarketConcentration.build(), CompileConfig.default,
+  /** The HHI query over `in`, compiled under `config`. */
+  private[eval] def runHhi(spark: SparkSession, in: Map[String, DataFrame],
+      config: CompileConfig): ExecResult =
+    Bench.runConclave(spark, MarketConcentration.build(), config,
       in, Set(MarketConcentration.pA, MarketConcentration.pB, MarketConcentration.pC))
-    BenchPoint("conclave", n, Some(res.metrics.reportedSeconds))
-  }
 
-  private def sharemindOnly(spark: SparkSession, n: Long, in: Map[String, DataFrame]): BenchPoint = {
-    // Dominant term: the oblivious sorting network of the revenue
-    // aggregation over all n rows.
-    if (estimateAggSeconds(n) > Bench.TimeoutSeconds)
-      return BenchPoint("sharemind-mpc", n, None, ">2h")
-    val res = Bench.runConclave(spark, MarketConcentration.build(), CompileConfig.mpcOnly,
-      in, Set(MarketConcentration.pA, MarketConcentration.pB, MarketConcentration.pC))
-    val s = res.metrics.reportedSeconds
-    if (s > Bench.TimeoutSeconds) BenchPoint("sharemind-mpc", n, None, ">2h")
-    else BenchPoint("sharemind-mpc", n, Some(s))
-  }
+  /** A lower bound on the Sharemind-only run's modeled seconds: the
+    * sorting network of the revenue aggregation over all (companyID, price)
+    * rows of the three inputs.
+    */
+  private[eval] def sharemindOnlyPredicted(n: Long): Double =
+    CostModel.sort(CostParams.Sharemind, 3 * (n / 3), width = 2, ascending = Seq(true)).modeledSeconds
 
   private def insecureSpark(spark: SparkSession, n: Long, in: Map[String, DataFrame]): BenchPoint = {
     in.foreach { case (nm, df) => df.createOrReplaceTempView(nm) }
@@ -51,12 +50,5 @@ object Fig4MarketConc {
       spark.sql(MarketConcentration.referenceSql).collect()
     }
     BenchPoint("insecure-spark", n, Some(secs))
-  }
-
-  private[eval] def estimateAggSeconds(n: Long): Double = {
-    if (n <= 1) return 0.0
-    var p = 1L; while (p < n) p <<= 1
-    val log = java.lang.Long.numberOfTrailingZeros(p).toDouble
-    p / 4.0 * log * (log + 1) * repro.mpc.CostParams.Sharemind.cmp
   }
 }

@@ -16,60 +16,45 @@ object Fig5Hybrid {
   private val pA = Party("a"); private val pB = Party("b"); private val pC = Party("c")
   private val parties = Set(pA, pB, pC)
 
-  val JoinSizes: Seq[Long] = Seq(1000, 10000, 50000, 200000)
-  val AggSizes: Seq[Long] = Seq(1000, 10000, 50000, 200000)
+  /** The modeled seconds of `op` on a fresh Sharemind backend. */
+  private def modeled(op: MpcBackend => Any): Double = {
+    val b = MpcBackend.sharemind(parties)
+    op(b)
+    b.meter.modeledSeconds
+  }
 
   def runJoins(sizes: Seq[Long]): Seq[BenchPoint] =
     sizes.flatMap { n =>
-      Seq(mpcJoin(n), hybridJoin(n), publicJoin(n))
+      def join(op: (MpcBackend, SharedRelation, SharedRelation) => Any): Double = modeled { b =>
+        op(b, b.closeRows("l", Seq("k", "x"), Bench.keyedRows(n, n, 1)),
+          b.closeRows("r", Seq("k", "y"), Bench.keyedRows(n, n, 2)))
+      }
+      Seq(
+        Bench.capped("mpc-join", n, mpcJoinPredicted(n)) {
+          join(_.join("j", _, _, Seq("k"), Seq("k")))
+        },
+        BenchPoint("hybrid-join", n, Some(join(_.hybridJoin("j", _, _, Seq("k"), Seq("k"), stp = pC)))),
+        BenchPoint("public-join", n, Some(join(_.publicJoin("j", _, _, Seq("k"), Seq("k"), host = pA)))))
     }
 
   def runAggs(sizes: Seq[Long]): Seq[BenchPoint] =
     sizes.flatMap { n =>
-      Seq(mpcAgg(n), hybridAgg(n))
+      def agg(op: (MpcBackend, SharedRelation) => Any): Double = modeled { b =>
+        op(b, b.closeRows("in", Seq("k", "v"), Bench.keyedRows(n, math.max(1, n / 10), 3)))
+      }
+      Seq(
+        Bench.capped("mpc-agg", n, mpcAggPredicted(n)) {
+          agg(_.aggregate("a", _, Seq("k"), Some("v"), AggFn.Sum, "s"))
+        },
+        BenchPoint("hybrid-agg", n,
+          Some(agg(_.hybridAggregate("a", _, Seq("k"), Some("v"), AggFn.Sum, "s", stp = pC)))))
     }
 
-  private def mkRows(n: Long, nKeys: Long, seed: Long): Seq[Seq[Double]] = {
-    val rnd = new scala.util.Random(seed)
-    (0L until n).map(_ => Seq((rnd.nextLong(nKeys) + 1).toDouble, rnd.nextInt(1000).toDouble))
-  }
+  /** A lower bound on the MPC join's modeled seconds: its n·n equality tests. */
+  private[eval] def mpcJoinPredicted(n: Long): Double =
+    CostModel.cartesianJoin(CostParams.Sharemind, n, n, keys = 1).modeledSeconds
 
-  private def mpcJoin(n: Long): BenchPoint = {
-    if (n.toDouble * n * CostParams.Sharemind.eq > Bench.TimeoutSeconds)
-      return BenchPoint("mpc-join", n, None, ">2h")
-    val b = MpcBackend.sharemind(parties)
-    b.join("j", b.closeRows("l", Seq("k", "x"), mkRows(n, n, 1)),
-      b.closeRows("r", Seq("k", "y"), mkRows(n, n, 2)), Seq("k"), Seq("k"))
-    BenchPoint("mpc-join", n, Some(b.meter.modeledSeconds))
-  }
-
-  private def hybridJoin(n: Long): BenchPoint = {
-    val b = MpcBackend.sharemind(parties)
-    b.hybridJoin("j", b.closeRows("l", Seq("k", "x"), mkRows(n, n, 1)),
-      b.closeRows("r", Seq("k", "y"), mkRows(n, n, 2)), Seq("k"), Seq("k"), stp = pC)
-    BenchPoint("hybrid-join", n, Some(b.meter.modeledSeconds))
-  }
-
-  private def publicJoin(n: Long): BenchPoint = {
-    val b = MpcBackend.sharemind(parties)
-    b.publicJoin("j", b.closeRows("l", Seq("k", "x"), mkRows(n, n, 1)),
-      b.closeRows("r", Seq("k", "y"), mkRows(n, n, 2)), Seq("k"), Seq("k"), host = pA)
-    BenchPoint("public-join", n, Some(b.meter.modeledSeconds))
-  }
-
-  private def mpcAgg(n: Long): BenchPoint = {
-    if (Fig4MarketConc.estimateAggSeconds(n) > Bench.TimeoutSeconds)
-      return BenchPoint("mpc-agg", n, None, ">2h")
-    val b = MpcBackend.sharemind(parties)
-    b.aggregate("a", b.closeRows("in", Seq("k", "v"), mkRows(n, math.max(1, n / 10), 3)),
-      Seq("k"), Some("v"), AggFn.Sum, "s")
-    BenchPoint("mpc-agg", n, Some(b.meter.modeledSeconds))
-  }
-
-  private def hybridAgg(n: Long): BenchPoint = {
-    val b = MpcBackend.sharemind(parties)
-    b.hybridAggregate("a", b.closeRows("in", Seq("k", "v"), mkRows(n, math.max(1, n / 10), 3)),
-      Seq("k"), Some("v"), AggFn.Sum, "s", stp = pC)
-    BenchPoint("hybrid-agg", n, Some(b.meter.modeledSeconds))
-  }
+  /** A lower bound on the MPC aggregation's modeled seconds: its sorting network. */
+  private[eval] def mpcAggPredicted(n: Long): Double =
+    CostModel.sort(CostParams.Sharemind, n, width = 2, ascending = Seq(true)).modeledSeconds
 }

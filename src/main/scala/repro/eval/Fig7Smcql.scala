@@ -1,9 +1,10 @@
 package repro.eval
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.core.CompileConfig
 import repro.data.Generators
-import repro.mpc.CostParams
-import repro.queries.AspirinSliced
+import repro.mpc.{CostModel, CostParams}
+import repro.queries.{AspirinSliced, Comorbidity}
 import repro.smcql.{SmcqlAspirin, SmcqlComorbidity}
 
 /** Tables T5/T6 (paper Fig. 7): Conclave vs. SMCQL on the two HealthLNK
@@ -19,9 +20,6 @@ import repro.smcql.{SmcqlAspirin, SmcqlComorbidity}
   */
 object Fig7Smcql {
 
-  val AspirinSizes: Seq[Long] = Seq(1000, 4000, 40000, 400000)
-  val ComorbiditySizes: Seq[Long] = Seq(100, 1000, 10000, 100000)
-
   def aspirinInputs(spark: SparkSession, perParty: Long): Map[String, DataFrame] = Map(
     "diag1" -> Generators.diagnoses(spark, perParty, party = 0),
     "diag2" -> Generators.diagnoses(spark, perParty, party = 1),
@@ -32,53 +30,41 @@ object Fig7Smcql {
     "cdiag1" -> Generators.comorbidityDiagnoses(spark, perParty, party = 0),
     "cdiag2" -> Generators.comorbidityDiagnoses(spark, perParty, party = 1))
 
+  /** SMCQL's aspirin runtime is dominated by one circuit setup per shared
+    * patient slice; the prediction assumes 2% of patients are shared (the
+    * generators' overlap) rather than reading the generated data.
+    */
+  private[eval] def smcqlAspirinPredicted(n: Long): Double =
+    CostModel.setups(CostParams.ObliVM, (n * 0.02).toLong).modeledSeconds
+
+  /** SMCQL's comorbidity runtime is dominated by the ObliVM sorting network
+    * of the MPC combine over the (diag, cnt) pre-counts; the prediction
+    * assumes 10% distinct diagnoses per party, so 2·10%·n rows enter MPC,
+    * rather than reading the generated data.
+    */
+  private[eval] def smcqlComorbidityPredicted(n: Long): Double =
+    CostModel.sort(CostParams.ObliVM, (n * 0.2).toLong, width = 2, ascending = Seq(true))
+      .modeledSeconds
+
   def runAspirin(spark: SparkSession, sizes: Seq[Long]): Seq[BenchPoint] =
     sizes.flatMap { n =>
       val in = aspirinInputs(spark, n)
-      val conclave = {
-        val r = AspirinSliced.run(spark, in)
-        BenchPoint("conclave", n, Some(r.reportedSeconds))
-      }
-      // SMCQL's runtime is ~1s of setup per shared patient slice; cap like
-      // the paper's one-hour-plus observations.
-      val overlapSlices = (n * 0.02).toLong
-      val smcql =
-        if (overlapSlices * CostParams.ObliVM.setup > Bench.TimeoutSeconds)
-          BenchPoint("smcql", n, None, ">2h")
-        else {
-          val r = SmcqlAspirin.run(spark, in)
-          if (r.reportedSeconds > Bench.TimeoutSeconds) BenchPoint("smcql", n, None, ">2h")
-          else BenchPoint("smcql", n, Some(r.reportedSeconds))
-        }
-      Seq(conclave, smcql)
+      Seq(
+        BenchPoint("conclave", n, Some(AspirinSliced.run(spark, in).reportedSeconds)),
+        Bench.capped("smcql", n, smcqlAspirinPredicted(n)) {
+          SmcqlAspirin.run(spark, in).reportedSeconds
+        })
     }
 
   def runComorbidity(spark: SparkSession, sizes: Seq[Long]): Seq[BenchPoint] =
     sizes.flatMap { n =>
       val in = comorbidityInputs(spark, n)
-      val conclave = {
-        val res = Bench.runConclave(spark, repro.queries.Comorbidity.build(),
-          repro.core.CompileConfig.default, in,
-          Set(repro.queries.Comorbidity.pH1, repro.queries.Comorbidity.pH2))
-        BenchPoint("conclave", n, Some(res.metrics.reportedSeconds))
-      }
-      // SMCQL's dominant term: the ObliVM sorting network over the ~2·10%·n
-      // pre-aggregated rows entering MPC.
-      val smcql =
-        if (estimateOblivmSort((n * 0.2).toLong) > Bench.TimeoutSeconds)
-          BenchPoint("smcql", n, None, ">2h")
-        else {
-          val r = SmcqlComorbidity.run(spark, in)
-          if (r.reportedSeconds > Bench.TimeoutSeconds) BenchPoint("smcql", n, None, ">2h")
-          else BenchPoint("smcql", n, Some(r.reportedSeconds))
-        }
-      Seq(conclave, smcql)
+      val conclave = Bench.runConclave(spark, Comorbidity.build(), CompileConfig.default, in,
+        Set(Comorbidity.pH1, Comorbidity.pH2))
+      Seq(
+        BenchPoint("conclave", n, Some(conclave.metrics.reportedSeconds)),
+        Bench.capped("smcql", n, smcqlComorbidityPredicted(n)) {
+          SmcqlComorbidity.run(spark, in).reportedSeconds
+        })
     }
-
-  private[eval] def estimateOblivmSort(n: Long): Double = {
-    if (n <= 1) return 0.0
-    var p = 1L; while (p < n) p <<= 1
-    val log = java.lang.Long.numberOfTrailingZeros(p).toDouble
-    p / 4.0 * log * (log + 1) * (64.0 * 8) * CostParams.ObliVM.gate
-  }
 }

@@ -129,7 +129,7 @@ final class CostMeter(val params: CostParams) {
   def addRound(n: Long = 1): Unit = rounds += n
   def addShuffle(elems: Long): Unit = shuffledElems += elems
   def addGates(n: Long): Unit = gates += n
-  def addSetup(): Unit = setups += 1
+  def addSetup(n: Long = 1): Unit = setups += n
 
   /** Track simulated memory; throws `MpcOutOfMemory` above the ceiling. */
   def checkMem(op: String, bytes: Long): Unit = {
@@ -163,3 +163,61 @@ final case class CostSnapshot(
     rowsTouched: Long, eqs: Long, cmps: Long, muls: Long, rounds: Long,
     shuffledElems: Long, gates: Long, setups: Long, peakMemBytes: Long,
     modeledSeconds: Double)
+
+/** Closed-form cost of the oblivious kernels whose runs the benchmark tables
+  * guard against the two-hour cap, from public sizes only. Each predictor
+  * charges a fresh [[CostMeter]] with the kernel's counters, so a prediction
+  * is priced exactly like a metered run.
+  */
+object CostModel {
+
+  private def charged(params: CostParams)(charge: CostMeter => Unit): CostSnapshot = {
+    val m = new CostMeter(params)
+    charge(m)
+    m.snapshot
+  }
+
+  /** A bitonic sort of `rows` rows of `width` columns by keys with the
+    * given directions (`Oblivious.sortBy`). The network pads to the next
+    * power of two p and runs p/4·log₂p·(log₂p+1) compare-exchanges; each
+    * costs, per key, one comparison and one equality and, per column plus
+    * the validity flags, one conditional swap.
+    */
+  def sort(params: CostParams, rows: Long, width: Int, ascending: Seq[Boolean]): CostSnapshot =
+    charged(params) { m =>
+      if (rows > 1) {
+        val log = Log2.ceil(rows)
+        val p = 1L << log
+        val exchanges = p * log * (log + 1) / 4
+        val k = ascending.length.toLong
+        m.addRows(p)
+        if (params.gate > 0) {
+          import GcGates._
+          val validity = 3 * Mux + 5 * Add
+          val keys = ascending.map(asc => 2 * Cmp + 2 * Mux + (if (asc) 3 else 1) * Add).sum
+          val swaps = (width + 1) * (Mux + 3 * Add)
+          m.addGates(exchanges * (validity + keys + swaps))
+        } else {
+          m.addCmp(exchanges * k)
+          m.addEq(exchanges * k)
+          m.addMul(exchanges * (3 + 2 * k + (width + 1)))
+        }
+      }
+    }
+
+  /** The n·m·k oblivious equality tests of a Cartesian join of `left` by
+    * `right` rows on `keys` key columns (`Oblivious.cartesianJoin`), and
+    * nothing else.
+    */
+  def cartesianJoin(params: CostParams, left: Long, right: Long, keys: Int): CostSnapshot =
+    charged(params) { m =>
+      val eqs = left * right * keys
+      if (params.gate > 0) m.addGates(eqs * GcGates.Cmp) else m.addEq(eqs)
+    }
+
+  /** `count` per-invocation setups (circuit generation and handshakes). */
+  def setups(params: CostParams, count: Long): CostSnapshot = charged(params)(_.addSetup(count))
+
+  /** One storage-layer touch per row, as a projection charges. */
+  def scan(params: CostParams, rows: Long): CostSnapshot = charged(params)(_.addRows(rows))
+}

@@ -415,11 +415,7 @@ final class GarbledCircuitEngine(val meter: CostMeter) extends MpcEngine {
   val name = s"garbled-${meter.params.name}"
   protected val rng = new SplittableRandom(0x6C1L)
 
-  // Gate counts for 64-bit words (free-XOR model: only AND gates garbled).
-  private val AddGates = 64L
-  private val MulGates = 64L * 63 / 2
-  private val CmpGates = 64L
-  private val MuxGates = 64L
+  import GcGates.{Add => AddGates, Cmp => CmpGates, Mul => MulGates, Mux => MuxGates}
 
   private def own(c: SharedCol): WireCol = c match {
     case w: WireCol => w
@@ -485,6 +481,17 @@ final class GarbledCircuitEngine(val meter: CostMeter) extends MpcEngine {
     */
   override def checkRelationMem(op: String, records: Long, width: Long): Unit =
     meter.checkMem(op, records * width * meter.params.labelBytes)
+}
+
+/** Garbled gates per 64-bit word operation (free-XOR model: only AND gates
+  * are garbled), charged by [[GarbledCircuitEngine]] and read by
+  * [[CostModel]]'s predictors.
+  */
+object GcGates {
+  val Add = 64L
+  val Mul = 64L * 63 / 2
+  val Cmp = 64L
+  val Mux = 64L
 }
 
 object GcOpWidth {

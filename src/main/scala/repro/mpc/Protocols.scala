@@ -108,24 +108,30 @@ object Protocols {
     val lKeyRows = openKeys(e, leakage, relName, left, lKeys, "left", allParties)
     val rKeyRows = openKeys(e, leakage, relName, right, rKeys, "right", allParties)
 
-    val byKey = rKeyRows.indices.groupBy(rKeyRows)
-    // Sorted by key: the host returns matches in key order (free in the
-    // clear) so MPC consumers can skip oblivious sorts on the key.
     import scala.math.Ordering.Implicits.seqOrdering
-    val pairs = lKeyRows.zipWithIndex
-      .flatMap { case (k, i) => byKey.getOrElse(k, Seq.empty).map(j => (k, i, j)) }
-      .sortBy(_._1)
-    leakage.record(CardinalityLeak(relName, pairs.length.toLong, allParties))
+    val (lIdx, rIdx) = publicJoinPairs(lKeyRows, rKeyRows)
+    leakage.record(CardinalityLeak(relName, lIdx.length.toLong, allParties))
 
     val lRest = left.schema.indices.filterNot(lKeys.contains)
     val rRest = right.schema.indices.filterNot(rKeys.contains)
     val outSchema =
       lKeys.map(left.schema).toVector ++ lRest.map(left.schema) ++ rRest.map(right.schema)
-    e.chargeRows(pairs.length.toLong, outSchema.length.toLong)
-    val lIdx = pairs.map(_._2).toArray
-    val rIdx = pairs.map(_._3).toArray
+    e.chargeRows(lIdx.length.toLong, outSchema.length.toLong)
     SharedRelation(outSchema,
       (lKeys ++ lRest).map(left.cols(_).gather(lIdx)).toVector ++ rRest.map(right.cols(_).gather(rIdx)))
+  }
+
+  /** The matching (left index, right index) pairs of an equi-join on public
+    * keys, ordered by key, then left index, then right index. The host
+    * returns matches in key order (free in the clear) so MPC consumers can
+    * skip oblivious sorts on the key. Shared by [[publicJoin]] (fixed-point
+    * keys) and the executor's public join over cleartext inputs (doubles).
+    */
+  def publicJoinPairs[K: Ordering](left: IndexedSeq[K], right: IndexedSeq[K]): (Array[Int], Array[Int]) = {
+    val byKey = right.indices.groupBy(right)
+    val pairs = left.indices.sortBy(left) // stable: equal keys keep left order
+      .flatMap(i => byKey.getOrElse(left(i), IndexedSeq.empty).map(j => (i, j)))
+    (pairs.map(_._1).toArray, pairs.map(_._2).toArray)
   }
 
   /** Hybrid aggregation (§5.3): oblivious shuffle, group-by column revealed

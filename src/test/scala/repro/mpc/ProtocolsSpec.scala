@@ -106,6 +106,20 @@ class ProtocolsSpec extends AnyFunSuite {
     assert(open(b, out).map(_.head) == Seq(2.0, 9.0, 11.0), "numeric key order")
   }
 
+  test("public join pairs are ordered by key, then left index, then right index") {
+    // Duplicate keys on both sides; the same pairs for fixed-point and
+    // cleartext keys.
+    val l = Vector(5.0, 2.0, 5.0, 7.0, 2.0)
+    val r = Vector(2.0, 5.0, 9.0, 5.0, 2.0)
+    val expected = (Seq(1, 1, 4, 4, 0, 0, 2, 2), Seq(0, 4, 0, 4, 1, 3, 1, 3))
+    def pairs[K: Ordering](l: IndexedSeq[K], r: IndexedSeq[K]) = {
+      val (li, rj) = Protocols.publicJoinPairs(l, r)
+      (li.toSeq, rj.toSeq)
+    }
+    assert(pairs(l, r) == expected)
+    assert(pairs(l.map(Fixed.encode), r.map(Fixed.encode)) == expected)
+  }
+
   test("public join reveals keys to all parties and uses no oblivious ops") {
     val b = sharemind()
     val l = Seq(Seq(1.0, 10.0)); val r = Seq(Seq(1.0, 30.0))
