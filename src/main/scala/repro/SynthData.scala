@@ -19,7 +19,6 @@ object SynthData {
   private def n(base: Long, sf: Double): Long = math.max(1L, (base * sf).toLong)
 
   def lineitem(spark: SparkSession, sf: Double = 0.01, seed: Long = 0): DataFrame = {
-    import spark.implicits._
     val nOrders = n(NOrdersPerSf, sf); val nPart = n(NPartPerSf, sf)
     spark.range(n(NLineitemPerSf, sf)).select(
       (rand(seed)     * nOrders + 1).cast(LongType)    as "l_orderkey",
@@ -79,9 +78,8 @@ object SynthData {
   /** Skewed key column — for join-skew / cardinality-estimation papers. */
   def zipfKeys(spark: SparkSession, rows: Long, nKeys: Long,
                alpha: Double = 1.1, seed: Long = 3): DataFrame = {
-    import spark.implicits._
     // Inverse-CDF draw over rank weights 1/k^alpha; good enough for skew.
-    val norm = (1L to math.min(nKeys, 10000L)).map(k => 1.0 / math.pow(k, alpha)).sum
+    val norm = (1L to math.min(nKeys, 10000L)).map(k => 1.0 / math.pow(k.toDouble, alpha)).sum
     spark.range(rows).select(
       least(lit(nKeys),
             greatest(lit(1L),
@@ -92,7 +90,6 @@ object SynthData {
   }
 
   def uniformKeys(spark: SparkSession, rows: Long, nKeys: Long, seed: Long = 4): DataFrame = {
-    import spark.implicits._
     spark.range(rows).select(
       (rand(seed) * nKeys + 1).cast(LongType) as "k",
       rand(seed + 1)                          as "v",

@@ -19,20 +19,13 @@ final case class CompileConfig(
       * mode, which keeps filters over private columns under MPC (§7.4).
       */
     pushFiltersDown: Boolean = true,
-    /** Enable hybrid operator rewrites (§5.3). */
-    useHybrid: Boolean = true,
-    /** Enable the MPC push-up pass over reversible leaf operators (§5.2). */
-    usePushUp: Boolean = true,
-    /** Enable oblivious-sort tracking and elimination (§5.4). */
-    sortElimination: Boolean = true,
 )
 
 object CompileConfig {
   val default: CompileConfig = CompileConfig()
 
   /** Run the entire query under MPC (baseline). */
-  val mpcOnly: CompileConfig = CompileConfig(rewrites = false, useHybrid = false,
-    usePushUp = false, sortElimination = false)
+  val mpcOnly: CompileConfig = CompileConfig(rewrites = false)
 
   /** Match SMCQL's security guarantee: no push-down past private filters. */
   val smcqlCompat: CompileConfig = CompileConfig(pushFiltersDown = false)

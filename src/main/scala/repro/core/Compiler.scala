@@ -17,13 +17,13 @@ object Compiler {
       Ownership.annotate(dag)
       // Stage 2: rewrite to shrink the MPC — frontier push-down and push-up.
       PushDown(dag, config)
-      PushUp(dag, config)
+      PushUp(dag)
       // Stage 3: propagate trust annotations.
       Trust.annotate(dag)
       // Stage 4: insert hybrid protocol operators where authorized.
-      Hybrid(dag, config)
+      Hybrid(dag)
       // Stage 5: eliminate redundant oblivious sorts.
-      SortElim(dag, config)
+      SortElim(dag)
     } else {
       // Baseline mode: the entire query runs under MPC.
       Ownership.forceAllMpc(dag)

@@ -47,10 +47,7 @@ final class Executor(
     /** Safety cap on rows crossing into the MPC simulator. */
     maxCloseRows: Long = 5_000_000L,
 ) {
-
-  private sealed trait RelValue
-  private final case class ClearRel(parts: Map[Party, DataFrame]) extends RelValue
-  private final case class SecureRel(rel: SharedRelation) extends RelValue
+  import Executor._
 
   private var mpcRealNs: Long = 0L
   private var closedRows: Long = 0L
@@ -99,15 +96,14 @@ final class Executor(
 
   private def inputDf(inputs: Map[String, DataFrame], relName: String, cols: Seq[InCol]): DataFrame = {
     val df = inputs.getOrElse(relName, sys.error(s"no input DataFrame provided for '$relName'"))
-    // A cast to double would turn a non-numeric value into NULL, and the
-    // frontier would read that as 0.0.
+    // A cast to double would turn a non-numeric value into NULL.
     for (c <- cols; f <- df.schema.fields.find(_.name == c.name))
       require(f.dataType.isInstanceOf[NumericType],
         s"input '$relName': column '${c.name}' has non-numeric type ${f.dataType.simpleString}")
     df.select(cols.map(c => col(c.name).cast(DoubleType).as(c.name)): _*)
   }
 
-  private def cmpColumn(df: DataFrame, c: String, cmp: CmpOp, rhs: Either[String, Double]) = {
+  private def cmpColumn(c: String, cmp: CmpOp, rhs: Either[String, Double]) = {
     val l = col(c)
     val r = rhs.fold(col, lit(_))
     cmp match {
@@ -122,7 +118,7 @@ final class Executor(
 
   private def clearOp(n: Node, dfs: Seq[DataFrame]): DataFrame = n.kind match {
     case OpKind.Project(cols) => dfs.head.select(cols.map(col): _*)
-    case OpKind.Filter(c, cmp, rhs) => dfs.head.where(cmpColumn(dfs.head, c, cmp, rhs))
+    case OpKind.Filter(c, cmp, rhs) => dfs.head.where(cmpColumn(c, cmp, rhs))
     case OpKind.Agg(group, fn, aggCol, out, _) =>
       val aggExpr = (fn match {
         case AggFn.Sum   => sum(col(aggCol.get))
@@ -166,9 +162,14 @@ final class Executor(
       s"safety cap: $closedRows rows crossed into the MPC simulator (max $maxCloseRows)")
   }
 
-  /** Collected rows as double columns (NULL reads as 0.0). */
-  private def columns(rows: Array[Row], width: Int): IndexedSeq[Array[Double]] =
-    (0 until width).map(c => rows.map(r => if (r.isNullAt(c)) 0.0 else r.getDouble(c)))
+  /** Rows of `relName` collected for MPC, as double columns. MPC values
+    * have no NULL, so a NULL cell is rejected rather than read as a number.
+    */
+  private def columns(relName: String, schema: Seq[String], rows: Array[Row]): IndexedSeq[Array[Double]] =
+    schema.indices.map(c => rows.map { r =>
+      require(!r.isNullAt(c), s"NULL in column '${schema(c)}' of $relName cannot enter MPC")
+      r.getDouble(c)
+    })
 
   /** Collect every cleartext partition of every child value in one batch:
     * one fresh thread per partition, so the parties' Spark jobs run at the
@@ -213,7 +214,8 @@ final class Executor(
       case ((_, SecureRel(rel)), _) => rel
       case ((c, ClearRel(_)), byParty) =>
         val shared = byParty.map { case (p, rows) =>
-          timedMpc(backend.close(s"#${c.id}@${p.name}", c.schema, columns(rows, c.schema.length)))
+          val name = s"#${c.id}@${p.name}"
+          timedMpc(backend.close(name, c.schema, columns(name, c.schema, rows)))
         }
         if (shared.length == 1) shared.head else timedMpc(backend.concat(shared))
     }.toSeq
@@ -229,7 +231,7 @@ final class Executor(
   /** Cleartext view of a child value at `party` (revealing MPC data if the
     * compiler lifted this consumer above the frontier).
     */
-  private def asClearAt(n: Node, party: Party, v: RelValue, child: Node): DataFrame = v match {
+  private def asClearAt(party: Party, v: RelValue, child: Node): DataFrame = v match {
     case ClearRel(parts) if parts.contains(party) && parts.size == 1 => parts(party)
     case ClearRel(parts) =>
       // A pushed-up (reversible) operator consuming a still-partitioned
@@ -263,7 +265,7 @@ final class Executor(
       case _ if !n.isMpc =>
         // Cleartext operator at its owner (or at the recipient, post-reveal).
         val at = n.owner.getOrElse(sys.error(s"cleartext node without owner: $n"))
-        val dfs = n.children.zip(childVals).map { case (c, v) => asClearAt(n, at, v, c) }
+        val dfs = n.children.zip(childVals).map { case (c, v) => asClearAt(at, v, c) }
         ClearRel(Map(at -> clearOp(n, dfs.toSeq)))
 
       case OpKind.Concat if childVals.forall(_.isInstanceOf[ClearRel]) =>
@@ -280,9 +282,8 @@ final class Executor(
       case OpKind.Concat =>
         SecureRel(timedMpc(backend.concat(asSecure(n, childVals))))
 
-      case OpKind.PublicJoin(lk, rk, host)
-          if childVals.forall(_.isInstanceOf[ClearRel]) =>
-        SecureRel(publicJoinFromClear(n, lk, rk, host, childVals))
+      case OpKind.PublicJoin(lk, rk) if childVals.forall(_.isInstanceOf[ClearRel]) =>
+        SecureRel(publicJoinFromClear(n, lk, rk, childVals))
 
       case _ =>
         // Generic MPC operator.
@@ -302,8 +303,8 @@ final class Executor(
             backend.join(name, shared(0), shared(1), lk, rk)
           case OpKind.HybridJoin(lk, rk, stp) =>
             backend.hybridJoin(name, shared(0), shared(1), lk, rk, stp)
-          case OpKind.PublicJoin(lk, rk, host) =>
-            backend.publicJoin(name, shared(0), shared(1), lk, rk, host)
+          case OpKind.PublicJoin(lk, rk) =>
+            backend.publicJoin(name, shared(0), shared(1), lk, rk)
           case OpKind.Arith(fn, out2, lhs, rhs) =>
             backend.arith(shared.head, fn, out2, lhs, rhs)
           case OpKind.ConstCol(cn, v) => backend.constCol(shared.head, cn, v)
@@ -316,47 +317,33 @@ final class Executor(
         SecureRel(out)
     }
 
-  /** Public join over still-cleartext inputs: the key columns are public, so
-    * the parties exchange keys in the clear, compute the match pairs, and
-    * secret-share *only the matching rows* — this is what lets Conclave +
-    * slicing send just the overlapping patient IDs into MPC (§7.4).
-    * The result is ordered by join key (exploited by sort elimination).
+  /** Public join over still-cleartext inputs: the backend pairs the rows on
+    * their public keys, then closes *only the matched rows*. Every party's
+    * partition of both sides is collected in one batch (a partitioned
+    * concat defers here), and the safety cap is checked before any row is
+    * shared.
     */
-  private def publicJoinFromClear(
-      n: Node, lk: Seq[String], rk: Seq[String], host: Party,
+  private def publicJoinFromClear(n: Node, lk: Seq[String], rk: Seq[String],
       childVals: Seq[RelValue]): SharedRelation = {
-    val lSchema = n.children(0).schema
-    val rSchema = n.children(1).schema
-    val all = backend.allParties
-    lk.foreach(k => backend.leakage.record(ColumnLeak(s"#${n.id}", s"left:$k", all)))
-    rk.foreach(k => backend.leakage.record(ColumnLeak(s"#${n.id}", s"right:$k", all)))
-
-    // Every party's partition of both sides, collected in one batch (a
-    // partitioned concat defers here).
-    val Seq(lRows, rRows) = collectClear(childVals).map(_.flatMap(_._2).toArray)
-    val lkIdx = lk.map(lSchema.indexOf)
-    val rkIdx = rk.map(rSchema.indexOf)
-    def keys(rows: Array[Row], idx: Seq[Int]): IndexedSeq[Seq[Double]] =
-      rows.toIndexedSeq.map(r => idx.map(r.getDouble))
-    import scala.math.Ordering.Implicits.seqOrdering
-    val (li, rj) = Protocols.publicJoinPairs(keys(lRows, lkIdx), keys(rRows, rkIdx))
-    backend.leakage.record(CardinalityLeak(s"#${n.id}", li.length.toLong, all))
-
-    // Each side secret-shares *only its matched rows*, in the public pair
-    // order — unmatched rows never enter MPC.
-    val lRest = lSchema.indices.filterNot(lkIdx.contains)
-    val rRest = rSchema.indices.filterNot(rkIdx.contains)
-    countClosed(2L * li.length)
-    timedMpc {
-      val lCols = columns(lRows, lSchema.length)
-      val rCols = columns(rRows, rSchema.length)
-      val lShared = backend.close(s"#${n.id}:left", (lkIdx ++ lRest).map(lSchema),
-        (lkIdx ++ lRest).map(c => li.map(i => lCols(c)(i))))
-      val rShared = backend.close(s"#${n.id}:right", rRest.map(rSchema),
-        rRest.map(c => rj.map(j => rCols(c)(j))))
-      SharedRelation((lk ++ lRest.map(lSchema) ++ rRest.map(rSchema)).toVector,
-        lShared.cols ++ rShared.cols)
+    val Seq((lSchema, lCols), (rSchema, rCols)) =
+      n.children.zip(collectClear(childVals)).map { case (c, byParty) =>
+        val cols = byParty.map { case (p, rows) => columns(s"#${c.id}@${p.name}", c.schema, rows) }
+        c.schema -> c.schema.indices.map(i => Array.concat(cols.map(_(i)): _*))
+      }.toSeq
+    def keys(schema: Seq[String], cols: IndexedSeq[Array[Double]], names: Seq[String]) = {
+      val idx = names.map(schema.indexOf)
+      IndexedSeq.tabulate(cols.head.length)(r => idx.map(cols(_)(r)))
     }
+    val name = s"#${n.id}"
+    import scala.math.Ordering.Implicits.seqOrdering
+    val pairs = backend.publicJoinPairs(name, lk, rk, keys(lSchema, lCols, lk), keys(rSchema, rCols, rk))
+    countClosed(2L * pairs._1.length)
+    timedMpc(backend.publicJoinClose(name, lSchema, rSchema, lk, rk, lCols, rCols, pairs))
   }
+}
 
+object Executor {
+  private sealed trait RelValue
+  private final case class ClearRel(parts: Map[Party, DataFrame]) extends RelValue
+  private final case class SecureRel(rel: SharedRelation) extends RelValue
 }

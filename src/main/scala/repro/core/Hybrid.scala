@@ -6,8 +6,8 @@ package repro.core
   * variants when the propagated trust sets authorize it:
   *
   *  - *public join* when the key columns on both sides are trusted by every
-  *    party (the keys may be revealed to all; a deterministically chosen
-  *    host computes the join in the clear);
+  *    party (the keys may be revealed to all, and the join is computed in
+  *    the clear);
   *  - *hybrid join* when both key columns share at least one trusted party,
   *    which becomes the selectively-trusted party (STP);
   *  - *hybrid aggregation* when the group-by columns' trust set contains a
@@ -19,8 +19,7 @@ package repro.core
   */
 object Hybrid {
 
-  def apply(dag: Dag, config: CompileConfig): Unit = {
-    if (!config.useHybrid) return
+  def apply(dag: Dag): Unit = {
     Trust.annotate(dag)
     val all = dag.parties
 
@@ -43,11 +42,10 @@ object Hybrid {
     }
 
     // Public joins: keys trusted by everyone.
-    val host = all.toSeq.min
     candidates.foreach { c =>
       c.node.kind match {
         case OpKind.Join(lk, rk) if all.subsetOf(c.stps) =>
-          c.node.kind = OpKind.PublicJoin(lk, rk, host)
+          c.node.kind = OpKind.PublicJoin(lk, rk)
         case _ => ()
       }
     }

@@ -83,8 +83,8 @@ object OpKind {
   final case class HybridJoin(lKeys: Seq[String], rKeys: Seq[String], stp: Party) extends OpKind {
     def label = s"hybridJoin(${lKeys.mkString(",")}=${rKeys.mkString(",")} stp=$stp)"
   }
-  final case class PublicJoin(lKeys: Seq[String], rKeys: Seq[String], host: Party) extends OpKind {
-    def label = s"publicJoin(${lKeys.mkString(",")}=${rKeys.mkString(",")} host=$host)"
+  final case class PublicJoin(lKeys: Seq[String], rKeys: Seq[String]) extends OpKind {
+    def label = s"publicJoin(${lKeys.mkString(",")}=${rKeys.mkString(",")})"
   }
   final case class HybridAgg(group: Seq[String], fn: AggFn, aggCol: Option[String], out: String,
       stp: Party) extends OpKind {
@@ -121,9 +121,6 @@ final class Node private[core] (val id: Int, var kind: OpKind) {
   /** Set by sort elimination: the operator may skip its oblivious sort. */
   var preSorted: Boolean = false
 
-  /** Execution stage id assigned by partitioning (reporting only). */
-  var stage: Int = -1
-
   def schema: Seq[String] = Ir.schemaOf(kind, children.map(_.schema).toSeq)
 
   override def toString: String = s"#$id ${kind.label}${if (isMpc) " [mpc]" else ""}"
@@ -153,7 +150,7 @@ object Ir {
       group :+ out
     case OpKind.Join(lk, rk)          => joinSchema(childSchemas, lk, rk)
     case OpKind.HybridJoin(lk, rk, _) => joinSchema(childSchemas, lk, rk)
-    case OpKind.PublicJoin(lk, rk, _) => joinSchema(childSchemas, lk, rk)
+    case OpKind.PublicJoin(lk, rk)    => joinSchema(childSchemas, lk, rk)
     case OpKind.Arith(_, out, lhs, rhs) =>
       require(childSchemas.head.contains(lhs), s"arith: no column $lhs")
       rhs.left.foreach(c => require(childSchemas.head.contains(c), s"arith: no column $c"))

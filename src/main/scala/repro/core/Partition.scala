@@ -4,9 +4,9 @@ package repro.core
   * cleartext processing and MPC.
   *
   * Each maximal connected subgraph of operators with the same execution
-  * mode — (cleartext, owner) or MPC — becomes one stage. The executor
-  * dispatches cleartext stages to Spark (per party) and MPC stages to the
-  * MPC backend; stage ids are also used for reporting (`Dag.describe`).
+  * mode — (cleartext, owner) or MPC — becomes one stage. The executor walks
+  * the DAG in topological order and does not read the stages; they describe
+  * the plan (`Compiler.Plan.stages`) for tests and reports.
   */
 object Partition {
 
@@ -14,18 +14,19 @@ object Partition {
 
   def apply(dag: Dag): Seq[Stage] = {
     var next = 0
-    val assignment = scala.collection.mutable.LinkedHashMap.empty[Int, (Boolean, Option[Party])]
+    val modes = scala.collection.mutable.LinkedHashMap.empty[Int, (Boolean, Option[Party])]
+    val stageOf = scala.collection.mutable.HashMap.empty[Int, Int] // node id -> stage id
     dag.topo.foreach { n =>
       val mode = (n.isMpc, if (n.isMpc) None else n.owner)
-      n.stage = n.children.find { c =>
+      stageOf(n.id) = n.children.find { c =>
         (c.isMpc, if (c.isMpc) None else c.owner) == mode
       } match {
-        case Some(c) => c.stage
-        case None    => val id = next; next += 1; assignment(id) = mode; id
+        case Some(c) => stageOf(c.id)
+        case None    => val id = next; next += 1; modes(id) = mode; id
       }
     }
-    val byStage = dag.topo.groupBy(_.stage)
-    assignment.toSeq.map { case (id, (mpc, owner)) =>
+    val byStage = dag.topo.groupBy(n => stageOf(n.id))
+    modes.toSeq.map { case (id, (mpc, owner)) =>
       Stage(id, mpc, owner, byStage.getOrElse(id, Seq.empty))
     }
   }

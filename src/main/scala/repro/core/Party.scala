@@ -5,8 +5,7 @@ package repro.core
   *
   * Ordering is lexicographic on the name so that all parties independently
   * and deterministically agree on derived choices — e.g. which
-  * selectively-trusted party (STP) to use when several are authorized, or
-  * which party hosts a public join.
+  * selectively-trusted party (STP) to use when several are authorized.
   */
 final case class Party(name: String) extends Ordered[Party] {
   def compare(that: Party): Int = name.compare(that.name)

@@ -20,8 +20,7 @@ package repro.core
   */
 object PushUp {
 
-  def apply(dag: Dag, config: CompileConfig): Unit = {
-    if (!config.usePushUp) return
+  def apply(dag: Dag): Unit = {
     dag.outputs.foreach { out =>
       val recipients = out.kind.asInstanceOf[OpKind.Output].recipients
       if (recipients.size == 1) liftChain(dag, out, recipients.head)

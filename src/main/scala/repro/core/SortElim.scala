@@ -6,7 +6,7 @@ package repro.core
   * sorted by (if any): order-preserving operators (filter, row-wise
   * arithmetic, projections retaining the column, limit) propagate it;
   * shuffling operators (joins, aggregations, concat) reset it — except the
-  * public join, whose cleartext host returns results in key order.
+  * public join, whose rows are paired in the clear and come in key order.
   *
   * Consumers that sort internally are marked `preSorted` when their input is
   * already ordered compatibly, letting the executor skip the O(n log² n)
@@ -16,8 +16,7 @@ package repro.core
   */
 object SortElim {
 
-  def apply(dag: Dag, config: CompileConfig): Unit = {
-    if (!config.sortElimination) return
+  def apply(dag: Dag): Unit = {
     var changed = true
     while (changed) {
       changed = false
@@ -37,7 +36,7 @@ object SortElim {
               changed = true
             }
             Some((col, asc))
-          case OpKind.PublicJoin(lk, _, _) => Some((lk.head, true)) // host sorts by key
+          case OpKind.PublicJoin(lk, _) => Some((lk.head, true)) // pairs come in key order
           case _: OpKind.Join | _: OpKind.HybridJoin => None // shuffled outputs
           case _: OpKind.Agg | _: OpKind.HybridAgg   => None // shuffled before reveal
           case OpKind.Distinct(_) =>

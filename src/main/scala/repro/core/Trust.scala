@@ -49,7 +49,7 @@ object Trust {
 
         case OpKind.Join(lk, rk)          => joinTrust(n, lk, rk)
         case OpKind.HybridJoin(lk, rk, _) => joinTrust(n, lk, rk)
-        case OpKind.PublicJoin(lk, rk, _) => joinTrust(n, lk, rk)
+        case OpKind.PublicJoin(lk, rk) => joinTrust(n, lk, rk)
 
         case OpKind.Arith(_, out, lhs, rhs) =>
           val ct = n.children.head.trust

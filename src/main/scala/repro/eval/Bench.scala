@@ -75,9 +75,8 @@ object Bench {
       inputs: Map[String, DataFrame],
       parties: Set[Party],
       backend: Set[Party] => MpcBackend = MpcBackend.sharemind(_),
-      maxCloseRows: Long = 20_000_000L,
   ): ExecResult = {
     val plan = Compiler.compile(dag, config)
-    new Executor(spark, backend(parties), maxCloseRows).run(plan, inputs)
+    new Executor(spark, backend(parties)).run(plan, inputs)
   }
 }

@@ -34,7 +34,7 @@ object Fig5Hybrid {
           join(_.join("j", _, _, Seq("k"), Seq("k")))
         },
         BenchPoint("hybrid-join", n, Some(join(_.hybridJoin("j", _, _, Seq("k"), Seq("k"), stp = pC)))),
-        BenchPoint("public-join", n, Some(join(_.publicJoin("j", _, _, Seq("k"), Seq("k"), host = pA)))))
+        BenchPoint("public-join", n, Some(join(_.publicJoin("j", _, _, Seq("k"), Seq("k"))))))
     }
 
   def runAggs(sizes: Seq[Long]): Seq[BenchPoint] =

@@ -18,7 +18,7 @@ sealed abstract class SharedCol(private[mpc] val parts: Array[Array[Long]]) {
 
   /** The rows at positions `idx`, in that order. */
   final def gather(idx: Array[Int]): SharedCol = {
-    val out = make(parts.map(p => new Array[Long](idx.length)))
+    val out = make(parts.map(_ => new Array[Long](idx.length)))
     gatherInto(idx, out)
     out
   }
@@ -207,7 +207,7 @@ trait MpcEngine {
   def chargeShuffle(rows: Long, cols: Long): Unit
 
   /** Charge per-row storage-layer cost. */
-  final def chargeRows(rows: Long, cols: Long): Unit = meter.addRows(rows)
+  final def chargeRows(rows: Long): Unit = meter.addRows(rows)
 
   /** Memory-model hook for relation-level operators (GC backends OOM). */
   def checkRelationMem(op: String, records: Long, width: Long): Unit = ()

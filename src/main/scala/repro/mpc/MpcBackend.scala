@@ -6,9 +6,14 @@ import repro.core.{AggFn, ArithFn, CmpOp, Party}
   * (the role Sharemind / Obliv-C play in the paper, §6).
   *
   * Wraps an [[MpcEngine]] with input/output movement (`close` = inputToMPC,
-  * `reveal` = revealTo), the oblivious relational operators, the hybrid
-  * protocols, leakage logging, and — for garbled-circuit engines — the
-  * memory model that reproduces Obliv-C's OOM behaviour.
+  * `reveal` = revealTo), the oblivious relational operators, Conclave's
+  * hybrid and public protocols (§5.3, Fig. 3), and — for garbled-circuit
+  * engines — the memory model that reproduces Obliv-C's OOM behaviour.
+  *
+  * It is the only recorder of [[ColumnLeak]]s and [[CardinalityLeak]]s:
+  * every close, reveal and protocol logs what it discloses here, so tests
+  * can check that a plan leaks exactly what the paper authorizes (§5.2,
+  * §5.3, Appendix A) and nothing else.
   */
 final class MpcBackend(
     val engine: MpcEngine,
@@ -24,7 +29,7 @@ final class MpcBackend(
     require(cols.length == schema.length, s"${cols.length} columns for schema $schema")
     val n = cols.headOption.map(_.length).getOrElse(0)
     leakage.record(CardinalityLeak(relName, n.toLong, allParties))
-    engine.chargeRows(n.toLong, schema.length.toLong)
+    engine.chargeRows(n.toLong)
     engine.checkRelationMem("close", n.toLong, GcOpWidth.Projection)
     SharedRelation(schema.toVector, cols.map(c => engine.input(c.map(Fixed.encode))).toVector)
   }
@@ -41,7 +46,7 @@ final class MpcBackend(
 
   def project(rel: SharedRelation, cols: Seq[String]): SharedRelation = {
     val idxs = rel.colIdxs(cols)
-    engine.chargeRows(rel.size.toLong, cols.length.toLong)
+    engine.chargeRows(rel.size.toLong)
     engine.checkRelationMem("project", rel.size.toLong, GcOpWidth.Projection)
     SharedRelation(cols.toVector, idxs.map(rel.cols), rel.validity)
   }
@@ -135,7 +140,7 @@ final class MpcBackend(
     rel.validity match {
       case Some(_) if sorted =>
         val prefix = rel.take(k)
-        engine.chargeRows(prefix.size.toLong, rel.width.toLong)
+        engine.chargeRows(prefix.size.toLong)
         val flags = engine.open(prefix.validity.get)
         val valid = flags.count(_ == 1L)
         require(flags.take(valid).forall(_ == 1L) && flags.drop(valid).forall(_ == 0L),
@@ -144,7 +149,7 @@ final class MpcBackend(
         prefix.take(valid).copy(validity = None)
       case _ =>
         val compacted = compact(relName, rel)
-        engine.chargeRows(math.min(compacted.size, k).toLong, compacted.width.toLong)
+        engine.chargeRows(math.min(compacted.size, k).toLong)
         compacted.take(k)
     }
 
@@ -170,7 +175,7 @@ final class MpcBackend(
       rhs: Either[String, Double],
   ): SharedRelation = {
     val l = rel.col(lhs)
-    engine.chargeRows(rel.size.toLong, 1L)
+    engine.chargeRows(rel.size.toLong)
     engine.checkRelationMem("arith", rel.size.toLong, GcOpWidth.Projection)
     def scalar(s: Double) = engine.constant(Fixed.encode(s), rel.size)
     val out = (fn, rhs) match {
@@ -191,7 +196,7 @@ final class MpcBackend(
 
   /** Append a public constant column (used to key group-less join results). */
   def constCol(rel: SharedRelation, name: String, value: Double): SharedRelation = {
-    engine.chargeRows(rel.size.toLong, 1L)
+    engine.chargeRows(rel.size.toLong)
     SharedRelation(rel.schema :+ name, rel.cols :+ engine.constant(Fixed.encode(value), rel.size),
       rel.validity)
   }
@@ -205,25 +210,170 @@ final class MpcBackend(
       out
     }
 
-  // ------------------------------------------------------------ hybrid ops
+  // ------------------------------------------- hybrid and public protocols
 
+  /** Record that the columns `names` of `relName` were revealed to `to`. */
+  private def leakColumns(relName: String, names: Seq[String], to: Set[Party]): Unit =
+    names.foreach(c => leakage.record(ColumnLeak(relName, c, to)))
+
+  /** The leak labels of a join's key columns: `left:k` and `right:k`. */
+  private def joinKeyLabels(lKeys: Seq[String], rKeys: Seq[String]): Seq[String] =
+    lKeys.map("left:" + _) ++ rKeys.map("right:" + _)
+
+  /** Open the key columns `keys` of `rel` in one round, one key vector per
+    * row; the caller logs to whom they leak.
+    */
+  private def openKeys(rel: SharedRelation, keys: Seq[Int]): IndexedSeq[Vector[Long]] = {
+    engine.chargeRows(rel.size.toLong)
+    if (rel.size == 0) return IndexedSeq.empty
+    val opened = engine.open(keys.map(rel.cols))
+    IndexedSeq.tabulate(rel.size)(i => opened.map(_(i)).toVector)
+  }
+
+  /** Hybrid join (Fig. 3): oblivious shuffles, key columns revealed to the
+    * STP, cleartext join at the STP, then oblivious indexing (Laud [45]) to
+    * reconstruct the joined rows under MPC. O((n+m) log(n+m)) non-linear
+    * MPC operations instead of the Cartesian join's O(n·m). The STP sees
+    * only the shuffled keys; all parties learn the output cardinality.
+    */
   def hybridJoin(relName: String, left: SharedRelation, right: SharedRelation,
-      lKeys: Seq[String], rKeys: Seq[String], stp: Party): SharedRelation =
-    Protocols.hybridJoin(engine, leakage, relName,
-      compact(relName + ":left", left), compact(relName + ":right", right),
-      left.colIdxs(lKeys), right.colIdxs(rKeys), stp, allParties)
+      lKeys: Seq[String], rKeys: Seq[String], stp: Party): SharedRelation = {
+    require(lKeys.length == rKeys.length && lKeys.nonEmpty, "bad join keys")
+    val l = compact(relName + ":left", left)
+    val r = compact(relName + ":right", right)
+    val lk = l.colIdxs(lKeys); val rk = r.colIdxs(rKeys)
 
+    // 1. Obliviously shuffle both inputs so revealed keys are unlinkable to
+    //    input positions.
+    val lS = Oblivious.shuffle(engine, l)
+    val rS = Oblivious.shuffle(engine, r)
+
+    // 2-4. Reveal the key columns to the STP, which joins (key, row index)
+    //      pairs in the clear.
+    leakColumns(relName, joinKeyLabels(lKeys, rKeys), Set(stp))
+    val lKeyRows = openKeys(lS, lk)
+    val rKeyRows = openKeys(rS, rk)
+    val byKey = lKeyRows.indices.groupBy(lKeyRows)
+    val pairs = for {
+      (key, j) <- rKeyRows.zipWithIndex
+      i <- byKey.getOrElse(key, Seq.empty)
+    } yield (i, j)
+    leakage.record(CardinalityLeak(relName, pairs.length.toLong, allParties))
+
+    // 5. The STP secret-shares the two index relations back into the MPC.
+    val lIdx = engine.input(pairs.map(_._1.toLong).toArray)
+    val rIdx = engine.input(pairs.map(_._2.toLong).toArray)
+    engine.chargeRows(pairs.length.toLong)
+
+    // 6. Oblivious indexing recovers the joined rows under MPC.
+    val lRows = Oblivious.select(engine, lS, lIdx)
+    val rRows = Oblivious.select(engine, rS, rIdx)
+
+    // 7. Concatenate column-wise and reshuffle.
+    Oblivious.shuffle(engine, Oblivious.joinOutput(l.schema, r.schema, lk, rk)(
+      _.map(lRows.cols), _.map(rRows.cols)))
+  }
+
+  /** Public join over shared inputs: both key columns are public, so the
+    * keys are revealed to all parties, the join is computed in the clear,
+    * and the joined result is assembled from the shared rows by *public*
+    * indexes — no oblivious shuffle or indexing at all (paper §5.3). The
+    * output rows are ordered by join key, which downstream sort elimination
+    * exploits (§7.4).
+    */
   def publicJoin(relName: String, left: SharedRelation, right: SharedRelation,
-      lKeys: Seq[String], rKeys: Seq[String], host: Party): SharedRelation =
-    Protocols.publicJoin(engine, leakage, relName,
-      compact(relName + ":left", left), compact(relName + ":right", right),
-      left.colIdxs(lKeys), right.colIdxs(rKeys), host, allParties)
+      lKeys: Seq[String], rKeys: Seq[String]): SharedRelation = {
+    val l = compact(relName + ":left", left)
+    val r = compact(relName + ":right", right)
+    val lk = l.colIdxs(lKeys); val rk = r.colIdxs(rKeys)
+    import scala.math.Ordering.Implicits.seqOrdering
+    val (li, rj) = publicJoinPairs(relName, lKeys, rKeys, openKeys(l, lk), openKeys(r, rk))
+    engine.chargeRows(li.length.toLong)
+    Oblivious.joinOutput(l.schema, r.schema, lk, rk)(
+      _.map(l.cols(_).gather(li)), _.map(r.cols(_).gather(rj)))
+  }
 
+  /** The public step of a public join: the key columns `lKeys` and `rKeys`
+    * (values `lVals` and `rVals`, one key vector per row) are revealed to
+    * every party, which pairs the matching rows in the clear; all parties
+    * learn the number of pairs. Pairs are ordered by key, then left index,
+    * then right index: key order is free in the clear and lets MPC
+    * consumers skip oblivious sorts on the key. Called by [[publicJoin]]
+    * with opened fixed-point keys, and, over cleartext inputs, directly with
+    * the parties' keys before [[publicJoinClose]].
+    */
+  def publicJoinPairs[K: Ordering](relName: String, lKeys: Seq[String], rKeys: Seq[String],
+      lVals: IndexedSeq[K], rVals: IndexedSeq[K]): (Array[Int], Array[Int]) = {
+    leakColumns(relName, joinKeyLabels(lKeys, rKeys), allParties)
+    val byKey = rVals.indices.groupBy(rVals)
+    val pairs = lVals.indices.sortBy(lVals) // stable: equal keys keep left order
+      .flatMap(i => byKey.getOrElse(lVals(i), IndexedSeq.empty).map(j => (i, j)))
+    leakage.record(CardinalityLeak(relName, pairs.length.toLong, allParties))
+    (pairs.map(_._1).toArray, pairs.map(_._2).toArray)
+  }
+
+  /** Public join over cleartext inputs, second step: each side secret-shares
+    * *only its rows in `pairs`*, in pair order, so unmatched rows never
+    * enter MPC — this is what lets Conclave + slicing send just the
+    * overlapping patient IDs into MPC (§7.4). Columns are given per side as
+    * in [[close]]; the output is laid out as [[publicJoin]]'s.
+    */
+  def publicJoinClose(relName: String, lSchema: Seq[String], rSchema: Seq[String],
+      lKeys: Seq[String], rKeys: Seq[String], lCols: Seq[Array[Double]], rCols: Seq[Array[Double]],
+      pairs: (Array[Int], Array[Int])): SharedRelation = {
+    val (li, rj) = pairs
+    def matched(cols: Seq[Array[Double]], idx: Array[Int], names: Seq[String], side: String)(
+        cs: Seq[Int]): Seq[SharedCol] =
+      close(s"$relName:$side", cs.map(names), cs.map(c => idx.map(i => cols(c)(i)))).cols
+    Oblivious.joinOutput(lSchema, rSchema, lKeys.map(lSchema.indexOf), rKeys.map(rSchema.indexOf))(
+      matched(lCols, li, lSchema, "left"), matched(rCols, rj, rSchema, "right"))
+  }
+
+  /** Hybrid aggregation (§5.3): oblivious shuffle, group-by columns revealed
+    * to the STP, cleartext sort + equality flags at the STP, public reorder,
+    * then a linear oblivious accumulation scan. Replaces the O(n log^2 n)
+    * sorting network with an O(n log n) shuffle and avoids all oblivious
+    * comparisons (for sum/count). All parties learn the number of groups.
+    */
   def hybridAggregate(relName: String, rel: SharedRelation, group: Seq[String],
       aggCol: Option[String], fn: AggFn, outName: String, stp: Party): SharedRelation = {
-    val compacted = compact(relName + ":in", rel)
-    Protocols.hybridAggregate(engine, leakage, relName, compacted,
-      compacted.colIdxs(group), aggCol.map(compacted.colIdx), fn, outName, stp, allParties)
+    require(group.nonEmpty, "hybrid aggregation needs group-by columns")
+    val in = compact(relName + ":in", rel)
+    val groupIdxs = in.colIdxs(group)
+    val outSchema = group.toVector :+ outName
+    if (in.size == 0) return SharedRelation(outSchema, outSchema.map(_ => engine.alloc(0)))
+
+    // 1. Oblivious shuffle, then reveal the (shuffled) group-by columns to
+    //    the STP.
+    val shuffled = Oblivious.shuffle(engine, in)
+    leakColumns(relName, group, Set(stp))
+    val keys = openKeys(shuffled, groupIdxs)
+
+    // 2-4. STP: enumerate, sort by key, compute equality flags, publish the
+    //      ordering (public) and secret-share the flags.
+    import scala.math.Ordering.Implicits.seqOrdering
+    val order = keys.indices.sortBy(keys).toArray
+    val n = order.length
+    val eqFlags = Array.tabulate(n)(pos => if (pos > 0 && keys(order(pos)) == keys(order(pos - 1))) 1L else 0L)
+    val same = engine.input(eqFlags)
+    engine.chargeRows(n.toLong)
+
+    // 5-6. Parties reorder the shuffled relation by the public ordering.
+    val sorted = Oblivious.applyPublicPermutation(engine, shuffled, order)
+
+    // 7. Linear oblivious accumulation into each group's last row.
+    val agg = fn match {
+      case AggFn.Count => engine.constant(Fixed.Scale, n)
+      case _           => sorted.col(aggCol.get).slice(0, n) // folded in place
+    }
+    Oblivious.foldRuns(engine, fn, same, agg)
+    val keep = Oblivious.lastOfRun(engine, same)
+
+    // 8. Shuffle, open keep flags, discard: all parties learn the number of
+    //    groups (the output size).
+    val out = Oblivious.shuffleKeep(engine, outSchema, groupIdxs.map(sorted.cols) :+ agg, keep)
+    leakage.record(CardinalityLeak(relName, out.size.toLong, allParties))
+    out
   }
 }
 

@@ -43,7 +43,7 @@ object Oblivious {
     */
   def applyPublicPermutation(e: MpcEngine, rel: SharedRelation, perm: Array[Int]): SharedRelation = {
     require(perm.length == rel.size, "permutation size mismatch")
-    e.chargeRows(rel.size.toLong, rel.width.toLong)
+    e.chargeRows(rel.size.toLong)
     rel.gather(perm)
   }
 
@@ -90,7 +90,7 @@ object Oblivious {
       if (p == n) c.slice(0, n) else SharedCol.concat(Seq(c, e.constant(0L, p - n)))
     val cells = rel.cols.map(padded)
     val valid = padded(rel.validity.getOrElse(e.constant(1L, n)))
-    e.chargeRows(p.toLong, rel.width.toLong)
+    e.chargeRows(p.toLong)
 
     // Per layer: pair t compares row first(t) with row second(t), and
     // swaps them if first(t) sorts after second(t).
@@ -169,7 +169,7 @@ object Oblivious {
     * (one per row) into the validity column. Nothing is revealed.
     */
   def filter(e: MpcEngine, rel: SharedRelation, flags: SharedCol): SharedRelation = {
-    e.chargeRows(rel.size.toLong, rel.width.toLong)
+    e.chargeRows(rel.size.toLong)
     rel.copy(validity = Some(rel.validity.fold(flags)(e.and(_, flags))))
   }
 
@@ -293,7 +293,7 @@ object Oblivious {
       outName: String,
   ): SharedRelation = {
     val n = rel.size
-    e.chargeRows(n.toLong, 1L)
+    e.chargeRows(n.toLong)
     val valid = rel.validity.getOrElse(e.constant(1L, n))
     def values = rel.cols(aggIdx.get)
     // Each row's contribution, and the fold's starting value.
@@ -338,7 +338,7 @@ object Oblivious {
     val sorted = if (preSorted) rel else sortBy(e, rel, keyIdxs.map(SortKey(_)))
     val n = sorted.size
     val valid = sorted.validity.getOrElse(e.constant(1L, n))
-    e.chargeRows(n.toLong, rel.width.toLong)
+    e.chargeRows(n.toLong)
     val same = continues(e, keyIdxs.map(sorted.cols), n)
 
     // seen(i): an earlier row of this key run was valid:
@@ -375,11 +375,6 @@ object Oblivious {
       rKeys: Seq[Int],
   ): SharedRelation = {
     require(lKeys.length == rKeys.length && lKeys.nonEmpty, "bad join keys")
-    val lRest = left.schema.indices.filterNot(lKeys.contains)
-    val rRest = right.schema.indices.filterNot(rKeys.contains)
-    val outSchema =
-      lKeys.map(left.schema).toVector ++ lRest.map(left.schema) ++ rRest.map(right.schema)
-
     val n = left.size.toLong; val m = right.size.toLong
     require(n * m <= 2_000_000_000L,
       s"simulated MPC join too large: $n x $m candidate pairs")
@@ -411,14 +406,29 @@ object Oblivious {
     }
     val ls = lMatch.result(); val rs = rMatch.result()
     val matches = ls.length.toLong
-    e.chargeRows(n + m + matches, outSchema.length.toLong)
+    e.chargeRows(n + m + matches)
     e.chargeShuffle(n * m / 64 + 1, 1L) // bit-packed flag vector shuffle
-    e.chargeShuffle(matches, outSchema.length.toLong)
     e.meter.addRound(1) // one opening round for the flag vector
     val perm = e.secretPermutation(ls.length)
     val lIdx = perm.map(ls(_)); val rIdx = perm.map(rs(_))
-    SharedRelation(outSchema,
-      (lKeys ++ lRest).map(left.cols(_).gather(lIdx)).toVector ++ rRest.map(right.cols(_).gather(rIdx)))
+    val out = joinOutput(left.schema, right.schema, lKeys, rKeys)(
+      _.map(left.cols(_).gather(lIdx)), _.map(right.cols(_).gather(rIdx)))
+    e.chargeShuffle(matches, out.width.toLong)
+    out
+  }
+
+  /** The output of an equi-join: left keys ++ left rest ++ right rest (the
+    * right keys equal the left ones and are dropped). `lCols` and `rCols`
+    * give each side's matched rows, row-aligned, for the column indexes
+    * asked; the left side is asked first.
+    */
+  private[mpc] def joinOutput(lSchema: Seq[String], rSchema: Seq[String], lKeys: Seq[Int],
+      rKeys: Seq[Int])(lCols: Seq[Int] => Seq[SharedCol],
+      rCols: Seq[Int] => Seq[SharedCol]): SharedRelation = {
+    val lOut = lKeys ++ lSchema.indices.filterNot(lKeys.contains)
+    val rOut = rSchema.indices.filterNot(rKeys.contains)
+    val l = lCols(lOut)
+    SharedRelation((lOut.map(lSchema) ++ rOut.map(rSchema)).toVector, (l ++ rCols(rOut)).toVector)
   }
 
   // --------------------------------------------------- oblivious indexing
@@ -435,7 +445,7 @@ object Oblivious {
     val logNm = Log2.ceil(n + m)
     e.meter.addMul((n + m) * logNm * rel.width)
     e.meter.addRound(logNm)
-    e.chargeRows(n + m, rel.width.toLong)
+    e.chargeRows(n + m)
     val pos = e.idealOpen(idxs).map { i =>
       require(i >= 0 && i < rel.size, s"oblivious index $i out of range 0..${rel.size}")
       i.toInt
@@ -447,11 +457,12 @@ object Oblivious {
 
   /** Open an entire relation (e.g. at the MPC frontier to the recipients).
     * Invalid rows are compacted away first (revealing the surviving count —
-    * that count is part of the revealed output anyway).
+    * that count is part of the revealed output anyway). Callers go through
+    * `MpcBackend.reveal`, which logs the reveal.
     */
-  def reveal(e: MpcEngine, rel: SharedRelation): Vector[Vector[Double]] = {
+  private[mpc] def reveal(e: MpcEngine, rel: SharedRelation): Vector[Vector[Double]] = {
     val compacted = compact(e, rel)
-    e.chargeRows(compacted.size.toLong, compacted.width.toLong)
+    e.chargeRows(compacted.size.toLong)
     if (compacted.size == 0) return Vector.empty
     val opened = e.open(compacted.cols) // one opening round
     Vector.tabulate(compacted.size)(i => opened.map(c => Fixed.decode(c(i))).toVector)

@@ -1,5 +1,7 @@
 package repro.queries
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{col => column}
 import repro.core._
 
 /** Aspirin-count query from the SMCQL paper, evaluated in §7.4 (Fig. 7a).
@@ -12,7 +14,7 @@ import repro.core._
   * Compiled in SMCQL-compatibility mode (no push-down past private filters,
   * §7.4), Conclave still wins through the *public join* — only rows whose
   * patient IDs appear in the join enter MPC — and through *sort
-  * elimination*: the public join's host emits rows in patient order, the
+  * elimination*: the public join emits rows in patient order, the
   * MPC filters are order-preserving, so the distinct needs no oblivious
   * sort, reducing the MPC from O(n log n) to O(n).
   */
@@ -45,6 +47,17 @@ object AspirinCount {
       .aggregate(Seq.empty, AggFn.Count, None, "rc")
       .writeTo(OutputName, pH1)
     dag
+  }
+
+  /** The query over one party's own diagnoses `d` and medications `m`, in
+    * Spark: the local half of the sliced runs (§7.4), for patient slices
+    * held by a single party.
+    */
+  def localCount(d: DataFrame, m: DataFrame): Long = {
+    val dd = d.where(column("diag") === TargetDiag).alias("d")
+    val mm = m.where(column("med") === TargetMed).alias("m")
+    dd.join(mm, column("d.patient") === column("m.patient") && column("m.mtime") >= column("d.dtime"))
+      .select(column("d.patient")).distinct().count()
   }
 
   /** Cleartext reference over the union of both hospitals' inputs. */

@@ -1,7 +1,6 @@
 package repro.queries
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.core._
 import repro.mpc.MpcBackend
 import repro.smcql.Slicing
@@ -22,8 +21,7 @@ object AspirinSliced {
     def reportedSeconds: Double = localSeconds + mpcModeledSeconds
   }
 
-  def run(spark: SparkSession, inputs: Map[String, DataFrame],
-      maxCloseRows: Long = 5_000_000L): Result = {
+  def run(spark: SparkSession, inputs: Map[String, DataFrame]): Result = {
     val t0 = System.nanoTime()
     val sliced = Slicing.slice(spark,
       Seq(
@@ -32,12 +30,7 @@ object AspirinSliced {
       keyCol = "patient")
 
     // Local slices in the clear, per party.
-    val localCount = sliced.localParts.map { rels =>
-      val d = rels("diag").where(col("diag") === AspirinCount.TargetDiag).alias("d")
-      val m = rels("med").where(col("med") === AspirinCount.TargetMed).alias("m")
-      d.join(m, col("d.patient") === col("m.patient") && col("m.mtime") >= col("d.dtime"))
-        .select(col("d.patient")).distinct().count()
-    }.sum
+    val localCount = sliced.localParts.map(rels => AspirinCount.localCount(rels("diag"), rels("med"))).sum
     val localSeconds = (System.nanoTime() - t0) / 1e9
 
     // Shared slices through the compiled Conclave plan.
@@ -48,7 +41,7 @@ object AspirinSliced {
       "med2" -> sliced.sharedParts(1)("med"))
     val plan = Compiler.compile(AspirinCount.build(), CompileConfig.smcqlCompat)
     val backend = MpcBackend.sharemind(Set(AspirinCount.pH1, AspirinCount.pH2))
-    val res = new Executor(spark, backend, maxCloseRows).run(plan, restricted)
+    val res = new Executor(spark, backend).run(plan, restricted)
     val mpcCount = res.outputs(AspirinCount.OutputName).collect().head.getDouble(0).toLong
     Result(localCount + mpcCount,
       localSeconds + math.max(0.0, res.metrics.wallSeconds - res.metrics.mpcRealSeconds),

@@ -1,7 +1,6 @@
 package repro.smcql
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.core.{AggFn, CmpOp, Party}
 import repro.mpc._
 import repro.queries.AspirinCount
@@ -35,9 +34,7 @@ object SmcqlAspirin {
       keyCol = "patient")
 
     // Local slices: the whole query per party, in the clear (Spark).
-    val localCount = sliced.localParts.map { rels =>
-      countAspirin(rels("diag"), rels("med"))
-    }.sum
+    val localCount = sliced.localParts.map(rels => AspirinCount.localCount(rels("diag"), rels("med"))).sum
 
     // Shared slices: one ObliVM MPC per patient ID.
     val byPatient = sliced.sharedParts.map { rels =>
@@ -63,7 +60,8 @@ object SmcqlAspirin {
   }
 
   /** One sliced MPC: oblivious join, filters, distinct, count — all under
-    * the garbled-circuit backend.
+    * the garbled-circuit backend; the count is revealed to h1, the query's
+    * recipient.
     */
   private def runSlice(b: MpcBackend, patient: Double,
       d: Seq[Seq[Double]], m: Seq[Seq[Double]]): Long = {
@@ -77,17 +75,9 @@ object SmcqlAspirin {
       "mtime", CmpOp.Geq, "dtime")
     val dist = b.distinct(b.project(f, Seq("patient")), preSorted = false)
     val cnt = b.globalAggregate(dist, None, AggFn.Count, "c")
-    Oblivious.reveal(b.engine, cnt).head.head.toLong
+    b.reveal(name, cnt, Set(AspirinCount.pH1)).head.head.toLong
   }
 
   private def collectRows(df: DataFrame): Seq[Seq[Double]] =
     df.collect().toSeq.map(r => (0 until r.length).map(i => r.getDouble(i)))
-
-  /** Cleartext aspirin count over one party's slices (Spark). */
-  private def countAspirin(d: DataFrame, m: DataFrame): Long = {
-    val dd = d.where(col("diag") === AspirinCount.TargetDiag).alias("d")
-    val mm = m.where(col("med") === AspirinCount.TargetMed).alias("m")
-    dd.join(mm, col("d.patient") === col("m.patient") && col("m.mtime") >= col("d.dtime"))
-      .select(col("d.patient")).distinct().count()
-  }
 }

@@ -18,11 +18,10 @@ object SmcqlComorbidity {
   final case class Result(top: Seq[(Double, Double)], reportedSeconds: Double,
       mpcModeledSeconds: Double)
 
-  def run(spark: SparkSession, inputs: Map[String, DataFrame],
-      maxCloseRows: Long = 5_000_000L): Result = {
+  def run(spark: SparkSession, inputs: Map[String, DataFrame]): Result = {
     val plan = Compiler.compile(Comorbidity.build(), CompileConfig.default)
     val backend = MpcBackend.oblivm(Set(Comorbidity.pH1, Comorbidity.pH2))
-    val res = new Executor(spark, backend, maxCloseRows).run(plan, inputs)
+    val res = new Executor(spark, backend).run(plan, inputs)
     val rows = res.outputs(Comorbidity.OutputName).collect()
       .map(r => (r.getDouble(0), r.getDouble(1))).toSeq
     Result(rows, res.metrics.reportedSeconds, res.metrics.mpcModeledSeconds)

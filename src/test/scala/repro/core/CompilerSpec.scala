@@ -10,8 +10,6 @@ class CompilerSpec extends AnyFunSuite {
 
   private val pA = Party("a"); private val pB = Party("b"); private val pC = Party("c")
 
-  private def kinds(dag: Dag): Seq[OpKind] = dag.topo.map(_.kind)
-
   // ------------------------------------------------------------------- IR/DSL
 
   test("DSL builds the expected schemas") {
@@ -274,13 +272,6 @@ class CompilerSpec extends AnyFunSuite {
       dag.describe)
   }
 
-  test("useHybrid=false suppresses hybrid rewrites despite annotations") {
-    val dag = CreditRegulation.build(trustRegulator = true)
-    Compiler.compile(dag, CompileConfig.default.copy(useHybrid = false))
-    assert(!dag.topo.exists(n => n.kind.isInstanceOf[OpKind.HybridJoin] ||
-      n.kind.isInstanceOf[OpKind.HybridAgg]))
-  }
-
   test("aspirin: public patient IDs turn the join into a public join") {
     val dag = AspirinCount.build()
     Compiler.compile(dag, CompileConfig.smcqlCompat)
@@ -322,7 +313,7 @@ class CompilerSpec extends AnyFunSuite {
     t.join(u, Seq("k"), Seq("k")).sortBy("v").filter("k", CmpOp.Gt, 0).sortBy("v")
       .aggregate(Seq.empty, AggFn.Sum, Some("v"), "s").writeTo("out", pA)
     val sortsBefore = dag.topo.count(_.kind.isInstanceOf[OpKind.Sort])
-    Compiler.compile(dag, CompileConfig.default.copy(usePushUp = false))
+    Compiler.compile(dag)
     val sortsAfter = dag.topo.count(_.kind.isInstanceOf[OpKind.Sort])
     assert(sortsBefore == 2 && sortsAfter == 1, dag.describe)
   }

@@ -1,9 +1,10 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.lit
 import repro.{Oracle, SparkSpec}
 import repro.data.Generators
-import repro.mpc.{ColumnLeak, MpcBackend}
+import repro.mpc.MpcBackend
 import repro.queries._
 
 /** End-to-end execution of compiled plans: results are diffed against DuckDB
@@ -151,6 +152,24 @@ class ExecutorSpec extends SparkSpec {
     val plan = Compiler.compile(dag, CompileConfig.default)
     val ex = new Executor(spark, MpcBackend.sharemind(Set(pA, pB)), maxCloseRows = 100)
     assertThrows[IllegalArgumentException](ex.run(plan, inputs))
+  }
+
+  /** `df` plus a copy of its first row with `column` set to NULL. */
+  private def withNullIn(df: DataFrame, column: String): DataFrame =
+    df.unionAll(df.limit(1).withColumn(column, lit(null).cast(df.schema(column).dataType)))
+
+  test("a NULL cell cannot enter MPC: the error names its column and relation") {
+    // DuckDB's min skips the NULL; reading it as 0.0 would return 0.0.
+    val inputs = twoPartyKeyed(20)
+    val dag = new Dag
+    val q = new Dsl(dag)
+    import q._
+    concat(table("t", pA, col("k"), col("v")), table("u", pB, col("k"), col("v")))
+      .aggregate(Seq.empty, AggFn.Min, Some("v"), "m").writeTo("out", pA)
+    val e = intercept[IllegalArgumentException](run(dag, CompileConfig.mpcOnly,
+      inputs.updated("u", withNullIn(inputs("u"), "v")), Set(pA, pB)))
+    assert(e.getMessage.contains("column 'v'") && e.getMessage.matches("(?s).*#\\d+@b.*"),
+      e.getMessage)
   }
 
   test("MPC limit after filter and sort returns the sorted prefix") {
@@ -303,6 +322,33 @@ class ExecutorSpec extends SparkSpec {
     assert(res.metrics.closedRows == 2 * pairs,
       s"public join must close exactly the matched rows: ${res.metrics.closedRows} vs 2*$pairs")
     assert(res.leakage.columns.exists(_.column == "left:patient"))
+  }
+
+  test("the safety cap stops a public join before any matched row is shared") {
+    val inputs = aspirinInputs(400)
+    val d = inputs("diag1").unionAll(inputs("diag2")).select("patient")
+    val m = inputs("med1").unionAll(inputs("med2")).select("patient").toDF("p2")
+    val pairs = d.join(m, d("patient") === m("p2")).count()
+    val backend = MpcBackend.sharemind(Set(AspirinCount.pH1, AspirinCount.pH2))
+    val plan = Compiler.compile(AspirinCount.build(), CompileConfig.smcqlCompat)
+    val e = intercept[IllegalArgumentException](
+      new Executor(spark, backend, maxCloseRows = 2 * pairs - 1).run(plan, inputs))
+    assert(e.getMessage.contains("safety cap"), e.getMessage)
+    val cards = backend.leakage.cardinalities
+    assert(cards.exists(_.rows == pairs), s"the join was paired: $cards")
+    assert(!cards.exists(c => c.relation.endsWith(":left") || c.relation.endsWith(":right")),
+      s"no matched row may be closed: $cards")
+  }
+
+  test("a NULL public join key is rejected before anything is revealed") {
+    val inputs = aspirinInputs(40)
+    val backend = MpcBackend.sharemind(Set(AspirinCount.pH1, AspirinCount.pH2))
+    val plan = Compiler.compile(AspirinCount.build(), CompileConfig.smcqlCompat)
+    val e = intercept[IllegalArgumentException](new Executor(spark, backend)
+      .run(plan, inputs.updated("diag2", withNullIn(inputs("diag2"), "patient"))))
+    assert(e.getMessage.contains("column 'patient'") && e.getMessage.matches("(?s).*#\\d+@h2.*"),
+      e.getMessage)
+    assert(backend.leakage.events.isEmpty, backend.leakage.events)
   }
 
   test("aspirin count under mpcOnly matches (tiny input)") {

@@ -102,7 +102,7 @@ class GoldenCountersSpec extends SparkSpec {
     op("publicJoin") { b =>
       val l = rel(b, Seq("k", "x"), rows(10, 16, 6, 9))
       val r = rel(b, Seq("k", "y"), rows(9, 17, 6, 9))
-      capture(b)(b.publicJoin("pj", l, r, Seq("k"), Seq("k"), pA))
+      capture(b)(b.publicJoin("pj", l, r, Seq("k"), Seq("k")))
     },
     op("reveal with validity") { b =>
       val f = b.filterLit(rel(b, Seq("a", "b2"), rows(9, 18, 9, 9)), "a", CmpOp.Lt, 5.0)

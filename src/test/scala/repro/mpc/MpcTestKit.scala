@@ -14,9 +14,9 @@ object MpcTestKit {
   def rel(b: MpcBackend, schema: Seq[String], rows: Seq[Seq[Double]]): SharedRelation =
     b.closeRows("test", schema, rows)
 
-  /** Open a relation (compacting validity) into plain rows. */
+  /** Reveal a relation (compacting validity) to every party, as plain rows. */
   def open(b: MpcBackend, r: SharedRelation): Seq[Seq[Double]] =
-    Oblivious.reveal(b.engine, r)
+    b.reveal("test", r, b.allParties)
 
   /** Canonical multiset form for order-insensitive comparison. */
   def canon(rows: Seq[Seq[Double]]): Seq[Seq[Double]] =

@@ -92,7 +92,7 @@ class ProtocolsSpec extends AnyFunSuite {
     Props.forAll2(genRows(20, 6), genRows(20, 6), runs = 20) { (l, r) =>
       val b = sharemind()
       val out = b.publicJoin("pj", rel(b, Seq("k", "x"), l), rel(b, Seq("k", "y"), r),
-        Seq("k"), Seq("k"), host = pB)
+        Seq("k"), Seq("k"))
       assertSameRows(open(b, out), refJoin(l, r))
     }
   }
@@ -102,7 +102,7 @@ class ProtocolsSpec extends AnyFunSuite {
     val l = Seq(Seq(9.0, 1.0), Seq(2.0, 2.0), Seq(11.0, 3.0))
     val r = Seq(Seq(11.0, 4.0), Seq(9.0, 5.0), Seq(2.0, 6.0))
     val out = b.publicJoin("pj", rel(b, Seq("k", "x"), l), rel(b, Seq("k", "y"), r),
-      Seq("k"), Seq("k"), pB)
+      Seq("k"), Seq("k"))
     assert(open(b, out).map(_.head) == Seq(2.0, 9.0, 11.0), "numeric key order")
   }
 
@@ -113,11 +113,40 @@ class ProtocolsSpec extends AnyFunSuite {
     val r = Vector(2.0, 5.0, 9.0, 5.0, 2.0)
     val expected = (Seq(1, 1, 4, 4, 0, 0, 2, 2), Seq(0, 4, 0, 4, 1, 3, 1, 3))
     def pairs[K: Ordering](l: IndexedSeq[K], r: IndexedSeq[K]) = {
-      val (li, rj) = Protocols.publicJoinPairs(l, r)
+      val (li, rj) = sharemind().publicJoinPairs("pj", Seq("k"), Seq("k"), l, r)
       (li.toSeq, rj.toSeq)
     }
     assert(pairs(l, r) == expected)
     assert(pairs(l.map(Fixed.encode), r.map(Fixed.encode)) == expected)
+  }
+
+  test("public joins over shared and cleartext inputs agree on rows, order and leakage") {
+    // The duplicate-key rows of the pair-order test above.
+    val l = Seq(5.0, 2.0, 5.0, 7.0, 2.0).zipWithIndex.map { case (k, i) => Seq(k, 10.0 + i) }
+    val r = Seq(2.0, 5.0, 9.0, 5.0, 2.0).zipWithIndex.map { case (k, j) => Seq(k, 20.0 + j) }
+    def publicLeaks(b: MpcBackend) =
+      (b.leakage.columns, b.leakage.cardinalities.filter(_.relation == "pj"))
+
+    val shared = sharemind()
+    val (ls, rs) = (rel(shared, Seq("k", "x"), l), rel(shared, Seq("k", "y"), r))
+    shared.leakage.clear()
+    val fromShared = shared.publicJoin("pj", ls, rs, Seq("k"), Seq("k"))
+
+    val clear = sharemind()
+    import scala.math.Ordering.Implicits.seqOrdering
+    val pairs = clear.publicJoinPairs("pj", Seq("k"), Seq("k"),
+      l.map(row => Seq(row.head)).toIndexedSeq, r.map(row => Seq(row.head)).toIndexedSeq)
+    def cols(rows: Seq[Seq[Double]]) = Seq(0, 1).map(c => rows.map(_(c)).toArray)
+    val fromClear = clear.publicJoinClose("pj", Seq("k", "x"), Seq("k", "y"), Seq("k"), Seq("k"),
+      cols(l), cols(r), pairs)
+
+    assert(fromClear.schema == fromShared.schema)
+    assert(open(clear, fromClear) == open(shared, fromShared))
+    assert(open(shared, fromShared).map(_.head) == Seq(2.0, 2.0, 2.0, 2.0, 5.0, 5.0, 5.0, 5.0))
+    assert(publicLeaks(clear) == publicLeaks(shared))
+    assert(publicLeaks(shared) == (
+      Seq(ColumnLeak("pj", "left:k", parties3), ColumnLeak("pj", "right:k", parties3)),
+      Seq(CardinalityLeak("pj", 8L, parties3))))
   }
 
   test("public join reveals keys to all parties and uses no oblivious ops") {
@@ -125,7 +154,7 @@ class ProtocolsSpec extends AnyFunSuite {
     val l = Seq(Seq(1.0, 10.0)); val r = Seq(Seq(1.0, 30.0))
     val mulsBefore = b.meter.muls; val shufBefore = b.meter.shuffledElems
     b.publicJoin("pj", rel(b, Seq("k", "x"), l), rel(b, Seq("k", "y"), r),
-      Seq("k"), Seq("k"), pB)
+      Seq("k"), Seq("k"))
     assert(b.leakage.columns.filter(_.relation == "pj").forall(_.to == parties3))
     assert(b.meter.muls == mulsBefore && b.meter.shuffledElems == shufBefore,
       "public join performs no oblivious shuffles or multiplications")

@@ -1,6 +1,5 @@
 package repro.smcql
 
-import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.data.Generators
 import repro.queries.{AspirinCount, AspirinSliced}
