@@ -67,20 +67,11 @@ final class Executor(
     val outputs = scala.collection.mutable.LinkedHashMap.empty[String, DataFrame]
 
     plan.dag.topo.foreach { n =>
-      val value = eval2(n, inputs, n.children.map(c => cache(c.id)).toSeq)
-      cache(n.id) = value
+      val childVals = n.children.map(c => cache(c.id)).toSeq
       n.kind match {
         case OpKind.Output(name, recipients) =>
-          val out = value match {
-            case ClearRel(parts) => parts.values.head
-            case SecureRel(_)    => sys.error("output must be cleartext after reveal")
-          }
-          backend.leakage.record(RelationLeak(name, recipients))
-          // Revealed rows are already on the driver; a cleartext output is
-          // materialised here, inside the timed window.
-          if (!cache(n.children.head.id).isInstanceOf[SecureRel]) out.cache().count()
-          outputs(name) = out
-        case _ => ()
+          outputs(name) = output(n, name, recipients, childVals.head)
+        case _ => cache(n.id) = eval2(n, inputs, childVals)
       }
     }
     val wall = (System.nanoTime() - t0) / 1e9
@@ -251,17 +242,6 @@ final class Executor(
       case OpKind.Input(relName, cols, owner) =>
         ClearRel(Map(owner -> inputDf(inputs, relName, cols)))
 
-      case OpKind.Output(_, recipients) =>
-        val out = childVals.head match {
-          case ClearRel(parts) =>
-            // Cleartext revealed directly: each party sends its partition to
-            // the recipients in the clear.
-            parts.toSeq.sortBy(_._1).map(_._2).reduce(_ unionAll _)
-          case SecureRel(rel) =>
-            localDf(n.schema, timedMpc(backend.reveal(s"#${n.children.head.id}", rel, recipients)))
-        }
-        ClearRel(recipients.map(_ -> out).toMap)
-
       case _ if !n.isMpc =>
         // Cleartext operator at its owner (or at the recipient, post-reveal).
         val at = n.owner.getOrElse(sys.error(s"cleartext node without owner: $n"))
@@ -279,43 +259,29 @@ final class Executor(
         })
         ClearRel(merged.toMap)
 
-      case OpKind.Concat =>
-        SecureRel(timedMpc(backend.concat(asSecure(n, childVals))))
-
       case OpKind.PublicJoin(lk, rk) if childVals.forall(_.isInstanceOf[ClearRel]) =>
         SecureRel(publicJoinFromClear(n, lk, rk, childVals))
 
       case _ =>
-        // Generic MPC operator.
         val shared = asSecure(n, childVals)
-        val name = s"#${n.id}"
-        val out = timedMpc(n.kind match {
-          case OpKind.Project(cols)       => backend.project(shared.head, cols)
-          case OpKind.Filter(c, cmp, rhs) =>
-            rhs.fold(c2 => backend.filterCol(shared.head, c, cmp, c2),
-                     v => backend.filterLit(shared.head, c, cmp, v))
-          case OpKind.Agg(group, fn, aggCol, out2, _) =>
-            if (group.isEmpty) backend.globalAggregate(shared.head, aggCol, fn, out2)
-            else backend.aggregate(name, shared.head, group, aggCol, fn, out2, n.preSorted)
-          case OpKind.HybridAgg(group, fn, aggCol, out2, stp) =>
-            backend.hybridAggregate(name, shared.head, group, aggCol, fn, out2, stp)
-          case OpKind.Join(lk, rk) =>
-            backend.join(name, shared(0), shared(1), lk, rk)
-          case OpKind.HybridJoin(lk, rk, stp) =>
-            backend.hybridJoin(name, shared(0), shared(1), lk, rk, stp)
-          case OpKind.PublicJoin(lk, rk) =>
-            backend.publicJoin(name, shared(0), shared(1), lk, rk)
-          case OpKind.Arith(fn, out2, lhs, rhs) =>
-            backend.arith(shared.head, fn, out2, lhs, rhs)
-          case OpKind.ConstCol(cn, v) => backend.constCol(shared.head, cn, v)
-          case OpKind.Sort(c, asc)    => backend.sort(shared.head, Seq((c, asc)))
-          case OpKind.Limit(k)        =>
-            backend.limit(name, shared.head, k, sorted = n.children.head.kind.isInstanceOf[OpKind.Sort])
-          case OpKind.Distinct(_)     => backend.distinct(shared.head, n.preSorted)
-          case other                  => sys.error(s"MPC executor cannot evaluate ${other.label}")
-        })
-        SecureRel(out)
+        SecureRel(timedMpc(mpcOp(backend, n, shared)))
     }
+
+  /** The query output `name`, revealed to its recipients: MPC data through
+    * the backend, which records the reveal, and cleartext partitions sent by
+    * their parties in the clear, recorded here. A cleartext output is
+    * materialised inside the timed window; revealed rows are already on the
+    * driver.
+    */
+  private def output(n: Node, name: String, recipients: Set[Party], v: RelValue): DataFrame = v match {
+    case ClearRel(parts) =>
+      backend.leakage.record(RelationLeak(name, recipients))
+      val out = parts.toSeq.sortBy(_._1).map(_._2).reduce(_ unionAll _)
+      out.cache().count()
+      out
+    case SecureRel(rel) =>
+      localDf(n.schema, timedMpc(backend.reveal(name, rel, recipients)))
+  }
 
   /** Public join over still-cleartext inputs: the backend pairs the rows on
     * their public keys, then closes *only the matched rows*. Every party's
@@ -343,6 +309,38 @@ final class Executor(
 }
 
 object Executor {
+
+  /** Evaluate MPC operator `n` over its `shared` inputs (in child order) on
+    * `backend`: the one mapping from plan operators to backend operations.
+    * Leakage is recorded under the name `#<node id>`.
+    */
+  def mpcOp(backend: MpcBackend, n: Node, shared: Seq[SharedRelation]): SharedRelation = {
+    val name = s"#${n.id}"
+    n.kind match {
+      case OpKind.Concat              => backend.concat(shared)
+      case OpKind.Project(cols)       => backend.project(shared.head, cols)
+      case OpKind.Filter(c, cmp, rhs) =>
+        rhs.fold(c2 => backend.filterCol(shared.head, c, cmp, c2),
+                 v => backend.filterLit(shared.head, c, cmp, v))
+      case OpKind.Agg(group, fn, aggCol, out, _) =>
+        if (group.isEmpty) backend.globalAggregate(shared.head, aggCol, fn, out)
+        else backend.aggregate(name, shared.head, group, aggCol, fn, out, n.preSorted)
+      case OpKind.HybridAgg(group, fn, aggCol, out, stp) =>
+        backend.hybridAggregate(name, shared.head, group, aggCol, fn, out, stp)
+      case OpKind.Join(lk, rk)       => backend.join(name, shared(0), shared(1), lk, rk)
+      case OpKind.HybridJoin(lk, rk, stp) =>
+        backend.hybridJoin(name, shared(0), shared(1), lk, rk, stp)
+      case OpKind.PublicJoin(lk, rk) => backend.publicJoin(name, shared(0), shared(1), lk, rk)
+      case OpKind.Arith(fn, out, lhs, rhs) => backend.arith(shared.head, fn, out, lhs, rhs)
+      case OpKind.ConstCol(cn, v)    => backend.constCol(shared.head, cn, v)
+      case OpKind.Sort(c, asc)       => backend.sort(shared.head, Seq((c, asc)))
+      case OpKind.Limit(k)           =>
+        backend.limit(name, shared.head, k, sorted = n.children.head.kind.isInstanceOf[OpKind.Sort])
+      case OpKind.Distinct(_)        => backend.distinct(shared.head, n.preSorted)
+      case other                     => sys.error(s"MPC executor cannot evaluate ${other.label}")
+    }
+  }
+
   private sealed trait RelValue
   private final case class ClearRel(parts: Map[Party, DataFrame]) extends RelValue
   private final case class SecureRel(rel: SharedRelation) extends RelValue

@@ -4,30 +4,33 @@ package repro.core
   * cleartext processing and MPC.
   *
   * Each maximal connected subgraph of operators with the same execution
-  * mode — (cleartext, owner) or MPC — becomes one stage. The executor walks
-  * the DAG in topological order and does not read the stages; they describe
-  * the plan (`Compiler.Plan.stages`) for tests and reports.
+  * mode — (cleartext, owner) or MPC — becomes one stage: every edge between
+  * two operators of the same mode joins their stages. Stages are numbered in
+  * the topological order of their first operator. The executor walks the
+  * DAG in topological order and does not read the stages; they describe the
+  * plan (`Compiler.Plan.stages`) for tests and reports.
   */
 object Partition {
 
   final case class Stage(id: Int, mpc: Boolean, owner: Option[Party], nodes: Seq[Node])
 
   def apply(dag: Dag): Seq[Stage] = {
-    var next = 0
-    val modes = scala.collection.mutable.LinkedHashMap.empty[Int, (Boolean, Option[Party])]
-    val stageOf = scala.collection.mutable.HashMap.empty[Int, Int] // node id -> stage id
-    dag.topo.foreach { n =>
-      val mode = (n.isMpc, if (n.isMpc) None else n.owner)
-      stageOf(n.id) = n.children.find { c =>
-        (c.isMpc, if (c.isMpc) None else c.owner) == mode
-      } match {
-        case Some(c) => stageOf(c.id)
-        case None    => val id = next; next += 1; modes(id) = mode; id
-      }
+    def mode(n: Node) = (n.isMpc, if (n.isMpc) None else n.owner)
+    // Union-find over node ids, merged across every same-mode edge.
+    val parent = scala.collection.mutable.HashMap.empty[Int, Int]
+    def root(id: Int): Int = {
+      val p = parent(id)
+      if (p == id) id else { val r = root(p); parent(id) = r; r }
     }
-    val byStage = dag.topo.groupBy(n => stageOf(n.id))
-    modes.toSeq.map { case (id, (mpc, owner)) =>
-      Stage(id, mpc, owner, byStage.getOrElse(id, Seq.empty))
+    val topo = dag.topo
+    topo.foreach { n =>
+      parent(n.id) = n.id
+      n.children.filter(c => mode(c) == mode(n)).foreach(c => parent(root(c.id)) = root(n.id))
+    }
+    val byRoot = topo.groupBy(n => root(n.id))
+    topo.map(n => root(n.id)).distinct.zipWithIndex.map { case (r, id) =>
+      val (mpc, owner) = mode(byRoot(r).head)
+      Stage(id, mpc, owner, byRoot(r))
     }
   }
 }

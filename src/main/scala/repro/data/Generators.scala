@@ -11,12 +11,18 @@ import org.apache.spark.sql.types._
   */
 object Generators {
 
+  /** Every generated relation has this many partitions. Spark's `rand(seed)`
+    * seeds each partition on its own, so a partition count that followed the
+    * machine's cores would make the data follow them too.
+    */
+  val Partitions = 4
+
   /** NYC-taxi-like trip fares for the market concentration query (§7.1).
     * Columns: companyID (1..nCompanies), price in whole cents. ~1% of trips
     * have a zero fare (the query filters them, as the paper's prep did).
     */
   def taxiTrips(spark: SparkSession, rows: Long, nCompanies: Int = 5, seed: Long = 11): DataFrame = {
-    spark.range(rows).select(
+    spark.range(0, rows, 1, Partitions).select(
       (rand(seed) * nCompanies + 1).cast(IntegerType).cast(DoubleType) as "companyID",
       when(rand(seed + 1) < 0.01, 0.0)
         .otherwise((rand(seed + 2) * 4000 + 250).cast(IntegerType).cast(DoubleType)) as "price",
@@ -27,7 +33,7 @@ object Generators {
     * one row per SSN in 1..rows, each with a ZIP code.
     */
   def demographics(spark: SparkSession, rows: Long, nZips: Int = 50, seed: Long = 21): DataFrame = {
-    spark.range(1, rows + 1).select(
+    spark.range(1, rows + 1, 1, Partitions).select(
       col("id").cast(DoubleType) as "ssn",
       ((rand(seed) * nZips).cast(IntegerType) + 10001).cast(DoubleType) as "zip",
     )
@@ -37,7 +43,7 @@ object Generators {
     * fraction of SSNs match the regulator's demographics), scores 300..850.
     */
   def creditScores(spark: SparkSession, rows: Long, ssnUniverse: Long, seed: Long): DataFrame = {
-    spark.range(rows).select(
+    spark.range(0, rows, 1, Partitions).select(
       (rand(seed) * ssnUniverse + 1).cast(LongType).cast(DoubleType) as "ssn",
       (rand(seed + 1) * 551 + 300).cast(IntegerType).cast(DoubleType) as "score",
     )
@@ -55,7 +61,7 @@ object Generators {
   def diagnoses(spark: SparkSession, rows: Long, party: Int, overlap: Double = 0.02,
       nCodes: Int = 25, seed: Long = 31): DataFrame = {
     val offset = if (party == 0) 0L else rows - math.round(rows * overlap)
-    spark.range(rows).select(
+    spark.range(0, rows, 1, Partitions).select(
       ((rand(seed + party) * rows).cast(LongType) + 1 + offset).cast(DoubleType) as "patient",
       (rand(seed + party + 2) * nCodes + 1).cast(IntegerType).cast(DoubleType) as "diag",
       (rand(seed + party + 4) * 3650 + 1).cast(IntegerType).cast(DoubleType) as "dtime",
@@ -68,7 +74,7 @@ object Generators {
   def medications(spark: SparkSession, rows: Long, party: Int, overlap: Double = 0.02,
       nCodes: Int = 25, seed: Long = 41): DataFrame = {
     val offset = if (party == 0) 0L else rows - math.round(rows * overlap)
-    spark.range(rows).select(
+    spark.range(0, rows, 1, Partitions).select(
       ((rand(seed + party) * rows).cast(LongType) + 1 + offset).cast(DoubleType) as "patient",
       (rand(seed + party + 2) * nCodes + 1).cast(IntegerType).cast(DoubleType) as "med",
       (rand(seed + party + 4) * 3650 + 1).cast(IntegerType).cast(DoubleType) as "mtime",
@@ -82,7 +88,7 @@ object Generators {
   def comorbidityDiagnoses(spark: SparkSession, rows: Long, party: Int,
       distinctFrac: Double = 0.1, seed: Long = 51): DataFrame = {
     val nKeys = math.max(1L, math.round(rows * distinctFrac))
-    spark.range(rows).select(
+    spark.range(0, rows, 1, Partitions).select(
       (rand(seed + party) * rows * 10 + 1).cast(LongType).cast(DoubleType) as "patient",
       (rand(seed + party + 2) * nKeys + 1).cast(LongType).cast(DoubleType) as "diag",
     )
@@ -92,7 +98,7 @@ object Generators {
     * columns k (1..nKeys) and v (integer payload).
     */
   def keyed(spark: SparkSession, rows: Long, nKeys: Long, seed: Long = 61): DataFrame = {
-    spark.range(rows).select(
+    spark.range(0, rows, 1, Partitions).select(
       (rand(seed) * nKeys + 1).cast(LongType).cast(DoubleType) as "k",
       (rand(seed + 1) * 1000 + 1).cast(IntegerType).cast(DoubleType) as "v",
     )

@@ -1,8 +1,9 @@
 package repro.queries
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.{col => column}
 import repro.core._
+import repro.smcql.Slicing
 
 /** Aspirin-count query from the SMCQL paper, evaluated in §7.4 (Fig. 7a).
   *
@@ -58,6 +59,26 @@ object AspirinCount {
     val mm = m.where(column("med") === TargetMed).alias("m")
     dd.join(mm, column("d.patient") === column("m.patient") && column("m.mtime") >= column("d.dtime"))
       .select(column("d.patient")).distinct().count()
+  }
+
+  /** The aspirin inputs sliced on the public patient ID (§7.4): the count
+    * over the single-party slices, computed in the clear, and the shared
+    * slices under the query's input names (`diag1` … `med2`).
+    */
+  final case class Split(localCount: Long, sharedKeys: Set[Double], shared: Map[String, DataFrame])
+
+  /** The front half of both sliced drivers, Conclave's and SMCQL's. */
+  def split(spark: SparkSession, inputs: Map[String, DataFrame]): Split = {
+    val hospitals = Seq("1", "2")
+    val sliced = Slicing.slice(spark,
+      hospitals.map(h => Map("diag" -> inputs(s"diag$h"), "med" -> inputs(s"med$h"))),
+      keyCol = "patient")
+    Split(
+      sliced.localParts.map(rels => localCount(rels("diag"), rels("med"))).sum,
+      sliced.sharedKeys,
+      hospitals.zip(sliced.sharedParts).flatMap { case (h, rels) =>
+        rels.map { case (rel, df) => s"$rel$h" -> df }
+      }.toMap)
   }
 
   /** Cleartext reference over the union of both hospitals' inputs. */

@@ -1,7 +1,7 @@
 package repro.smcql
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{AggFn, CmpOp, Party}
+import repro.core._
 import repro.mpc._
 import repro.queries.AspirinCount
 
@@ -11,9 +11,10 @@ import repro.queries.AspirinCount
   * the clear; every shared slice becomes its *own small MPC* on the
   * ObliVM-like garbled-circuit backend, paying the per-invocation circuit
   * setup each time — which dominates its runtime (the paper's 14.3 minutes
-  * at 40k rows/party vs. Conclave's 3.7 s). Within each slice the join and
-  * the distinct run fully obliviously (SMCQL lacks Conclave's public-join
-  * and sort-elimination optimizations).
+  * at 40k rows/party vs. Conclave's 3.7 s). Each slice runs the compiled
+  * query under `mpcOnly`, so the join and the distinct run fully
+  * obliviously (SMCQL lacks Conclave's public-join and sort-elimination
+  * optimizations).
   */
 object SmcqlAspirin {
 
@@ -26,58 +27,44 @@ object SmcqlAspirin {
 
   /** @param inputs diag1/diag2/med1/med2 DataFrames (patient, diag|med, time) */
   def run(spark: SparkSession, inputs: Map[String, DataFrame]): Result = {
+    val dag = Compiler.compile(AspirinCount.build(), CompileConfig.mpcOnly).dag
+    val out = dag.outputs.head
+    val output = out.kind.asInstanceOf[OpKind.Output]
+    val inner = dag.topo.filter(n => n.children.nonEmpty && (n ne out))
+    require(inner.forall(_.isMpc), s"every inner operator must run under MPC:\n${dag.describe}")
+
+    val ins = dag.inputs.map(n => (n, n.kind.asInstanceOf[OpKind.Input].relName))
+
     val t0 = System.nanoTime()
-    val sliced = Slicing.slice(spark,
-      Seq(
-        Map("diag" -> inputs("diag1"), "med" -> inputs("med1")),
-        Map("diag" -> inputs("diag2"), "med" -> inputs("med2"))),
-      keyCol = "patient")
-
-    // Local slices: the whole query per party, in the clear (Spark).
-    val localCount = sliced.localParts.map(rels => AspirinCount.localCount(rels("diag"), rels("med"))).sum
-
-    // Shared slices: one ObliVM MPC per patient ID.
-    val byPatient = sliced.sharedParts.map { rels =>
-      (collectRows(rels("diag")), collectRows(rels("med")))
-    }
-    val dRows = byPatient.flatMap(_._1).groupBy(_.head)
-    val mRows = byPatient.flatMap(_._2).groupBy(_.head)
+    val split = AspirinCount.split(spark, inputs)
+    // Each input's shared rows, by patient ID.
+    val rows = ins.map { case (n, rel) =>
+      val df = split.shared(rel)
+      rel -> df.select(n.schema.map(df.col): _*).collect().toSeq
+        .map(r => n.schema.indices.map(r.getDouble)).groupBy(_(n.schema.indexOf("patient")))
+    }.toMap
     val localSeconds = (System.nanoTime() - t0) / 1e9
 
+    // One ObliVM MPC per shared patient with a diagnosis and a medication.
     val backend = MpcBackend.oblivm(parties)
     var mpcCount = 0L
     var slices = 0
-    sliced.sharedKeys.toSeq.sorted.foreach { patient =>
-      val d = dRows.getOrElse(patient, Seq.empty)
-      val m = mRows.getOrElse(patient, Seq.empty)
-      if (d.nonEmpty && m.nonEmpty) {
+    split.sharedKeys.toSeq.sorted.foreach { patient =>
+      def slice(rel: String) = rows(rel).getOrElse(patient, Seq.empty)
+      if (Seq("diag", "med").forall(r => Seq("1", "2").exists(h => slice(r + h).nonEmpty))) {
         slices += 1
         backend.meter.addSetup() // per-slice circuit generation + handshake
-        mpcCount += runSlice(backend, patient, d, m)
+        val vals = scala.collection.mutable.HashMap.empty[Int, SharedRelation]
+        ins.foreach { case (n, rel) =>
+          vals(n.id) = backend.closeRows(s"slice:$patient:$rel", n.schema, slice(rel))
+        }
+        inner.foreach { n =>
+          vals(n.id) = Executor.mpcOp(backend, n, n.children.map(c => vals(c.id)).toSeq)
+        }
+        mpcCount += backend.reveal(output.relName, vals(out.children.head.id), output.recipients)
+          .head.head.toLong
       }
     }
-    Result(localCount + mpcCount, localSeconds, backend.meter.modeledSeconds, slices)
+    Result(split.localCount + mpcCount, localSeconds, backend.meter.modeledSeconds, slices)
   }
-
-  /** One sliced MPC: oblivious join, filters, distinct, count — all under
-    * the garbled-circuit backend; the count is revealed to h1, the query's
-    * recipient.
-    */
-  private def runSlice(b: MpcBackend, patient: Double,
-      d: Seq[Seq[Double]], m: Seq[Seq[Double]]): Long = {
-    val name = s"slice:$patient"
-    val dRel = b.closeRows(s"$name:d", Seq("patient", "diag", "dtime"), d)
-    val mRel = b.closeRows(s"$name:m", Seq("patient", "med", "mtime"), m)
-    val j = b.join(name, dRel, mRel, Seq("patient"), Seq("patient"))
-    val f = b.filterCol(
-      b.filterLit(b.filterLit(j, "diag", CmpOp.Eq, AspirinCount.TargetDiag),
-        "med", CmpOp.Eq, AspirinCount.TargetMed),
-      "mtime", CmpOp.Geq, "dtime")
-    val dist = b.distinct(b.project(f, Seq("patient")), preSorted = false)
-    val cnt = b.globalAggregate(dist, None, AggFn.Count, "c")
-    b.reveal(name, cnt, Set(AspirinCount.pH1)).head.head.toLong
-  }
-
-  private def collectRows(df: DataFrame): Seq[Seq[Double]] =
-    df.collect().toSeq.map(r => (0 until r.length).map(i => r.getDouble(i)))
 }

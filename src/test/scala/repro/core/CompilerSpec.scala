@@ -338,9 +338,17 @@ class CompilerSpec extends AnyFunSuite {
   }
 
   test("mpcOnly plan has a single MPC stage covering all inner operators") {
-    val dag = Comorbidity.build()
-    val plan = Compiler.compile(dag, CompileConfig.mpcOnly)
-    val mpcStages = plan.stages.filter(_.mpc)
-    assert(mpcStages.length == 1, plan.describe)
+    for (dag <- Seq(Comorbidity.build(), AspirinCount.build())) {
+      val plan = Compiler.compile(dag, CompileConfig.mpcOnly)
+      val mpcStages = plan.stages.filter(_.mpc)
+      assert(mpcStages.length == 1, plan.describe)
+      // Stages are maximal: no edge joins two operators of the same mode
+      // across two stages.
+      val stageOf = plan.stages.flatMap(s => s.nodes.map(_.id -> s)).toMap
+      for (n <- dag.topo; c <- n.children) {
+        val (sn, sc) = (stageOf(n.id), stageOf(c.id))
+        assert(sn.id == sc.id || (sn.mpc, sn.owner) != (sc.mpc, sc.owner), s"#${c.id} -> #${n.id}")
+      }
+    }
   }
 }

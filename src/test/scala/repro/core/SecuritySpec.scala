@@ -121,6 +121,25 @@ class SecuritySpec extends SparkSpec {
     assert(math.abs(bias(0L) - bias(1000000000L)) < 0.1)
   }
 
+  test("each query output is revealed by exactly one relation leak, under its own name") {
+    val taxi = MarketConcentration.InputNames.zipWithIndex.map { case (nm, i) =>
+      nm -> Generators.taxiTrips(spark, 30, seed = 40 + i)
+    }.toMap
+    val clear = new Dag
+    val q = new Dsl(clear)
+    q.table("t", Party("a"), q.col("k"), q.col("v")).sum(Seq("k"), "v", "s").writeTo("out", Party("a"))
+    val runs = Seq(
+      run(MarketConcentration.build(), CompileConfig.mpcOnly, taxi,
+        Set(MarketConcentration.pA, MarketConcentration.pB, MarketConcentration.pC)),
+      run(CreditRegulation.build(trustRegulator = true, withAvg = true), CompileConfig.default,
+        creditInputs(60), Set(CreditRegulation.pA, CreditRegulation.pB, CreditRegulation.pC)),
+      run(clear, CompileConfig.default, Map("t" -> Generators.keyed(spark, 30, 5)), Set(Party("a"))))
+    runs.foreach { res =>
+      assert(res.leakage.relations.map(_.relation).sorted == res.outputs.keys.toSeq.sorted,
+        res.leakage.relations)
+    }
+  }
+
   test("reveal of a filtered relation discloses only the surviving rows") {
     val b = MpcBackend.sharemind(Set(Party("a"), Party("b")))
     val rows = (1 to 10).map(i => Seq(i.toDouble))

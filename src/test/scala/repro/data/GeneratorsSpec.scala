@@ -1,7 +1,9 @@
 package repro.data
 
+import java.security.MessageDigest
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import repro.{SparkSpec, SynthData}
 
 /** Dataset generators: determinism, schema, and the distributional knobs the
   * benchmarks rely on (zero-fare fraction, patient overlap, distinct-key
@@ -109,5 +111,42 @@ class GeneratorsSpec extends SparkSpec {
     val topU = u.groupBy("k").count().orderBy(col("count").desc).limit(1)
       .collect().head.getLong(1)
     assert(topU < 20000 / 100 * 3, s"uniform top key count=$topU")
+  }
+
+  test("every generator's output is pinned by a digest, whatever the core count") {
+    def digest(df: DataFrame): String = {
+      val rows = df.collect().map(_.toSeq.mkString(",")).sorted.mkString("\n")
+      MessageDigest.getInstance("SHA-256").digest(rows.getBytes("UTF-8")).take(8)
+        .map("%02x".format(_)).mkString
+    }
+    val got = Seq(
+      "taxiTrips" -> Generators.taxiTrips(spark, 40),
+      "demographics" -> Generators.demographics(spark, 40),
+      "creditScores" -> Generators.creditScores(spark, 40, 100, seed = 1),
+      "diagnoses" -> Generators.diagnoses(spark, 40, party = 1),
+      "medications" -> Generators.medications(spark, 40, party = 1),
+      "comorbidityDiagnoses" -> Generators.comorbidityDiagnoses(spark, 40, party = 1),
+      "keyed" -> Generators.keyed(spark, 40, 10),
+      "lineitem" -> SynthData.lineitem(spark, sf = 0.00001),
+      "orders" -> SynthData.orders(spark, sf = 0.00002),
+      "customer" -> SynthData.customer(spark, sf = 0.0002),
+      "part" -> SynthData.part(spark, sf = 0.0002),
+      "zipfKeys" -> SynthData.zipfKeys(spark, 40, nKeys = 10),
+      "uniformKeys" -> SynthData.uniformKeys(spark, 40, nKeys = 10),
+    ).map { case (name, df) => name -> digest(df) }
+    assert(got == Seq(
+      "taxiTrips" -> "43171e9f0620a798",
+      "demographics" -> "cfe720914b45eec4",
+      "creditScores" -> "674171ca80fe4f06",
+      "diagnoses" -> "2be510be6a23d610",
+      "medications" -> "5f77fc2788e3a5b5",
+      "comorbidityDiagnoses" -> "4bddba376910279d",
+      "keyed" -> "1f2e22ac71822fc2",
+      "lineitem" -> "f395aa3b30c1e42b",
+      "orders" -> "ea18b31975d3f354",
+      "customer" -> "956ac800817f7f13",
+      "part" -> "31df8dc107de0ac5",
+      "zipfKeys" -> "77bb840492b6f759",
+      "uniformKeys" -> "dad96c4221cca9c4"))
   }
 }

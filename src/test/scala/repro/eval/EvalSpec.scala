@@ -4,7 +4,8 @@ import repro.SparkSpec
 import repro.core.CompileConfig
 import repro.mpc._
 import repro.mpc.MpcTestKit._
-import repro.smcql.{SmcqlAspirin, SmcqlComorbidity}
+import repro.queries.Comorbidity
+import repro.smcql.SmcqlAspirin
 
 /** Benchmark harness plumbing: table rendering, the table registry, the
   * two-hour cap, the cost predictors its pre-checks use, and the BenchPoint
@@ -186,6 +187,8 @@ class EvalSpec extends SparkSpec {
     atMost(Fig7Smcql.smcqlAspirinPredicted(n),
       SmcqlAspirin.run(spark, Fig7Smcql.aspirinInputs(spark, n)).mpcModeledSeconds, "T5")
     atMost(Fig7Smcql.smcqlComorbidityPredicted(n),
-      SmcqlComorbidity.run(spark, Fig7Smcql.comorbidityInputs(spark, n)).mpcModeledSeconds, "T6")
+      Bench.runConclave(spark, Comorbidity.build(), CompileConfig.default,
+        Fig7Smcql.comorbidityInputs(spark, n), Set(Comorbidity.pH1, Comorbidity.pH2),
+        MpcBackend.oblivm(_)).metrics.mpcModeledSeconds, "T6")
   }
 }

@@ -349,15 +349,14 @@ object GoldenCountersSpec {
     "hhi-mpc" ->
       Golden(CostSnapshot(1450L, 11824L, 11825L, 93677L, 12L, 10861L, 0L, 0L, 0L, 4.2892779999999995),
         Map("card(#10,5)->a+b+c" -> 1, "card(#3@a,100)->a+b+c" -> 1, "card(#3@b,100)->a+b+c" -> 1,
-          "card(#3@c,100)->a+b+c" -> 1, "card(#6,5)->a+b+c" -> 1, "relation(#13)->a" -> 1,
-          "relation(hhi)->a" -> 1)),
+          "card(#3@c,100)->a+b+c" -> 1, "card(#6,5)->a+b+c" -> 1, "relation(hhi)->a" -> 1)),
     "credit-hybrid" ->
       Golden(CostSnapshot(4932L, 0L, 48L, 27286L, 73L, 73080L, 0L, 0L, 0L, 1.713012),
         Map("card(#0@a,300)->a+b+c" -> 1, "card(#3@b,150)->a+b+c" -> 1,
           "card(#3@c,150)->a+b+c" -> 1, "card(#4,300)->a+b+c" -> 1, "card(#5,48)->a+b+c" -> 1,
           "card(#6,48)->a+b+c" -> 1, "card(#7,48)->a+b+c" -> 1, "column(#4,left:ssn)->a" -> 1,
           "column(#4,right:ssn)->a" -> 1, "column(#5,zip)->a" -> 1, "column(#6,zip)->a" -> 1,
-          "column(#7,left:zip)->a" -> 1, "column(#7,right:zip)->a" -> 1, "relation(#8)->a" -> 1,
+          "column(#7,left:zip)->a" -> 1, "column(#7,right:zip)->a" -> 1,
           "relation(avg_scores)->a" -> 1)),
   )
 }

@@ -1,8 +1,11 @@
 package repro.smcql
 
 import repro.SparkSpec
+import repro.core.CompileConfig
 import repro.data.Generators
-import repro.queries.{AspirinCount, AspirinSliced}
+import repro.eval.{Bench, Fig7Smcql}
+import repro.mpc.MpcBackend
+import repro.queries.{AspirinCount, AspirinSliced, Comorbidity}
 
 /** SMCQL baseline and the Conclave+slicing driver: result correctness vs.
   * the cleartext reference, slicing invariants, and the cost relationships
@@ -15,6 +18,11 @@ class SmcqlSpec extends SparkSpec {
     "diag2" -> Generators.diagnoses(spark, n, party = 1, overlap = overlap, nCodes = 4),
     "med1" -> Generators.medications(spark, n, party = 0, overlap = overlap, nCodes = 4),
     "med2" -> Generators.medications(spark, n, party = 1, overlap = overlap, nCodes = 4))
+
+  /** SMCQL's comorbidity plan is Conclave's, run on the ObliVM backend. */
+  private def smcqlComorbidity(inputs: Map[String, org.apache.spark.sql.DataFrame]) =
+    Bench.runConclave(spark, Comorbidity.build(), CompileConfig.default, inputs,
+      Set(Comorbidity.pH1, Comorbidity.pH2), MpcBackend.oblivm(_))
 
   private def referenceCount(inputs: Map[String, org.apache.spark.sql.DataFrame]): Long = {
     inputs.foreach { case (nm, df) => df.createOrReplaceTempView(nm) }
@@ -86,25 +94,36 @@ class SmcqlSpec extends SparkSpec {
       s"conclave=${c.mpcModeledSeconds}s smcql=${s.mpcModeledSeconds}s")
   }
 
+  test("SMCQL aspirin at 1000 rows per party: count, slices and modeled seconds are pinned") {
+    val r = SmcqlAspirin.run(spark, Fig7Smcql.aspirinInputs(spark, 1000))
+    assert((r.count, r.slices, math.rint(r.mpcModeledSeconds * 1e4) / 1e4) == ((2L, 13, 85.2819)), r)
+  }
+
+  test("SMCQL comorbidity at 1000 rows per party: modeled seconds are pinned") {
+    val r = smcqlComorbidity(Fig7Smcql.comorbidityInputs(spark, 1000))
+    assert(math.rint(r.metrics.mpcModeledSeconds * 1e4) / 1e4 == 567.1324, r.metrics)
+  }
+
   test("SMCQL comorbidity top-k matches the Conclave result") {
     val inputs = Map(
       "cdiag1" -> Generators.comorbidityDiagnoses(spark, 200, party = 0),
       "cdiag2" -> Generators.comorbidityDiagnoses(spark, 200, party = 1))
-    val s = SmcqlComorbidity.run(spark, inputs)
+    val top = smcqlComorbidity(inputs).outputs(Comorbidity.OutputName).collect()
+      .map(r => (r.getDouble(0), r.getDouble(1))).toSeq
     inputs.foreach { case (nm, df) => df.createOrReplaceTempView(nm) }
     val ref = spark.sql(repro.queries.Comorbidity.referenceSqlCounts).collect()
       .map(r => r.getDouble(0) -> r.getDouble(1)).toMap
-    assert(s.top.length == repro.queries.Comorbidity.TopK)
-    s.top.foreach { case (diag, cnt) => assert(ref(diag) == cnt) }
-    val wantCounts = ref.values.toSeq.sorted(Ordering[Double].reverse).take(s.top.length)
-    assert(s.top.map(_._2).sorted(Ordering[Double].reverse) == wantCounts)
+    assert(top.length == repro.queries.Comorbidity.TopK)
+    top.foreach { case (diag, cnt) => assert(ref(diag) == cnt) }
+    val wantCounts = ref.values.toSeq.sorted(Ordering[Double].reverse).take(top.length)
+    assert(top.map(_._2).sorted(Ordering[Double].reverse) == wantCounts)
   }
 
   test("SMCQL comorbidity costs more than Conclave's secret-sharing run") {
     val inputs = Map(
       "cdiag1" -> Generators.comorbidityDiagnoses(spark, 400, party = 0),
       "cdiag2" -> Generators.comorbidityDiagnoses(spark, 400, party = 1))
-    val s = SmcqlComorbidity.run(spark, inputs)
+    val s = smcqlComorbidity(inputs).metrics
     val c = repro.eval.Bench.runConclave(spark, repro.queries.Comorbidity.build(),
       repro.core.CompileConfig.default, inputs,
       Set(repro.queries.Comorbidity.pH1, repro.queries.Comorbidity.pH2))
