@@ -138,6 +138,16 @@ final class CostMeter(val params: CostParams) {
       throw MpcOutOfMemory(params.name, op, bytes, params.memCeiling)
   }
 
+  /** Add every counter of `other` into this meter; peak memory is the
+    * larger of the two.
+    */
+  def absorb(other: CostMeter): Unit = {
+    rowsTouched += other.rowsTouched; eqs += other.eqs; cmps += other.cmps
+    muls += other.muls; rounds += other.rounds; shuffledElems += other.shuffledElems
+    gates += other.gates; setups += other.setups
+    peakMemBytes = math.max(peakMemBytes, other.peakMemBytes)
+  }
+
   def modeledSeconds: Double =
     rowsTouched * params.rowTouch +
       eqs * params.eq +

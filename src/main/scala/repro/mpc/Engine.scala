@@ -19,28 +19,28 @@ sealed abstract class SharedCol(private[mpc] val parts: Array[Array[Long]]) {
   /** The rows at positions `idx`, in that order. */
   final def gather(idx: Array[Int]): SharedCol = {
     val out = make(parts.map(_ => new Array[Long](idx.length)))
-    gatherInto(idx, out)
+    gatherInto(idx, out, 0, idx.length)
     out
   }
 
-  /** `dst(t) = this(idx(t))` for every t. */
-  final def gatherInto(idx: Array[Int], dst: SharedCol): Unit = {
+  /** `dst(t) = this(idx(t))` for every t in `[from, until)`. */
+  final def gatherInto(idx: Array[Int], dst: SharedCol, from: Int, until: Int): Unit = {
     var k = 0
     while (k < parts.length) {
       val src = parts(k); val d = dst.parts(k)
-      var t = 0
-      while (t < idx.length) { d(t) = src(idx(t)); t += 1 }
+      var t = from
+      while (t < until) { d(t) = src(idx(t)); t += 1 }
       k += 1
     }
   }
 
-  /** `this(idx(t)) = src(t)` for every t. */
-  final def scatterFrom(src: SharedCol, idx: Array[Int]): Unit = {
+  /** `this(idx(t)) = src(t)` for every t in `[from, until)`. */
+  final def scatterFrom(src: SharedCol, idx: Array[Int], from: Int, until: Int): Unit = {
     var k = 0
     while (k < parts.length) {
       val s = src.parts(k); val d = parts(k)
-      var t = 0
-      while (t < idx.length) { d(idx(t)) = s(t); t += 1 }
+      var t = from
+      while (t < until) { d(idx(t)) = s(t); t += 1 }
       k += 1
     }
   }
@@ -106,6 +106,13 @@ trait MpcEngine {
 
   /** The trusted runtime's randomness (triple dealer, shares, shuffles). */
   protected def rng: SplittableRandom
+
+  /** An engine of the same class with a fresh meter of the same params and,
+    * where the engine draws randomness, its own dealer stream seeded from
+    * this one. A blocked kernel runs each block on its own fork, so blocks
+    * can run on several threads, and absorbs the forks' meters afterwards.
+    */
+  def fork(): MpcEngine
 
   /** A fresh column of `n` zeros. */
   def alloc(n: Int): SharedCol
@@ -229,6 +236,8 @@ trait MpcEngine {
 final class SecretSharingEngine(seed: Long, val meter: CostMeter) extends MpcEngine {
   val name = "secret-sharing"
   protected val rng = new SplittableRandom(seed)
+
+  override def fork(): MpcEngine = new SecretSharingEngine(rng.nextLong(), new CostMeter(meter.params))
 
   private def own(c: SharedCol): ShareCol = c match {
     case s: ShareCol => s
@@ -414,6 +423,8 @@ final class SecretSharingEngine(seed: Long, val meter: CostMeter) extends MpcEng
 final class GarbledCircuitEngine(val meter: CostMeter) extends MpcEngine {
   val name = s"garbled-${meter.params.name}"
   protected val rng = new SplittableRandom(0x6C1L)
+
+  override def fork(): MpcEngine = new GarbledCircuitEngine(new CostMeter(meter.params))
 
   import GcGates.{Add => AddGates, Cmp => CmpGates, Mul => MulGates, Mux => MuxGates}
 

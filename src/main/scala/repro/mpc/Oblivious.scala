@@ -2,6 +2,8 @@ package repro.mpc
 
 import repro.core.AggFn
 
+import java.util.stream.IntStream
+
 import scala.collection.mutable.ArrayBuilder
 
 /** Data-oblivious relational algorithms, generic over the MPC engine.
@@ -16,7 +18,9 @@ import scala.collection.mutable.ArrayBuilder
   * Data-parallel steps run a whole column per engine call (a bitonic layer,
   * a filter predicate, the keep flags, one left row's join candidates).
   * Inherently sequential scans (the group fold, distinct's seen-chain, the
-  * global min/max folds) run element by element over the same arrays.
+  * global min/max folds) run element by element over the same arrays. The
+  * sorting network's layers and the Cartesian join's left rows also run in
+  * fixed-size blocks across cores, each block on its own engine fork.
   */
 object Oblivious {
 
@@ -68,6 +72,34 @@ object Oblivious {
     SharedRelation(schema, cols.map(_.gather(kept)))
   }
 
+  // ----------------------------------------------------------------- blocks
+
+  /** Compare-exchanges per block of a sorting-network layer, and left rows
+    * per block of a Cartesian join. Both are constants, so shares,
+    * permutations and counters are the same on every machine; the size of
+    * the pool the blocks run on changes only the speed.
+    */
+  private[mpc] val SortBlock = 1024
+  private[mpc] val JoinBlock = 128
+
+  /** The engine each of `blocks` blocks runs on: `e` itself when there is
+    * one block, so a small kernel draws exactly as an unblocked one;
+    * otherwise one fork of `e` per block, drawn in block order.
+    */
+  private def blockEngines(e: MpcEngine, blocks: Int): Array[MpcEngine] =
+    if (blocks == 1) Array(e) else Array.fill(blocks)(e.fork())
+
+  /** `body(b)` for every block b: inline for one block, otherwise as a
+    * parallel stream, i.e. on the common ForkJoin pool (or the pool the
+    * caller runs in), with the calling thread taking part.
+    */
+  private def forBlocks(blocks: Int)(body: Int => Unit): Unit =
+    if (blocks == 1) body(0) else IntStream.range(0, blocks).parallel().forEach(b => body(b))
+
+  /** Add the forks' meters into `e`'s, in block order. */
+  private def absorbForks(e: MpcEngine, engines: Array[MpcEngine]): Unit =
+    engines.foreach(c => if (c ne e) e.meter.absorb(c.meter))
+
   // ------------------------------------------------------------------- sort
 
   /** Bitonic sorting network over `keys`, O(n log^2 n) oblivious
@@ -78,6 +110,9 @@ object Oblivious {
     *
     * Each layer of the network (all p/2 compare-exchanges of one step) is
     * gathered into scratch columns, run as one batch and scattered back.
+    * The pairs of a layer touch disjoint rows, so a layer runs in blocks of
+    * `SortBlock` pairs, each block on its own engine fork and its own range
+    * of the scratch columns.
     */
   def sortBy(e: MpcEngine, rel: SharedRelation, keys: Seq[SortKey]): SharedRelation = {
     val n = rel.size
@@ -95,66 +130,75 @@ object Oblivious {
     // Per layer: pair t compares row first(t) with row second(t), and
     // swaps them if first(t) sorts after second(t).
     val h = p / 2
+    val blocks = (h + SortBlock - 1) / SortBlock
+    val engines = blockEngines(e, blocks)
     val first = new Array[Int](h); val second = new Array[Int](h)
     val as = cells.map(_ => e.alloc(h)); val bs = cells.map(_ => e.alloc(h))
     val va = e.alloc(h); val vb = e.alloc(h)
     val sw = e.alloc(h); val eqSoFar = e.alloc(h)
     val t1 = e.alloc(h); val t2 = e.alloc(h); val ltf = e.alloc(h); val eqf = e.alloc(h)
 
-    // sw = "a sorts after b": validity descending, then keys in order.
-    def after(): Unit = {
+    // sw = "a sorts after b" for pairs [o, o + m): validity descending, then
+    // keys in order.
+    def after(c: MpcEngine, o: Int, m: Int): Unit = {
       // validity level: a after b iff va < vb, i.e. vb AND NOT va = vb - va*vb
-      e.mulFlag(va, vb, t1, h); e.sub(vb, t1, sw, h)
+      c.mulFlag(va, vb, t1, m, o, o, o); c.sub(vb, t1, sw, m, o, o, o)
       // eq on 0/1 flags: 1 - (va XOR vb) = 1 - va - vb + 2*va*vb
-      e.mulFlag(va, vb, t1, h); e.mulFlag(va, vb, t2, h); e.add(t1, t2, t1, h)
-      e.add(va, vb, t2, h); e.sub(t1, t2, t1, h); e.addPub(t1, 1L, eqSoFar, h)
+      c.mulFlag(va, vb, t1, m, o, o, o); c.mulFlag(va, vb, t2, m, o, o, o)
+      c.add(t1, t2, t1, m, o, o, o)
+      c.add(va, vb, t2, m, o, o, o); c.sub(t1, t2, t1, m, o, o, o); c.addPub(t1, 1L, eqSoFar, m, o, o)
       keys.foreach { k =>
         val x = as(k.col); val y = bs(k.col)
-        e.lt(x, y, ltf, h); e.eq(x, y, eqf, h)
+        c.lt(x, y, ltf, m, o, o, o); c.eq(x, y, eqf, m, o, o, o)
         // ascending: a after b iff x > y  = 1 - lt - eq (disjoint events)
         val cmpFlag =
-          if (k.ascending) { e.not(ltf, t1, h); e.sub(t1, eqf, t1, h); t1 }
+          if (k.ascending) { c.not(ltf, t1, m, o, o); c.sub(t1, eqf, t1, m, o, o, o); t1 }
           else ltf
-        e.mulFlag(eqSoFar, cmpFlag, t2, h); e.add(sw, t2, sw, h) // disjoint OR
-        e.mulFlag(eqSoFar, eqf, eqSoFar, h)
+        c.mulFlag(eqSoFar, cmpFlag, t2, m, o, o, o); c.add(sw, t2, sw, m, o, o, o) // disjoint OR
+        c.mulFlag(eqSoFar, eqf, eqSoFar, m, o, o, o)
       }
     }
 
-    // a, b = sw ? (b, a) : (a, b)
-    def exchange(a: SharedCol, b: SharedCol): Unit = {
-      e.sub(b, a, t1, h); e.mulFlag(sw, t1, t1, h)
-      e.add(a, t1, a, h); e.sub(b, t1, b, h)
+    // a, b = sw ? (b, a) : (a, b) for pairs [o, o + m)
+    def exchange(c: MpcEngine, a: SharedCol, b: SharedCol, o: Int, m: Int): Unit = {
+      c.sub(b, a, t1, m, o, o, o); c.mulFlag(sw, t1, t1, m, o, o, o)
+      c.add(a, t1, a, m, o, o, o); c.sub(b, t1, b, m, o, o, o)
+    }
+
+    // The step of the network that compares rows j apart inside each
+    // bitonic sequence of k rows; block b runs pairs [from, until) on
+    // engines(b).
+    def layer(k: Int, j: Int): Unit = forBlocks(blocks) { b =>
+      val c = engines(b)
+      val from = b * SortBlock; val until = math.min(h, from + SortBlock)
+      var t = from
+      while (t < until) {
+        // The t-th row x whose j bit is clear: t with a 0 bit inserted at j.
+        val x = ((t & ~(j - 1)) << 1) | (t & (j - 1)); val l = x | j
+        // Ascending sequences keep the smaller row at x, descending at l.
+        if ((x & k) == 0) { first(t) = x; second(t) = l } else { first(t) = l; second(t) = x }
+        t += 1
+      }
+      cells.indices.foreach { i =>
+        cells(i).gatherInto(first, as(i), from, until); cells(i).gatherInto(second, bs(i), from, until)
+      }
+      valid.gatherInto(first, va, from, until); valid.gatherInto(second, vb, from, until)
+      after(c, from, until - from)
+      cells.indices.foreach(i => exchange(c, as(i), bs(i), from, until - from))
+      exchange(c, va, vb, from, until - from)
+      cells.indices.foreach { i =>
+        cells(i).scatterFrom(as(i), first, from, until); cells(i).scatterFrom(bs(i), second, from, until)
+      }
+      valid.scatterFrom(va, first, from, until); valid.scatterFrom(vb, second, from, until)
     }
 
     var k = 2
     while (k <= p) {
       var j = k >> 1
-      while (j > 0) {
-        var x = 0; var t = 0
-        while (x < p) {
-          val l = x ^ j
-          if (l > x) {
-            // Ascending blocks keep the smaller row at x, descending at l.
-            if ((x & k) == 0) { first(t) = x; second(t) = l } else { first(t) = l; second(t) = x }
-            t += 1
-          }
-          x += 1
-        }
-        cells.indices.foreach { c =>
-          cells(c).gatherInto(first, as(c)); cells(c).gatherInto(second, bs(c))
-        }
-        valid.gatherInto(first, va); valid.gatherInto(second, vb)
-        after()
-        cells.indices.foreach(c => exchange(as(c), bs(c)))
-        exchange(va, vb)
-        cells.indices.foreach { c =>
-          cells(c).scatterFrom(as(c), first); cells(c).scatterFrom(bs(c), second)
-        }
-        valid.scatterFrom(va, first); valid.scatterFrom(vb, second)
-        j >>= 1
-      }
+      while (j > 0) { layer(k, j); j >>= 1 }
       k <<= 1
     }
+    absorbForks(e, engines)
 
     SharedRelation(
       rel.schema,
@@ -381,30 +425,42 @@ object Oblivious {
 
     // One left row against the whole right relation per step: the left
     // row's cells are broadcast into `lv`, the candidate flags built in `f`.
+    // Left rows run in blocks of `JoinBlock`, each on its own engine fork
+    // with its own scratch; the matches are concatenated in block order, so
+    // they stay ordered by left row, then right row.
     val mi = right.size
-    val row = new Array[Int](mi)
-    val lv = e.alloc(mi); val f = e.alloc(mi); val eqf = e.alloc(mi)
-    val lMatch = new ArrayBuilder.ofInt; val rMatch = new ArrayBuilder.ofInt
-    var i = 0
-    while (i < left.size) {
-      java.util.Arrays.fill(row, i)
-      lKeys.indices.foreach { k =>
-        left.cols(lKeys(k)).gatherInto(row, lv)
-        if (k == 0) e.eq(lv, right.cols(rKeys(k)), f, mi)
-        else { e.eq(lv, right.cols(rKeys(k)), eqf, mi); e.mulFlag(f, eqf, f, mi) }
+    val blocks = math.max(1, (left.size + JoinBlock - 1) / JoinBlock)
+    val engines = blockEngines(e, blocks)
+    val lMatches = new Array[Array[Int]](blocks); val rMatches = new Array[Array[Int]](blocks)
+    forBlocks(blocks) { b =>
+      val c = engines(b)
+      val row = new Array[Int](mi)
+      val lv = c.alloc(mi); val f = c.alloc(mi); val eqf = c.alloc(mi)
+      val lMatch = new ArrayBuilder.ofInt; val rMatch = new ArrayBuilder.ofInt
+      var i = b * JoinBlock
+      val until = math.min(left.size, i + JoinBlock)
+      while (i < until) {
+        java.util.Arrays.fill(row, i)
+        lKeys.indices.foreach { k =>
+          left.cols(lKeys(k)).gatherInto(row, lv, 0, mi)
+          if (k == 0) c.eq(lv, right.cols(rKeys(k)), f, mi)
+          else { c.eq(lv, right.cols(rKeys(k)), eqf, mi); c.mulFlag(f, eqf, f, mi) }
+        }
+        left.validity.foreach { v => v.gatherInto(row, lv, 0, mi); c.mulFlag(f, lv, f, mi) }
+        right.validity.foreach(v => c.mulFlag(f, v, f, mi))
+        // The protocol shuffles the bit-packed candidate-flag vector and
+        // opens it; we materialize only the matches (the open reveals them
+        // anyway). The O(n·m) oblivious equality tests above dominate, as
+        // in the paper's complexity analysis (§5.3).
+        val flags = c.idealOpen(f)
+        var j = 0
+        while (j < mi) { if (flags(j) == 1L) { lMatch += i; rMatch += j }; j += 1 }
+        i += 1
       }
-      left.validity.foreach { v => v.gatherInto(row, lv); e.mulFlag(f, lv, f, mi) }
-      right.validity.foreach(v => e.mulFlag(f, v, f, mi))
-      // The protocol shuffles the bit-packed candidate-flag vector and
-      // opens it; we materialize only the matches (the open reveals them
-      // anyway). The O(n·m) oblivious equality tests above dominate, as
-      // in the paper's complexity analysis (§5.3).
-      val flags = e.idealOpen(f)
-      var j = 0
-      while (j < mi) { if (flags(j) == 1L) { lMatch += i; rMatch += j }; j += 1 }
-      i += 1
+      lMatches(b) = lMatch.result(); rMatches(b) = rMatch.result()
     }
-    val ls = lMatch.result(); val rs = rMatch.result()
+    absorbForks(e, engines)
+    val ls = lMatches.flatten; val rs = rMatches.flatten
     val matches = ls.length.toLong
     e.chargeRows(n + m + matches)
     e.chargeShuffle(n * m / 64 + 1, 1L) // bit-packed flag vector shuffle

@@ -215,6 +215,42 @@ class EngineSpec extends AnyFunSuite {
     assert(m.modeledSeconds == 0.0 && m.snapshot.eqs == 0)
   }
 
+  test("a fork of either engine has a fresh meter with the same params") {
+    Seq[MpcEngine](freshSS(), freshGC()).foreach { e =>
+      e.mulRaw(e.in(3), e.in(4))
+      val f = e.fork()
+      assert(f.getClass == e.getClass)
+      assert(f.meter ne e.meter)
+      assert(f.meter.params == e.meter.params)
+      assert(f.meter.snapshot == new CostMeter(e.meter.params).snapshot)
+      val before = e.meter.snapshot
+      f.mulRaw(f.in(3), f.in(4))
+      assert(e.meter.snapshot == before && f.meter.modeledSeconds > 0, "a fork charges its own meter")
+    }
+  }
+
+  test("absorb sums every counter and keeps the larger peak memory") {
+    def meter(k: Long, peak: Long): CostMeter = {
+      val m = new CostMeter(CostParams.OblivC)
+      m.addRows(k); m.addEq(2 * k); m.addCmp(3 * k); m.addMul(4 * k); m.addRound(5 * k)
+      m.addShuffle(6 * k); m.addGates(7 * k); m.addSetup(8 * k); m.checkMem("op", peak)
+      m
+    }
+    val a = meter(1, peak = 100); a.absorb(meter(10, peak = 50))
+    assert(a.snapshot == meter(11, peak = 100).snapshot)
+    val b = meter(1, peak = 50); b.absorb(meter(10, peak = 100))
+    assert(b.snapshot == meter(11, peak = 100).snapshot)
+  }
+
+  test("input shared by a forked secret-sharing engine reconstructs exactly") {
+    val e = freshSS()
+    val f = e.fork()
+    forAll(smallLongs) { x => assert(f.value(f.in(x)) == x) }
+    val a = e.in(42L); val b = f.in(42L)
+    assert(a.parts.map(_.toSeq).toSeq != b.parts.map(_.toSeq).toSeq, "a fork draws its own shares")
+    assert(e.value(b) == 42L)
+  }
+
   test("garbled-circuit memory model OOMs above the ceiling") {
     val m = new CostMeter(CostParams.OblivC)
     val e = new GarbledCircuitEngine(m)

@@ -1,5 +1,7 @@
 package repro.mpc
 
+import java.util.concurrent.{Callable, ForkJoinPool}
+
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 import repro.Props
@@ -10,6 +12,7 @@ import MpcTestKit._
   * plain Scala reference implementations.
   */
 class ObliviousSpec extends AnyFunSuite {
+  import ObliviousSpec.KernelRun
 
   private def genRows(maxRows: Int, cols: Int, maxKey: Int): Gen[Seq[Seq[Double]]] =
     for {
@@ -289,6 +292,70 @@ class ObliviousSpec extends AnyFunSuite {
     assertSameRows(open(b, out), Seq(Seq(1.0, 1.0, 5.0, 7.0)))
   }
 
+  // ---------------------------------------------------------- blocked kernels
+
+  private def kernelRun(input: MpcBackend => SharedRelation)(
+      kernel: (MpcBackend, SharedRelation) => SharedRelation): KernelRun = {
+    val b = sharemind()
+    val in = input(b)
+    b.meter.reset()
+    val out = kernel(b, in)
+    val cost = b.meter.snapshot
+    KernelRun((out.cols ++ out.validity).flatMap(_.parts.map(_.toSeq)), cost, open(b, out))
+  }
+
+  /** `body` on the common pool and inside a one-thread ForkJoin pool, where
+    * the blocks' parallel streams then run one after another: the two runs
+    * must leave identical rows, counters and share arrays. Returns the first.
+    */
+  private def sameOnBothPools(body: => KernelRun): KernelRun = {
+    val common = body
+    val pool = new ForkJoinPool(1)
+    val single =
+      try pool.submit(new Callable[KernelRun] { def call(): KernelRun = body }).get()
+      finally pool.shutdown()
+    assert(single.rows == common.rows)
+    assert(single.cost == common.cost)
+    val sameShares = single.shares == common.shares
+    assert(sameShares, "share arrays differ between the two schedules")
+    common
+  }
+
+  test("a blocked sort does not depend on the schedule and charges CostModel.sort") {
+    val rnd = new scala.util.Random(11)
+    val rows = Seq.fill(5000)(Seq(rnd.nextInt(20), rnd.nextInt(100), rnd.nextInt(50)).map(_.toDouble))
+    assert(8192 / 2 > Oblivious.SortBlock, "the sort must span several blocks")
+    val keys = Seq(Oblivious.SortKey(0), Oblivious.SortKey(1, ascending = false))
+    val run = sameOnBothPools(kernelRun { b =>
+      b.filterLit(rel(b, Seq("a", "b2", "v"), rows), "v", CmpOp.Gt, 10.0)
+    } { (b, in) =>
+      val sorted = Oblivious.sortBy(b.engine, in, keys)
+      // By position (a reveal shuffles): the valid rows come first, by keys.
+      val valid = b.engine.idealOpen(sorted.validity.get)
+      val kept = rows.filter(_(2) > 10.0)
+      assert(valid.toSeq == Seq.fill(kept.size)(1L) ++ Seq.fill(rows.size - kept.size)(0L))
+      val a = b.engine.idealOpen(sorted.cols(0)).map(Fixed.decode)
+      val b2 = b.engine.idealOpen(sorted.cols(1)).map(Fixed.decode)
+      assert(a.zip(b2).take(kept.size).toSeq == kept.map(r => (r(0), r(1))).sortBy(k => (k._1, -k._2)))
+      sorted
+    })
+    assertSameRows(run.rows, rows.filter(_(2) > 10.0))
+    assert(run.cost == CostModel.sort(CostParams.Sharemind, rows.size.toLong, 3, Seq(true, false)))
+  }
+
+  test("a blocked Cartesian join does not depend on the schedule") {
+    val rnd = new scala.util.Random(12)
+    val l = Seq.fill(3 * Oblivious.JoinBlock + 5)(Seq(rnd.nextInt(30), rnd.nextInt(9)).map(_.toDouble))
+    val r = Seq.fill(40)(Seq(rnd.nextInt(30), rnd.nextInt(9)).map(_.toDouble))
+    val run = sameOnBothPools(kernelRun { b =>
+      b.filterLit(rel(b, Seq("k", "x"), l), "x", CmpOp.Neq, 4.0)
+    } { (b, in) =>
+      b.join("j", in, rel(b, Seq("k", "y"), r), Seq("k"), Seq("k"))
+    })
+    assertSameRows(run.rows, refJoin(l.filter(_(1) != 4.0), r))
+    assert(run.cost.eqs == l.size.toLong * r.size)
+  }
+
   // ---------------------------------------------------------- select / limit
 
   test("oblivious indexing selects the addressed rows") {
@@ -405,4 +472,12 @@ class ObliviousSpec extends AnyFunSuite {
         Seq("k"), Seq("k"))
     }
   }
+}
+
+object ObliviousSpec {
+  /** What a kernel leaves behind on a fresh backend of a fixed seed: its
+    * output's share arrays (validity included), the counters the kernel
+    * alone charged, and the output's revealed rows.
+    */
+  final case class KernelRun(shares: Seq[Seq[Long]], cost: CostSnapshot, rows: Seq[Seq[Double]])
 }
