@@ -17,6 +17,14 @@ object Generators {
     */
   val Partitions = 4
 
+  /** Share of each party's patient ids that the other party's range also
+    * covers (2% in the paper's aspirin-count setup, §7.4).
+    */
+  val Overlap = 0.02
+
+  /** Distinct diagnosis keys per comorbidity input row (10% in §7.4). */
+  val DistinctFrac = 0.1
+
   /** NYC-taxi-like trip fares for the market concentration query (§7.1).
     * Columns: companyID (1..nCompanies), price in whole cents. ~1% of trips
     * have a zero fare (the query filters them, as the paper's prep did).
@@ -52,13 +60,12 @@ object Generators {
   /** HealthLNK-like diagnoses for the SMCQL queries (§7.4).
     *
     * Patient IDs are drawn from a per-party range of `rows` ids that overlaps
-    * the other party's range by `overlap` (2% in the paper's aspirin-count
-    * setup): party 0 draws from [1, rows], party 1 from
-    * [rows − overlap·rows + 1, 2·rows − overlap·rows].
+    * the other party's range by `overlap`: party 0 draws from [1, rows],
+    * party 1 from [rows − overlap·rows + 1, 2·rows − overlap·rows].
     * `diag` codes are 1..nCodes; code 1 plays the role of the target
     * diagnosis (heart disease / c. diff).
     */
-  def diagnoses(spark: SparkSession, rows: Long, party: Int, overlap: Double = 0.02,
+  def diagnoses(spark: SparkSession, rows: Long, party: Int, overlap: Double = Overlap,
       nCodes: Int = 25, seed: Long = 31): DataFrame = {
     val offset = if (party == 0) 0L else rows - math.round(rows * overlap)
     spark.range(0, rows, 1, Partitions).select(
@@ -71,7 +78,7 @@ object Generators {
   /** HealthLNK-like medications, same patient-ID scheme as [[diagnoses]].
     * Med code 1 plays the role of aspirin.
     */
-  def medications(spark: SparkSession, rows: Long, party: Int, overlap: Double = 0.02,
+  def medications(spark: SparkSession, rows: Long, party: Int, overlap: Double = Overlap,
       nCodes: Int = 25, seed: Long = 41): DataFrame = {
     val offset = if (party == 0) 0L else rows - math.round(rows * overlap)
     spark.range(0, rows, 1, Partitions).select(
@@ -82,11 +89,11 @@ object Generators {
   }
 
   /** Comorbidity-style diagnoses: `distinctFrac` controls the distinct-key
-    * ratio of the diag column (10% of input rows in §7.4), which determines
-    * how much data enters MPC after the aggregation split.
+    * ratio of the diag column, which determines how much data enters MPC
+    * after the aggregation split.
     */
   def comorbidityDiagnoses(spark: SparkSession, rows: Long, party: Int,
-      distinctFrac: Double = 0.1, seed: Long = 51): DataFrame = {
+      distinctFrac: Double = DistinctFrac, seed: Long = 51): DataFrame = {
     val nKeys = math.max(1L, math.round(rows * distinctFrac))
     spark.range(0, rows, 1, Partitions).select(
       (rand(seed + party) * rows * 10 + 1).cast(LongType).cast(DoubleType) as "patient",

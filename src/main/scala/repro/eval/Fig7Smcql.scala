@@ -32,20 +32,21 @@ object Fig7Smcql {
     "cdiag2" -> Generators.comorbidityDiagnoses(spark, perParty, party = 1))
 
   /** SMCQL's aspirin runtime is dominated by one circuit setup per shared
-    * patient slice; the prediction assumes 2% of patients are shared (the
-    * generators' overlap) rather than reading the generated data.
+    * patient slice; the prediction assumes the generators' patient overlap
+    * rather than reading the generated data.
     */
   private[eval] def smcqlAspirinPredicted(n: Long): Double =
-    CostModel.setups(CostParams.ObliVM, (n * 0.02).toLong).modeledSeconds
+    CostModel.setups(CostParams.ObliVM, (n * Generators.Overlap).toLong).modeledSeconds
 
   /** SMCQL's comorbidity runtime is dominated by the ObliVM sorting network
     * of the MPC combine over the (diag, cnt) pre-counts; the prediction
-    * assumes 10% distinct diagnoses per party, so 2·10%·n rows enter MPC,
-    * rather than reading the generated data.
+    * assumes the generators' distinct-diagnosis fraction at both parties,
+    * so 2·`DistinctFrac`·n rows enter MPC, rather than reading the
+    * generated data.
     */
   private[eval] def smcqlComorbidityPredicted(n: Long): Double =
-    CostModel.sort(CostParams.ObliVM, (n * 0.2).toLong, width = 2, ascending = Seq(true))
-      .modeledSeconds
+    CostModel.sort(CostParams.ObliVM, (n * 2 * Generators.DistinctFrac).toLong, width = 2,
+      ascending = Seq(true)).modeledSeconds
 
   def runAspirin(spark: SparkSession, sizes: Seq[Long]): Seq[BenchPoint] =
     sizes.flatMap { n =>

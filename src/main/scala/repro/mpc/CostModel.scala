@@ -138,13 +138,14 @@ final class CostMeter(val params: CostParams) {
       throw MpcOutOfMemory(params.name, op, bytes, params.memCeiling)
   }
 
-  /** Add every counter of `other` into this meter; peak memory is the
-    * larger of the two.
+  /** Add every counter of `other`, `times` over, into this meter; peak
+    * memory is the larger of the two.
     */
-  def absorb(other: CostMeter): Unit = {
-    rowsTouched += other.rowsTouched; eqs += other.eqs; cmps += other.cmps
-    muls += other.muls; rounds += other.rounds; shuffledElems += other.shuffledElems
-    gates += other.gates; setups += other.setups
+  def absorb(other: CostMeter, times: Long = 1): Unit = {
+    rowsTouched += times * other.rowsTouched; eqs += times * other.eqs; cmps += times * other.cmps
+    muls += times * other.muls; rounds += times * other.rounds
+    shuffledElems += times * other.shuffledElems; gates += times * other.gates
+    setups += times * other.setups
     peakMemBytes = math.max(peakMemBytes, other.peakMemBytes)
   }
 
@@ -174,10 +175,11 @@ final case class CostSnapshot(
     shuffledElems: Long, gates: Long, setups: Long, peakMemBytes: Long,
     modeledSeconds: Double)
 
-/** Closed-form cost of the oblivious kernels whose runs the benchmark tables
-  * guard against the two-hour cap, from public sizes only. Each predictor
-  * charges a fresh [[CostMeter]] with the kernel's counters, so a prediction
-  * is priced exactly like a metered run.
+/** Cost of the oblivious kernels whose runs the benchmark tables guard
+  * against the two-hour cap, from public sizes only. A predictor runs one
+  * step of the kernel on a fresh engine of the family `params` prices and
+  * scales that step's meter by the step count, so the kernels stay the only
+  * definition of what an operator costs.
   */
 object CostModel {
 
@@ -187,31 +189,33 @@ object CostModel {
     m.snapshot
   }
 
+  /** The meter of `op` run on a fresh engine of the family `params` prices. */
+  private def step(params: CostParams)(op: MpcEngine => Unit): CostMeter = {
+    val m = new CostMeter(params)
+    op(if (params.gate > 0) new GarbledCircuitEngine(m) else new SecretSharingEngine(0L, m))
+    m
+  }
+
   /** A bitonic sort of `rows` rows of `width` columns by keys with the
     * given directions (`Oblivious.sortBy`). The network pads to the next
-    * power of two p and runs p/4·log₂p·(log₂p+1) compare-exchanges; each
-    * costs, per key, one comparison and one equality and, per column plus
-    * the validity flags, one conditional swap.
+    * power of two p, touches p rows and runs p/4·log₂p·(log₂p+1)
+    * compare-exchanges; one compare-exchange is what a 2-row sort of the
+    * same width and keys charges beyond its 2 row touches.
     */
   def sort(params: CostParams, rows: Long, width: Int, ascending: Seq[Boolean]): CostSnapshot =
     charged(params) { m =>
       if (rows > 1) {
+        require(ascending.length <= width, s"${ascending.length} sort keys over $width columns")
         val log = Log2.ceil(rows)
         val p = 1L << log
-        val exchanges = p * log * (log + 1) / 4
-        val k = ascending.length.toLong
-        m.addRows(p)
-        if (params.gate > 0) {
-          import GcGates._
-          val validity = 3 * Mux + 5 * Add
-          val keys = ascending.map(asc => 2 * Cmp + 2 * Mux + (if (asc) 3 else 1) * Add).sum
-          val swaps = (width + 1) * (Mux + 3 * Add)
-          m.addGates(exchanges * (validity + keys + swaps))
-        } else {
-          m.addCmp(exchanges * k)
-          m.addEq(exchanges * k)
-          m.addMul(exchanges * (3 + 2 * k + (width + 1)))
+        val keys = ascending.zipWithIndex.map { case (asc, i) => Oblivious.SortKey(i, asc) }
+        val exchange = step(params) { e =>
+          val cols = Vector.fill(width)(e.constant(0L, 2))
+          Oblivious.sortBy(e, SharedRelation(cols.indices.map(i => s"c$i").toVector, cols), keys)
         }
+        exchange.rowsTouched -= 2
+        m.absorb(exchange, p * log * (log + 1) / 4)
+        m.addRows(p)
       }
     }
 
@@ -221,8 +225,8 @@ object CostModel {
     */
   def cartesianJoin(params: CostParams, left: Long, right: Long, keys: Int): CostSnapshot =
     charged(params) { m =>
-      val eqs = left * right * keys
-      if (params.gate > 0) m.addGates(eqs * GcGates.Cmp) else m.addEq(eqs)
+      val eq = step(params)(e => e.eq(e.constant(0L, 1), e.constant(0L, 1)))
+      m.absorb(eq, left * right * keys)
     }
 
   /** `count` per-invocation setups (circuit generation and handshakes). */

@@ -168,9 +168,17 @@ trait MpcEngine {
   /** flag * v, where flag is 0/1 raw — no rescale. Also the AND of two flags. */
   def mulFlag(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int = 0, bi: Int = 0, oi: Int = 0): Unit
 
-  /** c ? a : b for a 0/1 flag c: b + c*(a-b). */
-  def mux(c: SharedCol, a: SharedCol, b: SharedCol, out: SharedCol, n: Int,
-      ci: Int = 0, ai: Int = 0, bi: Int = 0, oi: Int = 0): Unit
+  /** c ? a : b for a 0/1 flag c: b + c*(a-b), run and charged as that
+    * subtraction, flag multiply and addition. The difference goes to
+    * scratch, so `out` may be any input at its own offset.
+    */
+  final def mux(c: SharedCol, a: SharedCol, b: SharedCol, out: SharedCol, n: Int,
+      ci: Int = 0, ai: Int = 0, bi: Int = 0, oi: Int = 0): Unit = {
+    val d = alloc(n)
+    sub(a, b, d, n, ai, bi)
+    mulFlag(c, d, d, n, ci)
+    add(b, d, out, n, bi, 0, oi)
+  }
 
   // --------------------------------------- elementwise, whole columns
 
@@ -320,21 +328,17 @@ final class SecretSharingEngine(seed: Long, val meter: CostMeter) extends MpcEng
     * shares: with a dealer triple (p, q, pq), open d = x - p and e = y - q,
     * then xy = pq + d*q + e*p + d*e (d, e public).
     */
-  private def beaver(x1: Long, x2: Long, x3: Long, y1: Long, y2: Long, y3: Long,
-      o: ShareCol, oi: Int): Unit = {
+  private def beaver(x: ShareCol, xi: Int, y: ShareCol, yi: Int, o: ShareCol, oi: Int): Unit = {
     val p = rng.nextLong(); val q = rng.nextLong()
     val p1 = rng.nextLong(); val p2 = rng.nextLong(); val p3 = p - p1 - p2
     val q1 = rng.nextLong(); val q2 = rng.nextLong(); val q3 = q - q1 - q2
     val r1 = rng.nextLong(); val r2 = rng.nextLong(); val r3 = p * q - r1 - r2
-    val d = (x1 - p1) + (x2 - p2) + (x3 - p3) // opened to all parties
-    val e = (y1 - q1) + (y2 - q2) + (y3 - q3)
+    val d = (x.s1(xi) - p1) + (x.s2(xi) - p2) + (x.s3(xi) - p3) // opened to all parties
+    val e = (y.s1(yi) - q1) + (y.s2(yi) - q2) + (y.s3(yi) - q3)
     o.s1(oi) = r1 + d * q1 + e * p1 + d * e
     o.s2(oi) = r2 + d * q2 + e * p2
     o.s3(oi) = r3 + d * q3 + e * p3
   }
-
-  private def beaver(x: ShareCol, xi: Int, y: ShareCol, yi: Int, o: ShareCol, oi: Int): Unit =
-    beaver(x.s1(xi), x.s2(xi), x.s3(xi), y.s1(yi), y.s2(yi), y.s3(yi), o, oi)
 
   /** No round is charged per multiplication: Sharemind-class backends batch
     * all multiplications of a vectorized operation into one round, so the
@@ -391,22 +395,6 @@ final class SecretSharingEngine(seed: Long, val meter: CostMeter) extends MpcEng
   override def mulFlag(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int, bi: Int, oi: Int): Unit =
     mulRaw(a, b, out, n, ai, bi, oi)
 
-  override def mux(c: SharedCol, a: SharedCol, b: SharedCol, out: SharedCol, n: Int,
-      ci: Int, ai: Int, bi: Int, oi: Int): Unit = {
-    // out = b + c * (a - b): the difference is local, the product one triple.
-    val f = own(c); val x = own(a); val y = own(b); val o = own(out)
-    var t = 0
-    while (t < n) {
-      val y1 = y.s1(bi + t); val y2 = y.s2(bi + t); val y3 = y.s3(bi + t)
-      val j = ci + t
-      beaver(f.s1(j), f.s2(j), f.s3(j),
-        x.s1(ai + t) - y1, x.s2(ai + t) - y2, x.s3(ai + t) - y3, o, oi + t)
-      o.s1(oi + t) += y1; o.s2(oi + t) += y2; o.s3(oi + t) += y3
-      t += 1
-    }
-    meter.addMul(n)
-  }
-
   override def chargeShuffle(rows: Long, cols: Long): Unit = {
     meter.addShuffle(rows * Log2.ceil(rows) * cols)
     meter.addRound(3)
@@ -426,7 +414,7 @@ final class GarbledCircuitEngine(val meter: CostMeter) extends MpcEngine {
 
   override def fork(): MpcEngine = new GarbledCircuitEngine(new CostMeter(meter.params))
 
-  import GcGates.{Add => AddGates, Cmp => CmpGates, Mul => MulGates, Mux => MuxGates}
+  import GarbledCircuitEngine.GcGates.{Add => AddGates, Cmp => CmpGates, Mul => MulGates, Mux => MuxGates}
 
   private def own(c: SharedCol): WireCol = c match {
     case w: WireCol => w
@@ -473,15 +461,6 @@ final class GarbledCircuitEngine(val meter: CostMeter) extends MpcEngine {
   override def mulFlag(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int, bi: Int, oi: Int): Unit =
     zip(a, b, out, n, ai, bi, oi, MuxGates)(_ * _)
 
-  override def mux(c: SharedCol, a: SharedCol, b: SharedCol, out: SharedCol, n: Int,
-      ci: Int, ai: Int, bi: Int, oi: Int): Unit = {
-    // b + c*(a-b): a subtraction, a flag multiply and an addition.
-    meter.addGates((2 * AddGates + MuxGates) * n)
-    val f = own(c).v; val x = own(a).v; val y = own(b).v; val o = own(out).v
-    var t = 0
-    while (t < n) { val yv = y(bi + t); o(oi + t) = yv + f(ci + t) * (x(ai + t) - yv); t += 1 }
-  }
-
   override def chargeShuffle(rows: Long, cols: Long): Unit =
     // Waksman permutation network: ~ n log n muxes per column.
     meter.addGates(rows * Log2.ceil(rows) * cols * MuxGates)
@@ -494,15 +473,16 @@ final class GarbledCircuitEngine(val meter: CostMeter) extends MpcEngine {
     meter.checkMem(op, records * width * meter.params.labelBytes)
 }
 
-/** Garbled gates per 64-bit word operation (free-XOR model: only AND gates
-  * are garbled), charged by [[GarbledCircuitEngine]] and read by
-  * [[CostModel]]'s predictors.
-  */
-object GcGates {
-  val Add = 64L
-  val Mul = 64L * 63 / 2
-  val Cmp = 64L
-  val Mux = 64L
+object GarbledCircuitEngine {
+  /** Garbled gates per 64-bit word operation (free-XOR model: only AND gates
+    * are garbled).
+    */
+  private object GcGates {
+    val Add = 64L
+    val Mul = 64L * 63 / 2
+    val Cmp = 64L
+    val Mux = 64L
+  }
 }
 
 object GcOpWidth {

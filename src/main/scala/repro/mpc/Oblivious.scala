@@ -82,23 +82,12 @@ object Oblivious {
   private[mpc] val SortBlock = 1024
   private[mpc] val JoinBlock = 128
 
-  /** The engine each of `blocks` blocks runs on: `e` itself when there is
-    * one block, so a small kernel draws exactly as an unblocked one;
-    * otherwise one fork of `e` per block, drawn in block order.
-    */
-  private def blockEngines(e: MpcEngine, blocks: Int): Array[MpcEngine] =
-    if (blocks == 1) Array(e) else Array.fill(blocks)(e.fork())
-
   /** `body(b)` for every block b: inline for one block, otherwise as a
     * parallel stream, i.e. on the common ForkJoin pool (or the pool the
     * caller runs in), with the calling thread taking part.
     */
   private def forBlocks(blocks: Int)(body: Int => Unit): Unit =
     if (blocks == 1) body(0) else IntStream.range(0, blocks).parallel().forEach(b => body(b))
-
-  /** Add the forks' meters into `e`'s, in block order. */
-  private def absorbForks(e: MpcEngine, engines: Array[MpcEngine]): Unit =
-    engines.foreach(c => if (c ne e) e.meter.absorb(c.meter))
 
   // ------------------------------------------------------------------- sort
 
@@ -131,7 +120,7 @@ object Oblivious {
     // swaps them if first(t) sorts after second(t).
     val h = p / 2
     val blocks = (h + SortBlock - 1) / SortBlock
-    val engines = blockEngines(e, blocks)
+    val engines = Array.fill(blocks)(e.fork())
     val first = new Array[Int](h); val second = new Array[Int](h)
     val as = cells.map(_ => e.alloc(h)); val bs = cells.map(_ => e.alloc(h))
     val va = e.alloc(h); val vb = e.alloc(h)
@@ -198,7 +187,7 @@ object Oblivious {
       while (j > 0) { layer(k, j); j >>= 1 }
       k <<= 1
     }
-    absorbForks(e, engines)
+    engines.foreach(c => e.meter.absorb(c.meter))
 
     SharedRelation(
       rel.schema,
@@ -430,7 +419,7 @@ object Oblivious {
     // they stay ordered by left row, then right row.
     val mi = right.size
     val blocks = math.max(1, (left.size + JoinBlock - 1) / JoinBlock)
-    val engines = blockEngines(e, blocks)
+    val engines = Array.fill(blocks)(e.fork())
     val lMatches = new Array[Array[Int]](blocks); val rMatches = new Array[Array[Int]](blocks)
     forBlocks(blocks) { b =>
       val c = engines(b)
@@ -459,7 +448,7 @@ object Oblivious {
       }
       lMatches(b) = lMatch.result(); rMatches(b) = rMatch.result()
     }
-    absorbForks(e, engines)
+    engines.foreach(c => e.meter.absorb(c.meter))
     val ls = lMatches.flatten; val rs = rMatches.flatten
     val matches = ls.length.toLong
     e.chargeRows(n + m + matches)

@@ -111,6 +111,38 @@ class EngineSpec extends AnyFunSuite {
     }
   }
 
+  test("mux draws, shares and charges exactly as sub, mulFlag and add on a twin engine") {
+    def shares(c: SharedCol): Seq[Seq[Long]] = c.parts.map(_.toSeq).toSeq
+    for (fresh <- Seq[() => MpcEngine](() => freshSS(), () => freshGC())) {
+      val e = fresh(); val twin = fresh()
+      def inputs(x: MpcEngine) =
+        (x.input(Array(1L, 0L, 1L, 0L)), x.input(Array(5L, -3L, 7L, 0L)), x.input(Array(2L, 4L, 7L, -1L)))
+      val (c, a, b) = inputs(e); val (tc, ta, tb) = inputs(twin)
+
+      // Whole columns.
+      val got = e.mux(c, a, b)
+      val want = twin.add(tb, twin.mulFlag(tc, twin.sub(ta, tb)))
+      assert(shares(got) == shares(want), e.name)
+      assert(e.meter.snapshot == twin.meter.snapshot, e.name)
+
+      // The offset form of the group fold: out aliases b, one element at a
+      // time, the flag at position 0 of a length-1 column.
+      val agg = e.input(Array(9L, 3L, 6L, 1L)); val tagg = twin.input(Array(9L, 3L, 6L, 1L))
+      val tmp = twin.alloc(1)
+      (1 until 4).foreach { i =>
+        val flag = e.in(i % 2L); val tflag = twin.in(i % 2L)
+        e.mux(flag, agg, agg, agg, 1, ai = i - 1, bi = i, oi = i)
+        twin.sub(tagg, tagg, tmp, 1, ai = i - 1, bi = i)
+        twin.mulFlag(tflag, tmp, tmp, 1)
+        twin.add(tagg, tmp, tagg, 1, ai = i, oi = i)
+      }
+      assert(shares(agg) == shares(tagg), e.name)
+      assert(e.meter.snapshot == twin.meter.snapshot, e.name)
+      assert(e.open(got).toSeq == Seq(5L, 4L, 7L, -1L) && e.open(agg).toSeq == Seq(9L, 9L, 6L, 6L), e.name)
+      assert(twin.open(want).toSeq == Seq(5L, 4L, 7L, -1L) && twin.open(tagg).toSeq == Seq(9L, 9L, 6L, 6L))
+    }
+  }
+
   test("not and and implement boolean logic on flags") {
     val e = freshSS()
     for (a <- Seq(0L, 1L); b <- Seq(0L, 1L)) {
