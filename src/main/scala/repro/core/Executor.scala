@@ -153,14 +153,25 @@ final class Executor(
       s"safety cap: $closedRows rows crossed into the MPC simulator (max $maxCloseRows)")
   }
 
-  /** Rows of `relName` collected for MPC, as double columns. MPC values
-    * have no NULL, so a NULL cell is rejected rather than read as a number.
+  /** Rows of `relName` collected for MPC, as double columns. Every cell
+    * must have a fixed-point encoding: MPC values have no NULL, and a NaN,
+    * infinite or over-2^45 cell is rejected here, with its column and
+    * relation, rather than read as a number or failing without context.
     */
   private def columns(relName: String, schema: Seq[String], rows: Array[Row]): IndexedSeq[Array[Double]] =
-    schema.indices.map(c => rows.map { r =>
-      require(!r.isNullAt(c), s"NULL in column '${schema(c)}' of $relName cannot enter MPC")
-      r.getDouble(c)
-    })
+    schema.indices.map { c =>
+      val out = new Array[Double](rows.length)
+      var i = 0
+      while (i < rows.length) {
+        val r = rows(i)
+        require(!r.isNullAt(c), s"NULL in column '${schema(c)}' of $relName cannot enter MPC")
+        out(i) = r.getDouble(c)
+        require(Fixed.encodable(out(i)),
+          s"${out(i)} in column '${schema(c)}' of $relName cannot enter MPC (fixed-point values are finite, |x| <= 2^45)")
+        i += 1
+      }
+      out
+    }
 
   /** Collect every cleartext partition of every child value in one batch:
     * one fresh thread per partition, so the parties' Spark jobs run at the
@@ -296,12 +307,9 @@ final class Executor(
         val cols = byParty.map { case (p, rows) => columns(s"#${c.id}@${p.name}", c.schema, rows) }
         c.schema -> c.schema.indices.map(i => Array.concat(cols.map(_(i)): _*))
       }.toSeq
-    def keys(schema: Seq[String], cols: IndexedSeq[Array[Double]], names: Seq[String]) = {
-      val idx = names.map(schema.indexOf)
-      IndexedSeq.tabulate(cols.head.length)(r => idx.map(cols(_)(r)))
-    }
+    def keys(schema: Seq[String], cols: IndexedSeq[Array[Double]], names: Seq[String]) =
+      names.map(k => Fixed.encodeColumn(cols(schema.indexOf(k))))
     val name = s"#${n.id}"
-    import scala.math.Ordering.Implicits.seqOrdering
     val pairs = backend.publicJoinPairs(name, lk, rk, keys(lSchema, lCols, lk), keys(rSchema, rCols, rk))
     countClosed(2L * pairs._1.length)
     timedMpc(backend.publicJoinClose(name, lSchema, rSchema, lk, rk, lCols, rCols, pairs))

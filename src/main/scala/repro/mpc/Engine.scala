@@ -121,7 +121,11 @@ trait MpcEngine {
   def input(xs: Array[Long]): SharedCol
 
   /** A public constant, shared like an input. */
-  final def constant(x: Long, n: Int): SharedCol = input(Array.fill(n)(x))
+  final def constant(x: Long, n: Int): SharedCol = {
+    val xs = new Array[Long](n)
+    java.util.Arrays.fill(xs, x)
+    input(xs)
+  }
 
   /** Internal reconstruction used where a sub-protocol is simulated by its
     * ideal functionality (truncation, comparison, oblivious indexing). No
@@ -272,7 +276,10 @@ final class SecretSharingEngine(seed: Long, val meter: CostMeter) extends MpcEng
 
   override def idealOpen(c: SharedCol): Array[Long] = {
     val s = own(c)
-    Array.tabulate(s.length)(peek(s, _))
+    val out = new Array[Long](s.length)
+    var i = 0
+    while (i < out.length) { out(i) = peek(s, i); i += 1 }
+    out
   }
 
   override def add(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int, bi: Int, oi: Int): Unit = {

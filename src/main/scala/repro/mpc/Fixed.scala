@@ -16,10 +16,21 @@ object Fixed {
   /** Largest encodable magnitude; beyond this, sums/products risk wrap. */
   val MaxAbs: Double = math.pow(2, 45)
 
+  /** Whether `x` has an encoding: finite, with |x| <= 2^45. */
+  def encodable(x: Double): Boolean = math.abs(x) <= MaxAbs // false for NaN
+
   def encode(x: Double): Long = {
     require(!x.isNaN && !x.isInfinite, s"cannot encode $x")
     require(math.abs(x) <= MaxAbs, s"fixed-point overflow: |$x| > 2^45")
     math.rint(x * Scale).toLong
+  }
+
+  /** [[encode]] of every value of `xs`, into a primitive array. */
+  def encodeColumn(xs: Array[Double]): Array[Long] = {
+    val out = new Array[Long](xs.length)
+    var i = 0
+    while (i < xs.length) { out(i) = encode(xs(i)); i += 1 }
+    out
   }
 
   def decode(v: Long): Double = v.toDouble / Scale

@@ -20,6 +20,8 @@ final class MpcBackend(
     val leakage: LeakageLog,
     val allParties: Set[Party],
 ) {
+  import MpcBackend._
+
   def meter: CostMeter = engine.meter
 
   /** Secret-share a cleartext relation, given by column, into the MPC. The
@@ -31,7 +33,7 @@ final class MpcBackend(
     leakage.record(CardinalityLeak(relName, n.toLong, allParties))
     engine.chargeRows(n.toLong)
     engine.checkRelationMem("close", n.toLong, GcOpWidth.Projection)
-    SharedRelation(schema.toVector, cols.map(c => engine.input(c.map(Fixed.encode))).toVector)
+    SharedRelation(schema.toVector, cols.map(c => engine.input(Fixed.encodeColumn(c))).toVector)
   }
 
   /** [[close]] for a relation given by row. */
@@ -220,14 +222,13 @@ final class MpcBackend(
   private def joinKeyLabels(lKeys: Seq[String], rKeys: Seq[String]): Seq[String] =
     lKeys.map("left:" + _) ++ rKeys.map("right:" + _)
 
-  /** Open the key columns `keys` of `rel` in one round, one key vector per
-    * row; the caller logs to whom they leak.
+  /** Open the key columns `keys` of `rel` in one round (none for an empty
+    * relation), as fixed-point columns; the caller logs to whom they leak.
     */
-  private def openKeys(rel: SharedRelation, keys: Seq[Int]): IndexedSeq[Vector[Long]] = {
+  private def openKeys(rel: SharedRelation, keys: Seq[Int]): Seq[Array[Long]] = {
     engine.chargeRows(rel.size.toLong)
-    if (rel.size == 0) return IndexedSeq.empty
-    val opened = engine.open(keys.map(rel.cols))
-    IndexedSeq.tabulate(rel.size)(i => opened.map(_(i)).toVector)
+    if (rel.size == 0) keys.map(_ => Array.emptyLongArray)
+    else engine.open(keys.map(rel.cols))
   }
 
   /** Hybrid join (Fig. 3): oblivious shuffles, key columns revealed to the
@@ -248,22 +249,18 @@ final class MpcBackend(
     val lS = Oblivious.shuffle(engine, l)
     val rS = Oblivious.shuffle(engine, r)
 
-    // 2-4. Reveal the key columns to the STP, which joins (key, row index)
-    //      pairs in the clear.
+    // 2-4. Reveal the key columns to the STP, which pairs the row indexes
+    //      of equal keys in the clear, by right row, then left row.
     leakColumns(relName, joinKeyLabels(lKeys, rKeys), Set(stp))
-    val lKeyRows = openKeys(lS, lk)
-    val rKeyRows = openKeys(rS, rk)
-    val byKey = lKeyRows.indices.groupBy(lKeyRows)
-    val pairs = for {
-      (key, j) <- rKeyRows.zipWithIndex
-      i <- byKey.getOrElse(key, Seq.empty)
-    } yield (i, j)
-    leakage.record(CardinalityLeak(relName, pairs.length.toLong, allParties))
+    val lKeyCols = openKeys(lS, lk).toArray
+    val rKeyCols = openKeys(rS, rk).toArray
+    val (rj, li) = keyPairs(rKeyCols, keyOrder(rKeyCols), Array.range(0, rS.size), lKeyCols)
+    leakage.record(CardinalityLeak(relName, li.length.toLong, allParties))
 
     // 5. The STP secret-shares the two index relations back into the MPC.
-    val lIdx = engine.input(pairs.map(_._1.toLong).toArray)
-    val rIdx = engine.input(pairs.map(_._2.toLong).toArray)
-    engine.chargeRows(pairs.length.toLong)
+    val lIdx = engine.input(longs(li))
+    val rIdx = engine.input(longs(rj))
+    engine.chargeRows(li.length.toLong)
 
     // 6. Oblivious indexing recovers the joined rows under MPC.
     val lRows = Oblivious.select(engine, lS, lIdx)
@@ -286,7 +283,6 @@ final class MpcBackend(
     val l = compact(relName + ":left", left)
     val r = compact(relName + ":right", right)
     val lk = l.colIdxs(lKeys); val rk = r.colIdxs(rKeys)
-    import scala.math.Ordering.Implicits.seqOrdering
     val (li, rj) = publicJoinPairs(relName, lKeys, rKeys, openKeys(l, lk), openKeys(r, rk))
     engine.chargeRows(li.length.toLong)
     Oblivious.joinOutput(l.schema, r.schema, lk, rk)(
@@ -294,22 +290,24 @@ final class MpcBackend(
   }
 
   /** The public step of a public join: the key columns `lKeys` and `rKeys`
-    * (values `lVals` and `rVals`, one key vector per row) are revealed to
-    * every party, which pairs the matching rows in the clear; all parties
-    * learn the number of pairs. Pairs are ordered by key, then left index,
-    * then right index: key order is free in the clear and lets MPC
-    * consumers skip oblivious sorts on the key. Called by [[publicJoin]]
-    * with opened fixed-point keys, and, over cleartext inputs, directly with
-    * the parties' keys before [[publicJoinClose]].
+    * (fixed-point values `lVals` and `rVals`, one array per key column) are
+    * revealed to every party, which pairs the matching rows in the clear;
+    * all parties learn the number of pairs. Pairs are ordered by key, then
+    * left index, then right index: key order is free in the clear and lets
+    * MPC consumers skip oblivious sorts on the key. Called by [[publicJoin]]
+    * with opened keys, and, over cleartext inputs, directly with the
+    * parties' encoded keys before [[publicJoinClose]].
     */
-  def publicJoinPairs[K: Ordering](relName: String, lKeys: Seq[String], rKeys: Seq[String],
-      lVals: IndexedSeq[K], rVals: IndexedSeq[K]): (Array[Int], Array[Int]) = {
+  def publicJoinPairs(relName: String, lKeys: Seq[String], rKeys: Seq[String],
+      lVals: Seq[Array[Long]], rVals: Seq[Array[Long]]): (Array[Int], Array[Int]) = {
+    require(lKeys.length == rKeys.length && lKeys.nonEmpty, "bad join keys")
+    require(lVals.length == lKeys.length && rVals.length == rKeys.length, "one value array per key")
     leakColumns(relName, joinKeyLabels(lKeys, rKeys), allParties)
-    val byKey = rVals.indices.groupBy(rVals)
-    val pairs = lVals.indices.sortBy(lVals) // stable: equal keys keep left order
-      .flatMap(i => byKey.getOrElse(lVals(i), IndexedSeq.empty).map(j => (i, j)))
-    leakage.record(CardinalityLeak(relName, pairs.length.toLong, allParties))
-    (pairs.map(_._1).toArray, pairs.map(_._2).toArray)
+    val l = lVals.toArray
+    val order = keyOrder(l)
+    val pairs = keyPairs(l, order, order, rVals.toArray)
+    leakage.record(CardinalityLeak(relName, pairs._1.length.toLong, allParties))
+    pairs
   }
 
   /** Public join over cleartext inputs, second step: each side secret-shares
@@ -324,7 +322,7 @@ final class MpcBackend(
     val (li, rj) = pairs
     def matched(cols: Seq[Array[Double]], idx: Array[Int], names: Seq[String], side: String)(
         cs: Seq[Int]): Seq[SharedCol] =
-      close(s"$relName:$side", cs.map(names), cs.map(c => idx.map(i => cols(c)(i)))).cols
+      close(s"$relName:$side", cs.map(names), cs.map(c => gather(cols(c), idx))).cols
     Oblivious.joinOutput(lSchema, rSchema, lKeys.map(lSchema.indexOf), rKeys.map(rSchema.indexOf))(
       matched(lCols, li, lSchema, "left"), matched(rCols, rj, rSchema, "right"))
   }
@@ -347,14 +345,18 @@ final class MpcBackend(
     //    the STP.
     val shuffled = Oblivious.shuffle(engine, in)
     leakColumns(relName, group, Set(stp))
-    val keys = openKeys(shuffled, groupIdxs)
+    val keys = openKeys(shuffled, groupIdxs).toArray
 
     // 2-4. STP: enumerate, sort by key, compute equality flags, publish the
     //      ordering (public) and secret-share the flags.
-    import scala.math.Ordering.Implicits.seqOrdering
-    val order = keys.indices.sortBy(keys).toArray
+    val order = keyOrder(keys)
     val n = order.length
-    val eqFlags = Array.tabulate(n)(pos => if (pos > 0 && keys(order(pos)) == keys(order(pos - 1))) 1L else 0L)
+    val eqFlags = new Array[Long](n)
+    var pos = 1
+    while (pos < n) {
+      if (compareKeys(keys, order(pos), keys, order(pos - 1)) == 0) eqFlags(pos) = 1L
+      pos += 1
+    }
     val same = engine.input(eqFlags)
     engine.chargeRows(n.toLong)
 
@@ -378,6 +380,101 @@ final class MpcBackend(
 }
 
 object MpcBackend {
+
+  // ------------------------------------------- the STP's cleartext steps
+
+  /** Row `i` of key columns `a` against row `j` of key columns `b`, compared
+    * lexicographically as signed longs.
+    */
+  private def compareKeys(a: Array[Array[Long]], i: Int, b: Array[Array[Long]], j: Int): Int = {
+    var c = 0
+    var k = 0
+    while (c == 0 && k < a.length) { c = java.lang.Long.compare(a(k)(i), b(k)(j)); k += 1 }
+    c
+  }
+
+  /** The row indexes of key columns `keys` in key order, ties in row order:
+    * a bottom-up merge sort of the indexes, stable as it takes the left run
+    * first on equal keys. The STP's one ordering, in the clear.
+    */
+  private def keyOrder(keys: Array[Array[Long]]): Array[Int] = {
+    val n = keys.headOption.map(_.length).getOrElse(0)
+    var src = Array.range(0, n)
+    var dst = new Array[Int](n)
+    var width = 1
+    while (width < n) {
+      var lo = 0
+      while (lo < n) {
+        val mid = math.min(lo + width, n); val hi = math.min(lo + 2 * width, n)
+        var i = lo; var j = mid; var t = lo
+        while (t < hi) {
+          if (j == hi || (i < mid && compareKeys(keys, src(i), keys, src(j)) <= 0)) { dst(t) = src(i); i += 1 }
+          else { dst(t) = src(j); j += 1 }
+          t += 1
+        }
+        lo = hi
+      }
+      val done = src; src = dst; dst = done
+      width *= 2
+    }
+    src
+  }
+
+  /** The pairs `(i, j)` of rows of key columns `a` and `b` with equal keys:
+    * the rows `i` in the sequence `aRows`, and for each, its matches `j` in
+    * row order. `aOrder` is [[keyOrder]] of `a`.
+    */
+  private def keyPairs(a: Array[Array[Long]], aOrder: Array[Int], aRows: Array[Int],
+      b: Array[Array[Long]]): (Array[Int], Array[Int]) = {
+    // One merge of the two key orders: row i of `a` matches the rows
+    // bOrder(from(i) until until(i)). Rescanning a run for each duplicate
+    // in `a` costs no more than the pairs it yields.
+    val bOrder = keyOrder(b)
+    val from = new Array[Int](aOrder.length); val until = new Array[Int](aOrder.length)
+    var p = 0
+    var t = 0
+    while (t < aOrder.length) {
+      val i = aOrder(t)
+      while (p < bOrder.length && compareKeys(b, bOrder(p), a, i) < 0) p += 1
+      var q = p
+      while (q < bOrder.length && compareKeys(b, bOrder(q), a, i) == 0) q += 1
+      from(i) = p; until(i) = q
+      t += 1
+    }
+    var total = 0L
+    t = 0
+    while (t < aRows.length) { total += until(aRows(t)) - from(aRows(t)); t += 1 }
+    require(total <= Int.MaxValue, s"$total join pairs")
+    val ai = new Array[Int](total.toInt); val bj = new Array[Int](total.toInt)
+    var k = 0
+    t = 0
+    while (t < aRows.length) {
+      val i = aRows(t)
+      var q = from(i)
+      while (q < until(i)) { ai(k) = i; bj(k) = bOrder(q); k += 1; q += 1 }
+      t += 1
+    }
+    (ai, bj)
+  }
+
+  /** The row indexes `xs` as ring elements, for the STP to share. */
+  private def longs(xs: Array[Int]): Array[Long] = {
+    val out = new Array[Long](xs.length)
+    var i = 0
+    while (i < xs.length) { out(i) = xs(i).toLong; i += 1 }
+    out
+  }
+
+  /** `xs(idx(t))` for every t. */
+  private def gather(xs: Array[Double], idx: Array[Int]): Array[Double] = {
+    val out = new Array[Double](idx.length)
+    var t = 0
+    while (t < idx.length) { out(t) = xs(idx(t)); t += 1 }
+    out
+  }
+
+  // ------------------------------------------------------------ backends
+
   /** A Sharemind-like 3-party secret-sharing backend. */
   def sharemind(allParties: Set[Party], seed: Long = 42L): MpcBackend = {
     val meter = new CostMeter(CostParams.Sharemind)

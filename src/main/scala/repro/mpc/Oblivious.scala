@@ -491,9 +491,14 @@ object Oblivious {
     e.meter.addMul((n + m) * logNm * rel.width)
     e.meter.addRound(logNm)
     e.chargeRows(n + m)
-    val pos = e.idealOpen(idxs).map { i =>
+    val opened = e.idealOpen(idxs)
+    val pos = new Array[Int](opened.length)
+    var t = 0
+    while (t < pos.length) {
+      val i = opened(t)
       require(i >= 0 && i < rel.size, s"oblivious index $i out of range 0..${rel.size}")
-      i.toInt
+      pos(t) = i.toInt
+      t += 1
     }
     rel.gather(pos)
   }

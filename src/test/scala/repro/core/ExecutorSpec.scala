@@ -154,9 +154,12 @@ class ExecutorSpec extends SparkSpec {
     assertThrows[IllegalArgumentException](ex.run(plan, inputs))
   }
 
+  /** `df` plus a copy of its first row with `column` set to `value`. */
+  private def withValueIn(df: DataFrame, column: String, value: Any): DataFrame =
+    df.unionAll(df.limit(1).withColumn(column, lit(value).cast(df.schema(column).dataType)))
+
   /** `df` plus a copy of its first row with `column` set to NULL. */
-  private def withNullIn(df: DataFrame, column: String): DataFrame =
-    df.unionAll(df.limit(1).withColumn(column, lit(null).cast(df.schema(column).dataType)))
+  private def withNullIn(df: DataFrame, column: String): DataFrame = withValueIn(df, column, null)
 
   test("a NULL cell cannot enter MPC: the error names its column and relation") {
     // DuckDB's min skips the NULL; reading it as 0.0 would return 0.0.
@@ -170,6 +173,22 @@ class ExecutorSpec extends SparkSpec {
       inputs.updated("u", withNullIn(inputs("u"), "v")), Set(pA, pB)))
     assert(e.getMessage.contains("column 'v'") && e.getMessage.matches("(?s).*#\\d+@b.*"),
       e.getMessage)
+  }
+
+  test("an infinite or oversized cell cannot enter MPC: the error names its column and relation") {
+    // Fixed-point shares hold finite values of magnitude at most 2^45.
+    val inputs = twoPartyKeyed(20)
+    for (bad <- Seq(Double.PositiveInfinity, math.pow(2, 46))) {
+      val dag = new Dag
+      val q = new Dsl(dag)
+      import q._
+      concat(table("t", pA, col("k"), col("v")), table("u", pB, col("k"), col("v")))
+        .aggregate(Seq.empty, AggFn.Max, Some("v"), "m").writeTo("out", pA)
+      val e = intercept[IllegalArgumentException](run(dag, CompileConfig.mpcOnly,
+        inputs.updated("u", withValueIn(inputs("u"), "v", bad)), Set(pA, pB)))
+      assert(e.getMessage.contains("column 'v'") && e.getMessage.matches("(?s).*#\\d+@b.*"),
+        e.getMessage)
+    }
   }
 
   test("MPC limit after filter and sort returns the sorted prefix") {
@@ -346,6 +365,19 @@ class ExecutorSpec extends SparkSpec {
     val plan = Compiler.compile(AspirinCount.build(), CompileConfig.smcqlCompat)
     val e = intercept[IllegalArgumentException](new Executor(spark, backend)
       .run(plan, inputs.updated("diag2", withNullIn(inputs("diag2"), "patient"))))
+    assert(e.getMessage.contains("column 'patient'") && e.getMessage.matches("(?s).*#\\d+@h2.*"),
+      e.getMessage)
+    assert(backend.leakage.events.isEmpty, backend.leakage.events)
+  }
+
+  test("a NaN public join key is rejected before anything is revealed") {
+    // Paired in the clear, a NaN key would match nothing and its row would
+    // silently drop out of the join; DuckDB joins NaN = NaN.
+    val inputs = aspirinInputs(40)
+    val backend = MpcBackend.sharemind(Set(AspirinCount.pH1, AspirinCount.pH2))
+    val plan = Compiler.compile(AspirinCount.build(), CompileConfig.smcqlCompat)
+    val e = intercept[IllegalArgumentException](new Executor(spark, backend)
+      .run(plan, inputs.updated("diag2", withValueIn(inputs("diag2"), "patient", Double.NaN))))
     assert(e.getMessage.contains("column 'patient'") && e.getMessage.matches("(?s).*#\\d+@h2.*"),
       e.getMessage)
     assert(backend.leakage.events.isEmpty, backend.leakage.events)

@@ -107,17 +107,13 @@ class ProtocolsSpec extends AnyFunSuite {
   }
 
   test("public join pairs are ordered by key, then left index, then right index") {
-    // Duplicate keys on both sides; the same pairs for fixed-point and
-    // cleartext keys.
+    // Duplicate keys on both sides, paired on their fixed-point encoding.
     val l = Vector(5.0, 2.0, 5.0, 7.0, 2.0)
     val r = Vector(2.0, 5.0, 9.0, 5.0, 2.0)
     val expected = (Seq(1, 1, 4, 4, 0, 0, 2, 2), Seq(0, 4, 0, 4, 1, 3, 1, 3))
-    def pairs[K: Ordering](l: IndexedSeq[K], r: IndexedSeq[K]) = {
-      val (li, rj) = sharemind().publicJoinPairs("pj", Seq("k"), Seq("k"), l, r)
-      (li.toSeq, rj.toSeq)
-    }
-    assert(pairs(l, r) == expected)
-    assert(pairs(l.map(Fixed.encode), r.map(Fixed.encode)) == expected)
+    val (li, rj) = sharemind().publicJoinPairs("pj", Seq("k"), Seq("k"),
+      Seq(Fixed.encodeColumn(l.toArray)), Seq(Fixed.encodeColumn(r.toArray)))
+    assert((li.toSeq, rj.toSeq) == expected)
   }
 
   test("public joins over shared and cleartext inputs agree on rows, order and leakage") {
@@ -133,9 +129,8 @@ class ProtocolsSpec extends AnyFunSuite {
     val fromShared = shared.publicJoin("pj", ls, rs, Seq("k"), Seq("k"))
 
     val clear = sharemind()
-    import scala.math.Ordering.Implicits.seqOrdering
     val pairs = clear.publicJoinPairs("pj", Seq("k"), Seq("k"),
-      l.map(row => Seq(row.head)).toIndexedSeq, r.map(row => Seq(row.head)).toIndexedSeq)
+      Seq(Fixed.encodeColumn(l.map(_.head).toArray)), Seq(Fixed.encodeColumn(r.map(_.head).toArray)))
     def cols(rows: Seq[Seq[Double]]) = Seq(0, 1).map(c => rows.map(_(c)).toArray)
     val fromClear = clear.publicJoinClose("pj", Seq("k", "x"), Seq("k", "y"), Seq("k"), Seq("k"),
       cols(l), cols(r), pairs)
@@ -233,5 +228,110 @@ class ProtocolsSpec extends AnyFunSuite {
     val f = b.filterLit(rel(b, Seq("k", "v"), rows), "v", CmpOp.Lt, 50.0)
     val out = b.hybridAggregate("ha", f, Seq("k"), Some("v"), AggFn.Sum, "s", pA)
     assertSameRows(open(b, out), Seq(Seq(1.0, 11.0)))
+  }
+
+  // ------------------------------------------------------ pinned STP order
+
+  // Two-column keys with negative and fractional values, duplicates on both
+  // sides, and keys on one side only; `empty` has no rows.
+  private val pinLeft = Seq(
+    Seq(-1.5, 2.0, 1.0), Seq(0.25, -3.0, 2.0), Seq(-1.5, 2.0, 3.0), Seq(4.0, 0.0, 4.0),
+    Seq(0.25, -3.0, 5.0), Seq(-1.5, 0.5, 6.0), Seq(-2.0, 2.0, 7.0))
+  private val pinRight = Seq(
+    Seq(0.25, -3.0, 10.0), Seq(-1.5, 2.0, 11.0), Seq(9.0, 9.0, 12.0), Seq(0.25, -3.0, 13.0),
+    Seq(-1.5, 2.0, 14.0), Seq(-1.5, 0.5, 15.0), Seq(-0.75, 2.0, 16.0))
+  private val keys2 = Seq("k1", "k2")
+
+  /** Run `protocol` over the pinned relations on a seeded backend: the
+    * protocol's `CostSnapshot` and ordered leakage, then the opened output
+    * rows in order, one per line. The rows follow the STP's pair order and
+    * the dealer's draws, so they pin both.
+    */
+  private def pinned(protocol: (MpcBackend, SharedRelation, SharedRelation, SharedRelation) =>
+      SharedRelation): String = {
+    val b = sharemind(seed = 11L)
+    val (l, r) = (rel(b, keys2 :+ "x", pinLeft), rel(b, keys2 :+ "y", pinRight))
+    val empty = rel(b, keys2 :+ "y", Seq.empty)
+    b.meter.reset(); b.leakage.clear()
+    val out = protocol(b, l, r, empty)
+    (Seq(b.meter.snapshot.toString) ++ b.leakage.events.map(_.toString) ++
+      open(b, out).map(_.mkString(","))).mkString("\n")
+  }
+
+  private def pinnedCase(name: String, expected: String)(
+      protocol: (MpcBackend, SharedRelation, SharedRelation, SharedRelation) => SharedRelation): Unit =
+    test(s"$name keeps its pinned pair order, counters and leakage") {
+      val got = pinned(protocol)
+      assert(got == expected.stripMargin.trim, s"\n$got")
+    }
+
+  pinnedCase("hybrid join", """
+    |CostSnapshot(69,0,0,447,33,432,0,0,0,0.05115)
+    |ColumnLeak(hj0,left:k1,Set(a))
+    |ColumnLeak(hj0,left:k2,Set(a))
+    |ColumnLeak(hj0,right:k1,Set(a))
+    |ColumnLeak(hj0,right:k2,Set(a))
+    |CardinalityLeak(hj0,0,Set(a, b, c))
+    |ColumnLeak(hj,left:k1,Set(a))
+    |ColumnLeak(hj,left:k2,Set(a))
+    |ColumnLeak(hj,right:k1,Set(a))
+    |ColumnLeak(hj,right:k2,Set(a))
+    |CardinalityLeak(hj,9,Set(a, b, c))
+    |-1.5,2.0,3.0,14.0
+    |0.25,-3.0,5.0,10.0
+    |-1.5,2.0,1.0,11.0
+    |-1.5,2.0,3.0,11.0
+    |0.25,-3.0,2.0,10.0
+    |-1.5,2.0,1.0,14.0
+    |0.25,-3.0,2.0,13.0
+    |0.25,-3.0,5.0,13.0
+    |-1.5,0.5,6.0,15.0
+    |""") { (b, l, r, empty) =>
+    val none = b.hybridJoin("hj0", l, empty, keys2, keys2, pA)
+    assert(none.size == 0)
+    b.hybridJoin("hj", l, r, keys2, keys2, pA)
+  }
+
+  pinnedCase("hybrid aggregation", """
+    |CostSnapshot(21,0,0,6,8,189,0,0,0,0.013724)
+    |ColumnLeak(ha,k1,Set(c))
+    |ColumnLeak(ha,k2,Set(c))
+    |CardinalityLeak(ha,5,Set(a, b, c))
+    |0.25,-3.0,7.0
+    |4.0,0.0,4.0
+    |-1.5,2.0,4.0
+    |-2.0,2.0,7.0
+    |-1.5,0.5,6.0
+    |""") { (b, l, _, empty) =>
+    val none = b.hybridAggregate("ha0", empty, keys2, Some("y"), AggFn.Sum, "s", pC)
+    assert(none.size == 0)
+    b.hybridAggregate("ha", l, keys2, Some("x"), AggFn.Sum, "s", pC)
+  }
+
+  pinnedCase("public join", """
+    |CostSnapshot(30,0,0,0,3,0,0,0,0,0.009000000000000001)
+    |ColumnLeak(pj0,left:k1,Set(a, b, c))
+    |ColumnLeak(pj0,left:k2,Set(a, b, c))
+    |ColumnLeak(pj0,right:k1,Set(a, b, c))
+    |ColumnLeak(pj0,right:k2,Set(a, b, c))
+    |CardinalityLeak(pj0,0,Set(a, b, c))
+    |ColumnLeak(pj,left:k1,Set(a, b, c))
+    |ColumnLeak(pj,left:k2,Set(a, b, c))
+    |ColumnLeak(pj,right:k1,Set(a, b, c))
+    |ColumnLeak(pj,right:k2,Set(a, b, c))
+    |CardinalityLeak(pj,9,Set(a, b, c))
+    |-1.5,0.5,6.0,15.0
+    |-1.5,2.0,1.0,11.0
+    |-1.5,2.0,1.0,14.0
+    |-1.5,2.0,3.0,11.0
+    |-1.5,2.0,3.0,14.0
+    |0.25,-3.0,2.0,10.0
+    |0.25,-3.0,2.0,13.0
+    |0.25,-3.0,5.0,10.0
+    |0.25,-3.0,5.0,13.0
+    |""") { (b, l, r, empty) =>
+    val none = b.publicJoin("pj0", empty, r, keys2, keys2)
+    assert(none.size == 0)
+    b.publicJoin("pj", l, r, keys2, keys2)
   }
 }
