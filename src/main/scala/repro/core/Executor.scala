@@ -343,7 +343,7 @@ object Executor {
       case OpKind.ConstCol(cn, v)    => backend.constCol(shared.head, cn, v)
       case OpKind.Sort(c, asc)       => backend.sort(shared.head, Seq((c, asc)))
       case OpKind.Limit(k)           =>
-        backend.limit(name, shared.head, k, sorted = n.children.head.kind.isInstanceOf[OpKind.Sort])
+        backend.limit(name, shared.head, k, sorted = n.isSortedLimit)
       case OpKind.Distinct(_)        => backend.distinct(shared.head, n.preSorted)
       case other                     => sys.error(s"MPC executor cannot evaluate ${other.label}")
     }

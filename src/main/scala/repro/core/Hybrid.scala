@@ -16,11 +16,13 @@ package repro.core
   * Only a single STP may exist per execution (§3.2): the pass picks the
   * party that enables the most rewrites (ties broken by party order) and
   * applies only the rewrites that party authorizes.
+  *
+  * Reads the trust sets that [[Trust.annotate]] left on the DAG, through
+  * `Trust`'s own key-trust rules. The rewrites change no trust set.
   */
 object Hybrid {
 
   def apply(dag: Dag): Unit = {
-    Trust.annotate(dag)
     val all = dag.parties
 
     // Collect candidates: node -> set of possible STPs (excluding public
@@ -29,17 +31,11 @@ object Hybrid {
     val candidates = dag.topo.flatMap { n =>
       if (!n.isMpc) None
       else n.kind match {
-        case OpKind.Join(lk, rk) =>
-          val lt = n.children(0).trust; val rt = n.children(1).trust
-          val keyTrust = (lk.map(lt) ++ rk.map(rt)).reduce(_ intersect _)
-          if (keyTrust.nonEmpty) Some(Candidate(n, keyTrust)) else None
-        case OpKind.Agg(group, _, _, _, _) if group.nonEmpty =>
-          val ct = n.children.head.trust
-          val groupTrust = group.map(ct).reduce(_ intersect _)
-          if (groupTrust.nonEmpty) Some(Candidate(n, groupTrust)) else None
-        case _ => None
+        case OpKind.Join(lk, rk)           => Some(Candidate(n, Trust.joinKeyTrust(n, lk, rk)))
+        case OpKind.Agg(group, _, _, _, _) => Some(Candidate(n, Trust.groupKeyTrust(n, group)))
+        case _                             => None
       }
-    }
+    }.filter(_.stps.nonEmpty)
 
     // Public joins: keys trusted by everyone.
     candidates.foreach { c =>

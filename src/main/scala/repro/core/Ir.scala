@@ -121,6 +121,12 @@ final class Node private[core] (val id: Int, var kind: OpKind) {
   /** Set by sort elimination: the operator may skip its oblivious sort. */
   var preSorted: Boolean = false
 
+  /** A limit right after a sort: it takes the sorted prefix in place and so
+    * keeps the order. Any other limit compacts its input, which shuffles.
+    */
+  def isSortedLimit: Boolean =
+    kind.isInstanceOf[OpKind.Limit] && children.head.kind.isInstanceOf[OpKind.Sort]
+
   def schema: Seq[String] = Ir.schemaOf(kind, children.map(_.schema).toSeq)
 
   override def toString: String = s"#$id ${kind.label}${if (isMpc) " [mpc]" else ""}"

@@ -3,10 +3,17 @@ package repro.core
 /** Oblivious-sort tracking and elimination (paper §5.4, stage 5).
   *
   * Traverses the DAG tracking the column each intermediate relation is
-  * sorted by (if any): order-preserving operators (filter, row-wise
-  * arithmetic, projections retaining the column, limit) propagate it;
-  * shuffling operators (joins, aggregations, concat) reset it — except the
-  * public join, whose rows are paired in the clear and come in key order.
+  * sorted by (if any). A claim holds only while the kernel that runs each
+  * operator really keeps the order:
+  *   - filters, projections keeping the column, and arithmetic writing some
+  *     other column keep it; arithmetic that overwrites the column drops it;
+  *   - a limit keeps it only right after a sort (`Node.isSortedLimit`); any
+  *     other limit compacts, which shuffles. So a sort feeding a limit is
+  *     never removed, even when its input is already sorted;
+  *   - a distinct keeps it only when `preSorted`, i.e. when it runs no sort
+  *     of its own; otherwise it re-sorts by every column;
+  *   - joins, aggregations and concat drop it — except the public join,
+  *     whose rows are paired in the clear and come in key order.
   *
   * Consumers that sort internally are marked `preSorted` when their input is
   * already ordered compatibly, letting the executor skip the O(n log² n)
@@ -22,27 +29,6 @@ object SortElim {
       changed = false
       dag.topo.foreach { n =>
         val in = n.children.headOption.flatMap(_.sortedBy)
-        n.sortedBy = n.kind match {
-          case _: OpKind.Input  => None
-          case _: OpKind.Output => in
-          case OpKind.Concat    => None // interleaves partitions
-          case OpKind.Project(cols) => in.filter { case (c, _) => cols.contains(c) }
-          case _: OpKind.Filter => in // validity-column filters preserve order
-          case _: OpKind.Arith | _: OpKind.ConstCol => in
-          case OpKind.Limit(_) => in
-          case OpKind.Sort(col, asc) =>
-            if (in.contains((col, asc)) && n.parents.nonEmpty) {
-              dag.splice(n) // redundant oblivious sort
-              changed = true
-            }
-            Some((col, asc))
-          case OpKind.PublicJoin(lk, _) => Some((lk.head, true)) // pairs come in key order
-          case _: OpKind.Join | _: OpKind.HybridJoin => None // shuffled outputs
-          case _: OpKind.Agg | _: OpKind.HybridAgg   => None // shuffled before reveal
-          case OpKind.Distinct(_) =>
-            // Our oblivious distinct preserves input order (validity-only).
-            in
-        }
         // preSorted consumers: skip the internal oblivious sort.
         n.kind match {
           case OpKind.Agg(group, _, _, _, _) if group.length == 1 =>
@@ -54,6 +40,26 @@ object SortElim {
               n.children.head.schema.length == 1 &&
               in.exists(_._1 == n.children.head.schema.head)
           case _ => ()
+        }
+        n.sortedBy = n.kind match {
+          case _: OpKind.Input  => None
+          case _: OpKind.Output => in
+          case OpKind.Concat    => None // interleaves partitions
+          case OpKind.Project(cols) => in.filter { case (c, _) => cols.contains(c) }
+          case _: OpKind.Filter => in // validity-column filters preserve order
+          case OpKind.Arith(_, out, _, _) => in.filterNot(_._1 == out)
+          case _: OpKind.ConstCol => in
+          case OpKind.Limit(_) => in.filter(_ => n.isSortedLimit)
+          case OpKind.Sort(col, asc) =>
+            if (in.contains((col, asc)) && n.parents.nonEmpty && !n.parents.exists(_.isSortedLimit)) {
+              dag.splice(n) // redundant oblivious sort
+              changed = true
+            }
+            Some((col, asc))
+          case OpKind.PublicJoin(lk, _) => Some((lk.head, true)) // pairs come in key order
+          case _: OpKind.Join | _: OpKind.HybridJoin => None // shuffled outputs
+          case _: OpKind.Agg | _: OpKind.HybridAgg   => None // shuffled before reveal
+          case OpKind.Distinct(_) => in.filter(_ => n.preSorted)
         }
       }
     }

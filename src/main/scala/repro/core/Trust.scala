@@ -76,11 +76,26 @@ object Trust {
     }
   }
 
+  /** The parties trusted with every group-by column: those that may learn
+    * how rows group (and so may host a hybrid aggregation). None for a
+    * group-less aggregation.
+    */
+  def groupKeyTrust(n: Node, group: Seq[String]): Set[Party] = {
+    val ct = n.children.head.trust
+    if (group.isEmpty) Set.empty[Party] else group.map(ct).reduce(_ intersect _)
+  }
+
+  /** The parties trusted with every join key column on both sides: those
+    * that may learn which rows match (and so may host a hybrid join; all
+    * parties make it a public join).
+    */
+  def joinKeyTrust(n: Node, lk: Seq[String], rk: Seq[String]): Set[Party] =
+    (lk.map(n.children(0).trust) ++ rk.map(n.children(1).trust)).reduce(_ intersect _)
+
   private def aggTrust(n: Node, group: Seq[String], aggCol: Option[String], out: String)
       : Map[String, Set[Party]] = {
     val ct = n.children.head.trust
-    val groupTrust =
-      if (group.isEmpty) Set.empty[Party] else group.map(ct).reduce(_ intersect _)
+    val groupTrust = groupKeyTrust(n, group)
     val outT = aggCol match {
       case Some(a) if group.nonEmpty => ct(a) intersect groupTrust
       case Some(a)                   => ct(a) // global fold over one column
@@ -93,7 +108,7 @@ object Trust {
   private def joinTrust(n: Node, lk: Seq[String], rk: Seq[String]): Map[String, Set[Party]] = {
     val lt = n.children(0).trust
     val rt = n.children(1).trust
-    val keyTrust = (lk.map(lt) ++ rk.map(rt)).reduce(_ intersect _)
+    val keyTrust = joinKeyTrust(n, lk, rk)
     val lRest = n.children(0).schema.filterNot(lk.contains)
     val rRest = n.children(1).schema.filterNot(rk.contains)
     (lk.map(c => c -> (lt(c) intersect keyTrust)) ++

@@ -82,7 +82,7 @@ private[mpc] object Log2 {
   def ceil(n: Long): Long = if (n <= 1) 1L else 64L - java.lang.Long.numberOfLeadingZeros(n - 1)
 }
 
-/** Column-level oblivious arithmetic, implemented by each backend.
+/** Column-level oblivious arithmetic, defined once for every backend.
   *
   * Two value classes flow through an engine:
   *   - *data values*: fixed-point encoded (see [[Fixed]]);
@@ -96,11 +96,23 @@ private[mpc] object Log2 {
   * writing within each element, so `out` may be an input at the same
   * offset. The allocating form runs the whole column into a fresh one.
   *
-  * All operations charge the engine's [[CostMeter]] per element as they
-  * execute, so the meter reflects the operations a real backend would
-  * perform.
+  * The operations are written here once, over what an engine supplies:
+  *   - its column class (`alloc`, and `own`, which rejects a foreign one);
+  *   - its sharing scheme (`share` and `peek`);
+  *   - its multiplication protocol (`mul`);
+  *   - its price list (`charge`, one entry per [[MpcEngine.Op]]).
+  *
+  * Shares are additive (a garbled-circuit column is one share holding the
+  * value), so `add`, `sub`, `addPub`, `mulPub` and `not` are one local
+  * affine map. `eq`, `lt` and `divFx` run as ideal functionalities: the
+  * trusted runtime reconstructs the operands, applies the function and
+  * shares the result, and the engine charges its protocol's price. Every
+  * operation charges the engine's [[CostMeter]] as it executes, so the
+  * meter reflects the operations a real backend would perform.
   */
 trait MpcEngine {
+  import MpcEngine.Op
+
   def name: String
   def meter: CostMeter
 
@@ -114,11 +126,44 @@ trait MpcEngine {
     */
   def fork(): MpcEngine
 
+  // ------------------------------------------------- what an engine supplies
+
+  /** The engine's column class. */
+  protected type Col <: SharedCol
+
   /** A fresh column of `n` zeros. */
   def alloc(n: Int): SharedCol
 
+  /** `c` as the engine's column class; a foreign column is rejected. */
+  protected def own(c: SharedCol): Col
+
+  /** The rejection of a column from another engine, for `own`. */
+  protected final def foreign(c: SharedCol): Nothing =
+    throw new IllegalArgumentException(s"$name got foreign column $c")
+
+  /** Write a fresh sharing of `x` at `o(i)`. */
+  protected def share(x: Long, o: Col, i: Int): Unit
+
+  /** Reconstruct `s(i)` without charging a round: ideal-functionality use. */
+  protected def peek(s: Col, i: Int): Long
+
+  /** `o(oi) = x(xi) * y(yi)` by the engine's multiplication protocol, on raw
+    * ring elements, uncharged.
+    */
+  protected def mul(x: Col, xi: Int, y: Col, yi: Int, o: Col, oi: Int): Unit
+
+  /** Charge `n` executions of `op`. */
+  protected def charge(op: Op, n: Long): Unit
+
+  // ---------------------------------------------------------------- sharing
+
   /** Secret-share / feed cleartext ring elements into the MPC. */
-  def input(xs: Array[Long]): SharedCol
+  final def input(xs: Array[Long]): SharedCol = {
+    val o = own(alloc(xs.length))
+    var i = 0
+    while (i < xs.length) { share(xs(i), o, i); i += 1 }
+    o
+  }
 
   /** A public constant, shared like an input. */
   final def constant(x: Long, n: Int): SharedCol = {
@@ -132,7 +177,13 @@ trait MpcEngine {
     * round is charged and nothing is revealed to any party — the caller is
     * responsible for charging the simulated protocol's cost.
     */
-  def idealOpen(c: SharedCol): Array[Long]
+  final def idealOpen(c: SharedCol): Array[Long] = {
+    val s = own(c)
+    val out = new Array[Long](s.length)
+    var i = 0
+    while (i < out.length) { out(i) = peek(s, i); i += 1 }
+    out
+  }
 
   /** Reconstruct columns in a single communication round (the
     * protocol-level "reveal").
@@ -146,31 +197,101 @@ trait MpcEngine {
 
   // ------------------------------------------ elementwise, `into` form
 
-  def add(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int = 0, bi: Int = 0, oi: Int = 0): Unit
-  def sub(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int = 0, bi: Int = 0, oi: Int = 0): Unit
-  def addPub(a: SharedCol, k: Long, out: SharedCol, n: Int, ai: Int = 0, oi: Int = 0): Unit
-  def mulPub(a: SharedCol, k: Long, out: SharedCol, n: Int, ai: Int = 0, oi: Int = 0): Unit
+  /** `out = ca·a + cb·b + c0` on each share array, `c0` added to the first
+    * only: every local operation of an additive sharing.
+    */
+  private def affine(op: Op, a: SharedCol, ca: Long, b: SharedCol, cb: Long, c0: Long, out: SharedCol,
+      n: Int, ai: Int, bi: Int, oi: Int): Unit = {
+    charge(op, n)
+    val x = own(a).parts; val y = own(b).parts; val o = own(out).parts
+    var k = 0
+    while (k < o.length) {
+      val xk = x(k); val yk = y(k); val ok = o(k)
+      val c = if (k == 0) c0 else 0L
+      var t = 0
+      while (t < n) { ok(oi + t) = ca * xk(ai + t) + cb * yk(bi + t) + c; t += 1 }
+      k += 1
+    }
+  }
+
+  final def add(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int = 0, bi: Int = 0, oi: Int = 0): Unit =
+    affine(Op.Add, a, 1L, b, 1L, 0L, out, n, ai, bi, oi)
+  final def sub(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int = 0, bi: Int = 0, oi: Int = 0): Unit =
+    affine(Op.Sub, a, 1L, b, -1L, 0L, out, n, ai, bi, oi)
+  final def addPub(a: SharedCol, k: Long, out: SharedCol, n: Int, ai: Int = 0, oi: Int = 0): Unit =
+    affine(Op.AddPub, a, 1L, a, 0L, k, out, n, ai, ai, oi)
+  final def mulPub(a: SharedCol, k: Long, out: SharedCol, n: Int, ai: Int = 0, oi: Int = 0): Unit =
+    affine(Op.MulPub, a, k, a, 0L, 0L, out, n, ai, ai, oi)
 
   /** Logical NOT of 0/1 flags: 1 - a. */
-  def not(a: SharedCol, out: SharedCol, n: Int, ai: Int = 0, oi: Int = 0): Unit
+  final def not(a: SharedCol, out: SharedCol, n: Int, ai: Int = 0, oi: Int = 0): Unit =
+    affine(Op.Not, a, -1L, a, 0L, 1L, out, n, ai, ai, oi)
+
+  /** The engine's multiplication, elementwise; `MulFx` reshares each
+    * product truncated by the fixed-point scale (the truncation protocol as
+    * an ideal functionality).
+    */
+  private def product(op: Op, a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int, bi: Int,
+      oi: Int): Unit = {
+    charge(op, n)
+    // Tested once: `==` on `op` is a virtual `equals` on whichever case
+    // object came in, which the JIT cannot inline inside the loop.
+    val truncate = op == Op.MulFx
+    val x = own(a); val y = own(b); val o = own(out)
+    var t = 0
+    while (t < n) {
+      mul(x, ai + t, y, bi + t, o, oi + t)
+      if (truncate) share(Fixed.rescale(peek(o, oi + t)), o, oi + t)
+      t += 1
+    }
+  }
 
   /** Secure multiplication of raw ring elements (no rescale). */
-  def mulRaw(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int = 0, bi: Int = 0, oi: Int = 0): Unit
+  final def mulRaw(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int = 0, bi: Int = 0, oi: Int = 0): Unit =
+    product(Op.MulRaw, a, b, out, n, ai, bi, oi)
 
   /** Fixed-point multiply: mulRaw followed by an oblivious truncation. */
-  def mulFx(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int = 0, bi: Int = 0, oi: Int = 0): Unit
-
-  /** Fixed-point division (both operands fixed-point encoded). */
-  def divFx(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int = 0, bi: Int = 0, oi: Int = 0): Unit
-
-  /** Oblivious equality on data values; 0/1 flags. */
-  def eq(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int = 0, bi: Int = 0, oi: Int = 0): Unit
-
-  /** Oblivious less-than on data values; 0/1 flags. */
-  def lt(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int = 0, bi: Int = 0, oi: Int = 0): Unit
+  final def mulFx(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int = 0, bi: Int = 0, oi: Int = 0): Unit =
+    product(Op.MulFx, a, b, out, n, ai, bi, oi)
 
   /** flag * v, where flag is 0/1 raw — no rescale. Also the AND of two flags. */
-  def mulFlag(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int = 0, bi: Int = 0, oi: Int = 0): Unit
+  final def mulFlag(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int = 0, bi: Int = 0, oi: Int = 0): Unit =
+    product(Op.MulFlag, a, b, out, n, ai, bi, oi)
+
+  /** `out = f(a, b)` by an ideal functionality: reconstruct both operands,
+    * apply `op`'s function, share the result.
+    */
+  private def ideal(op: Op, a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int, bi: Int,
+      oi: Int): Unit = {
+    charge(op, n)
+    val x = own(a); val y = own(b); val o = own(out)
+    var t = 0
+    while (t < n) {
+      val u = peek(x, ai + t); val v = peek(y, bi + t)
+      val r = op match {
+        case Op.Eq => if (u == v) 1L else 0L
+        case Op.Lt => if (u < v) 1L else 0L
+        case _ =>
+          val den = Fixed.decode(v)
+          require(den != 0.0, "MPC division by zero")
+          Fixed.encode(Fixed.decode(u) / den)
+      }
+      share(r, o, oi + t)
+      t += 1
+    }
+  }
+
+  /** Fixed-point division (both operands fixed-point encoded). */
+  final def divFx(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int = 0, bi: Int = 0, oi: Int = 0): Unit =
+    ideal(Op.DivFx, a, b, out, n, ai, bi, oi)
+
+  /** Oblivious equality on data values; 0/1 flags. */
+  final def eq(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int = 0, bi: Int = 0, oi: Int = 0): Unit =
+    ideal(Op.Eq, a, b, out, n, ai, bi, oi)
+
+  /** Oblivious less-than on data values; 0/1 flags. */
+  final def lt(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int = 0, bi: Int = 0, oi: Int = 0): Unit =
+    ideal(Op.Lt, a, b, out, n, ai, bi, oi)
 
   /** c ? a : b for a 0/1 flag c: b + c*(a-b), run and charged as that
     * subtraction, flag multiply and addition. The difference goes to
@@ -232,6 +353,24 @@ trait MpcEngine {
   def checkRelationMem(op: String, records: Long, width: Long): Unit = ()
 }
 
+object MpcEngine {
+  /** The elementwise operations, as the engines' price lists name them. */
+  sealed trait Op
+  object Op {
+    case object Add extends Op
+    case object Sub extends Op
+    case object AddPub extends Op
+    case object MulPub extends Op
+    case object Not extends Op
+    case object MulRaw extends Op
+    case object MulFx extends Op
+    case object DivFx extends Op
+    case object Eq extends Op
+    case object Lt extends Op
+    case object MulFlag extends Op
+  }
+}
+
 /** Additive 3-party secret sharing with Beaver-triple multiplication — the
   * "Sharemind-like" backend.
   *
@@ -246,96 +385,33 @@ trait MpcEngine {
   * (DESIGN.md, "Substitutions").
   */
 final class SecretSharingEngine(seed: Long, val meter: CostMeter) extends MpcEngine {
+  import MpcEngine.Op
+
   val name = "secret-sharing"
   protected val rng = new SplittableRandom(seed)
+  protected type Col = ShareCol
 
   override def fork(): MpcEngine = new SecretSharingEngine(rng.nextLong(), new CostMeter(meter.params))
 
-  private def own(c: SharedCol): ShareCol = c match {
+  override def alloc(n: Int): SharedCol = new ShareCol(new Array(n), new Array(n), new Array(n))
+
+  protected def own(c: SharedCol): ShareCol = c match {
     case s: ShareCol => s
-    case other       => throw new IllegalArgumentException(s"$name got foreign column $other")
+    case other       => foreign(other)
   }
 
-  /** Write a fresh random sharing of `x` at `o(i)`. */
-  private def share(x: Long, o: ShareCol, i: Int): Unit = {
+  /** Three additive shares: r1, then r2, and x - r1 - r2. */
+  protected def share(x: Long, o: ShareCol, i: Int): Unit = {
     val r1 = rng.nextLong(); val r2 = rng.nextLong()
     o.s1(i) = r1; o.s2(i) = r2; o.s3(i) = x - r1 - r2
   }
 
-  /** Reconstruct without charging a round — internal ideal-functionality use. */
-  private def peek(s: ShareCol, i: Int): Long = s.s1(i) + s.s2(i) + s.s3(i)
+  protected def peek(s: ShareCol, i: Int): Long = s.s1(i) + s.s2(i) + s.s3(i)
 
-  override def alloc(n: Int): SharedCol = new ShareCol(new Array(n), new Array(n), new Array(n))
-
-  override def input(xs: Array[Long]): SharedCol = {
-    val o = own(alloc(xs.length))
-    var i = 0
-    while (i < xs.length) { share(xs(i), o, i); i += 1 }
-    o
-  }
-
-  override def idealOpen(c: SharedCol): Array[Long] = {
-    val s = own(c)
-    val out = new Array[Long](s.length)
-    var i = 0
-    while (i < out.length) { out(i) = peek(s, i); i += 1 }
-    out
-  }
-
-  override def add(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int, bi: Int, oi: Int): Unit = {
-    val x = own(a); val y = own(b); val o = own(out)
-    var t = 0
-    while (t < n) {
-      o.s1(oi + t) = x.s1(ai + t) + y.s1(bi + t)
-      o.s2(oi + t) = x.s2(ai + t) + y.s2(bi + t)
-      o.s3(oi + t) = x.s3(ai + t) + y.s3(bi + t)
-      t += 1
-    }
-  }
-
-  override def sub(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int, bi: Int, oi: Int): Unit = {
-    val x = own(a); val y = own(b); val o = own(out)
-    var t = 0
-    while (t < n) {
-      o.s1(oi + t) = x.s1(ai + t) - y.s1(bi + t)
-      o.s2(oi + t) = x.s2(ai + t) - y.s2(bi + t)
-      o.s3(oi + t) = x.s3(ai + t) - y.s3(bi + t)
-      t += 1
-    }
-  }
-
-  override def addPub(a: SharedCol, k: Long, out: SharedCol, n: Int, ai: Int, oi: Int): Unit = {
-    val x = own(a); val o = own(out)
-    var t = 0
-    while (t < n) {
-      o.s1(oi + t) = x.s1(ai + t) + k; o.s2(oi + t) = x.s2(ai + t); o.s3(oi + t) = x.s3(ai + t)
-      t += 1
-    }
-  }
-
-  override def mulPub(a: SharedCol, k: Long, out: SharedCol, n: Int, ai: Int, oi: Int): Unit = {
-    val x = own(a); val o = own(out)
-    var t = 0
-    while (t < n) {
-      o.s1(oi + t) = x.s1(ai + t) * k; o.s2(oi + t) = x.s2(ai + t) * k; o.s3(oi + t) = x.s3(ai + t) * k
-      t += 1
-    }
-  }
-
-  override def not(a: SharedCol, out: SharedCol, n: Int, ai: Int, oi: Int): Unit = {
-    val x = own(a); val o = own(out)
-    var t = 0
-    while (t < n) {
-      o.s1(oi + t) = 1L - x.s1(ai + t); o.s2(oi + t) = -x.s2(ai + t); o.s3(oi + t) = -x.s3(ai + t)
-      t += 1
-    }
-  }
-
-  /** One Beaver multiplication, `o(oi) = x * y` for x, y given by their
-    * shares: with a dealer triple (p, q, pq), open d = x - p and e = y - q,
-    * then xy = pq + d*q + e*p + d*e (d, e public).
+  /** One Beaver multiplication: with a dealer triple (p, q, pq), open
+    * d = x - p and e = y - q, then xy = pq + d*q + e*p + d*e (d, e public).
     */
-  private def beaver(x: ShareCol, xi: Int, y: ShareCol, yi: Int, o: ShareCol, oi: Int): Unit = {
+  protected def mul(x: ShareCol, xi: Int, y: ShareCol, yi: Int, o: ShareCol, oi: Int): Unit = {
     val p = rng.nextLong(); val q = rng.nextLong()
     val p1 = rng.nextLong(); val p2 = rng.nextLong(); val p3 = p - p1 - p2
     val q1 = rng.nextLong(); val q2 = rng.nextLong(); val q3 = q - q1 - q2
@@ -347,60 +423,21 @@ final class SecretSharingEngine(seed: Long, val meter: CostMeter) extends MpcEng
     o.s3(oi) = r3 + d * q3 + e * p3
   }
 
-  /** No round is charged per multiplication: Sharemind-class backends batch
-    * all multiplications of a vectorized operation into one round, so the
-    * per-triple communication is amortized into the `mul` constant.
+  /** Linear operations are local and free. One triple per multiplication,
+    * and no round: Sharemind-class backends batch all multiplications of a
+    * vectorized operation into one round, so the per-triple communication
+    * is amortized into the `mul` constant. The truncation after a
+    * fixed-point product is charged as one more multiplication, and
+    * Sharemind's fixed-point division (Goldschmidt iteration) as a
+    * comparison-class operation.
     */
-  override def mulRaw(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int, bi: Int, oi: Int): Unit = {
-    val x = own(a); val y = own(b); val o = own(out)
-    var t = 0
-    while (t < n) { beaver(x, ai + t, y, bi + t, o, oi + t); t += 1 }
-    meter.addMul(n)
+  protected def charge(op: Op, n: Long): Unit = op match {
+    case Op.MulRaw | Op.MulFlag => meter.addMul(n)
+    case Op.MulFx               => meter.addMul(2L * n)
+    case Op.Eq                  => meter.addEq(n)
+    case Op.Lt | Op.DivFx       => meter.addCmp(n)
+    case Op.Add | Op.Sub | Op.AddPub | Op.MulPub | Op.Not => ()
   }
-
-  override def mulFx(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int, bi: Int, oi: Int): Unit = {
-    // Oblivious truncation after the raw product; the truncation protocol is
-    // an ideal functionality charged as one extra multiplication.
-    val x = own(a); val y = own(b); val o = own(out)
-    var t = 0
-    while (t < n) {
-      beaver(x, ai + t, y, bi + t, o, oi + t)
-      share(Fixed.rescale(peek(o, oi + t)), o, oi + t)
-      t += 1
-    }
-    meter.addMul(2L * n)
-  }
-
-  override def divFx(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int, bi: Int, oi: Int): Unit = {
-    // Sharemind's fixed-point division (Goldschmidt iteration) — ideal
-    // functionality charged as a comparison-class operation.
-    val x = own(a); val y = own(b); val o = own(out)
-    meter.addCmp(n)
-    var t = 0
-    while (t < n) {
-      val den = Fixed.decode(peek(y, bi + t))
-      require(den != 0.0, "MPC division by zero")
-      share(Fixed.encode(Fixed.decode(peek(x, ai + t)) / den), o, oi + t)
-      t += 1
-    }
-  }
-
-  override def eq(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int, bi: Int, oi: Int): Unit = {
-    val x = own(a); val y = own(b); val o = own(out)
-    meter.addEq(n)
-    var t = 0
-    while (t < n) { share(if (peek(x, ai + t) == peek(y, bi + t)) 1L else 0L, o, oi + t); t += 1 }
-  }
-
-  override def lt(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int, bi: Int, oi: Int): Unit = {
-    val x = own(a); val y = own(b); val o = own(out)
-    meter.addCmp(n)
-    var t = 0
-    while (t < n) { share(if (peek(x, ai + t) < peek(y, bi + t)) 1L else 0L, o, oi + t); t += 1 }
-  }
-
-  override def mulFlag(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int, bi: Int, oi: Int): Unit =
-    mulRaw(a, b, out, n, ai, bi, oi)
 
   override def chargeShuffle(rows: Long, cols: Long): Unit = {
     meter.addShuffle(rows * Log2.ceil(rows) * cols)
@@ -416,57 +453,34 @@ final class SecretSharingEngine(seed: Long, val meter: CostMeter) extends MpcEng
   * observed OOM behaviour on the paper's 4 GB VMs.
   */
 final class GarbledCircuitEngine(val meter: CostMeter) extends MpcEngine {
+  import GarbledCircuitEngine.GcGates.{Add => AddGates, Cmp => CmpGates, Mul => MulGates, Mux => MuxGates}
+  import MpcEngine.Op
+
   val name = s"garbled-${meter.params.name}"
   protected val rng = new SplittableRandom(0x6C1L)
+  protected type Col = WireCol
 
   override def fork(): MpcEngine = new GarbledCircuitEngine(new CostMeter(meter.params))
 
-  import GarbledCircuitEngine.GcGates.{Add => AddGates, Cmp => CmpGates, Mul => MulGates, Mux => MuxGates}
-
-  private def own(c: SharedCol): WireCol = c match {
-    case w: WireCol => w
-    case other      => throw new IllegalArgumentException(s"$name got foreign column $other")
-  }
-
-  /** `out(oi + t) = f(a(ai + t), b(bi + t))`, charging `gates` per element. */
-  @inline private def zip(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int, bi: Int,
-      oi: Int, gates: Long)(f: (Long, Long) => Long): Unit = {
-    meter.addGates(gates * n)
-    val x = own(a).v; val y = own(b).v; val o = own(out).v
-    var t = 0
-    while (t < n) { o(oi + t) = f(x(ai + t), y(bi + t)); t += 1 }
-  }
-
   override def alloc(n: Int): SharedCol = new WireCol(new Array(n))
-  override def input(xs: Array[Long]): SharedCol = new WireCol(xs.clone())
-  override def idealOpen(c: SharedCol): Array[Long] = own(c).v.clone()
 
-  override def add(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int, bi: Int, oi: Int): Unit =
-    zip(a, b, out, n, ai, bi, oi, AddGates)(_ + _)
-  override def sub(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int, bi: Int, oi: Int): Unit =
-    zip(a, b, out, n, ai, bi, oi, AddGates)(_ - _)
-  override def addPub(a: SharedCol, k: Long, out: SharedCol, n: Int, ai: Int, oi: Int): Unit =
-    zip(a, a, out, n, ai, ai, oi, AddGates)((x, _) => x + k)
-  override def mulPub(a: SharedCol, k: Long, out: SharedCol, n: Int, ai: Int, oi: Int): Unit =
-    zip(a, a, out, n, ai, ai, oi, MulGates)((x, _) => x * k)
-  override def not(a: SharedCol, out: SharedCol, n: Int, ai: Int, oi: Int): Unit =
-    zip(a, a, out, n, ai, ai, oi, AddGates)((x, _) => 1L - x)
-  override def mulRaw(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int, bi: Int, oi: Int): Unit =
-    zip(a, b, out, n, ai, bi, oi, MulGates)(_ * _)
-  override def mulFx(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int, bi: Int, oi: Int): Unit =
-    zip(a, b, out, n, ai, bi, oi, MulGates)((x, y) => Fixed.rescale(x * y))
-  override def divFx(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int, bi: Int, oi: Int): Unit =
-    zip(a, b, out, n, ai, bi, oi, MulGates * 4) { (x, y) => // long division circuit
-      val den = Fixed.decode(y)
-      require(den != 0.0, "MPC division by zero")
-      Fixed.encode(Fixed.decode(x) / den)
-    }
-  override def eq(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int, bi: Int, oi: Int): Unit =
-    zip(a, b, out, n, ai, bi, oi, CmpGates)((x, y) => if (x == y) 1L else 0L)
-  override def lt(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int, bi: Int, oi: Int): Unit =
-    zip(a, b, out, n, ai, bi, oi, CmpGates)((x, y) => if (x < y) 1L else 0L)
-  override def mulFlag(a: SharedCol, b: SharedCol, out: SharedCol, n: Int, ai: Int, bi: Int, oi: Int): Unit =
-    zip(a, b, out, n, ai, bi, oi, MuxGates)(_ * _)
+  protected def own(c: SharedCol): WireCol = c match {
+    case w: WireCol => w
+    case other      => foreign(other)
+  }
+
+  protected def share(x: Long, o: WireCol, i: Int): Unit = o.v(i) = x
+  protected def peek(s: WireCol, i: Int): Long = s.v(i)
+  protected def mul(x: WireCol, xi: Int, y: WireCol, yi: Int, o: WireCol, oi: Int): Unit =
+    o.v(oi) = x.v(xi) * y.v(yi)
+
+  protected def charge(op: Op, n: Long): Unit = meter.addGates(n * (op match {
+    case Op.Add | Op.Sub | Op.AddPub | Op.Not   => AddGates
+    case Op.MulPub | Op.MulRaw | Op.MulFx       => MulGates
+    case Op.DivFx                               => MulGates * 4 // long division circuit
+    case Op.Eq | Op.Lt                          => CmpGates
+    case Op.MulFlag                             => MuxGates
+  }))
 
   override def chargeShuffle(rows: Long, cols: Long): Unit =
     // Waksman permutation network: ~ n log n muxes per column.

@@ -208,6 +208,58 @@ class ExecutorSpec extends SparkSpec {
     assert(got == Seq(16.0, 24.0, 24.0, 35.0, 35.0))
   }
 
+  // Sort elimination (§5.4) may mark a consumer preSorted only while the
+  // executed kernels really keep the claimed order; each query below once
+  // skipped a needed sort.
+
+  private def sortElimCheck(sql: String, schema: Seq[String])(query: Dsl#Rel => Dsl#Rel): Unit = {
+    val inputs = Map(
+      "t" -> Generators.keyed(spark, 40, 5, seed = 1).select(schema.head, schema.tail: _*),
+      "u" -> Generators.keyed(spark, 40, 5, seed = 2).select(schema.head, schema.tail: _*))
+    val dag = new Dag
+    val q = new Dsl(dag)
+    import q._
+    query(concat(table("t", pA, schema.map(col(_)): _*), table("u", pB, schema.map(col(_)): _*)))
+      .writeTo("out", pA)
+    val res = run(dag, CompileConfig.default, inputs, Set(pA, pB))
+    Oracle.assertEquivalent(res.outputs("out"),
+      sql.replace("{t+u}", "(SELECT * FROM t UNION ALL SELECT * FROM u)"), "t" -> inputs("t"), "u" -> inputs("u"))
+  }
+
+  test("sort elimination: arithmetic that overwrites the sorted column drops the order") {
+    sortElimCheck("SELECT CAST(k AS DOUBLE) * CAST(v AS DOUBLE) AS k, SUM(CAST(v AS DOUBLE)) AS s FROM {t+u} " +
+      "GROUP BY CAST(k AS DOUBLE) * CAST(v AS DOUBLE)", Seq("k", "v")) {
+      _.sortBy("k").multiply("k", "k", "v").sum(Seq("k"), "v", "s")
+    }
+  }
+
+  test("sort elimination: a multi-column distinct re-sorts, so it drops its input's order") {
+    sortElimCheck("SELECT CAST(COUNT(DISTINCT k) AS DOUBLE) AS c FROM {t+u}", Seq("v", "k")) {
+      _.sortBy("k").distinct.project("k").distinct.count(Seq.empty, "c")
+    }
+  }
+
+  test("sort elimination: a limit that compacts (shuffles) its input drops the order") {
+    sortElimCheck(
+      "SELECT CAST(COUNT(DISTINCT k) AS DOUBLE) AS c FROM {t+u} WHERE CAST(v AS DOUBLE) > 300", Seq("k", "v")) {
+      _.sortBy("k").filter("v", CmpOp.Gt, 300).limit(1000).project("k").distinct.count(Seq.empty, "c")
+    }
+  }
+
+  test("sort elimination: the sort right before a limit stays, so the limit keeps its order") {
+    val inputs = twoPartyKeyed(40)
+    val dag = new Dag
+    val q = new Dsl(dag)
+    import q._
+    concat(table("t", pA, col("k"), col("v")), table("u", pB, col("k"), col("v")))
+      .sortBy("v").filter("k", CmpOp.Gt, 3).sortBy("v").limit(5).writeTo("out", pA)
+    val res = run(dag, CompileConfig.default, inputs, Set(pA, pB))
+    val got = res.outputs("out").collect().map(_.getDouble(1)).toSeq
+    val want = inputs("t").unionAll(inputs("u")).where("k > 3").orderBy("v").limit(5)
+      .collect().map(_.getDouble(1)).toSeq
+    assert(got == want)
+  }
+
   test("a reused executor reports each run's metrics and leakage alone") {
     val dag = new Dag
     val q = new Dsl(dag)

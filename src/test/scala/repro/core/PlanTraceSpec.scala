@@ -35,7 +35,17 @@ class PlanTraceSpec extends SparkSpec {
     "med1" -> Generators.medications(spark, n, party = 0, overlap = 0.25, nCodes = 4),
     "med2" -> Generators.medications(spark, n, party = 1, overlap = 0.25, nCodes = 4))
 
+  private def taxiInputs(n: Int): Map[String, DataFrame] = Map(
+    "taxiA" -> Generators.taxiTrips(spark, n, seed = 401),
+    "taxiB" -> Generators.taxiTrips(spark, n, seed = 402),
+    "taxiC" -> Generators.taxiTrips(spark, n, seed = 403))
+
+  private def comorbidityInputs(n: Int): Map[String, DataFrame] = Map(
+    "cdiag1" -> Generators.comorbidityDiagnoses(spark, n, party = 0),
+    "cdiag2" -> Generators.comorbidityDiagnoses(spark, n, party = 1))
+
   private val creditParties = Set(CreditRegulation.pA, CreditRegulation.pB, CreditRegulation.pC)
+  private val hhiParties = Set(MarketConcentration.pA, MarketConcentration.pB, MarketConcentration.pC)
 
   private val runs = Seq(
     TraceRun("credit-default", () => CreditRegulation.build(trustRegulator = true),
@@ -44,6 +54,13 @@ class PlanTraceSpec extends SparkSpec {
       CompileConfig.mpcOnly, creditParties, () => creditInputs(120, 80)),
     TraceRun("aspirin-smcqlCompat", () => AspirinCount.build(), CompileConfig.smcqlCompat,
       Set(AspirinCount.pH1, AspirinCount.pH2), () => aspirinInputs(200)),
+    TraceRun("hhi-default", () => MarketConcentration.build(), CompileConfig.default, hhiParties,
+      () => taxiInputs(300)),
+    TraceRun("hhi-mpcOnly", () => MarketConcentration.build(), CompileConfig.mpcOnly, hhiParties,
+      () => taxiInputs(100)),
+    // The order-by and limit run under MPC: the sorted-limit path.
+    TraceRun("comorbidity-default", () => Comorbidity.build(), CompileConfig.default,
+      Set(Comorbidity.pH1, Comorbidity.pH2), () => comorbidityInputs(200)),
   )
 
   private def parties(to: Set[Party]): String = to.map(_.name).toSeq.sorted.mkString("{", ",", "}")
