@@ -6,7 +6,11 @@ package repro.core
   */
 object Compiler {
 
-  final case class Plan(dag: Dag, stages: Seq[Partition.Stage]) {
+  /** A compiled plan. Its stages (stage 6) are computed only when read:
+    * the executor walks the DAG node by node and does not read them.
+    */
+  final case class Plan(dag: Dag) {
+    lazy val stages: Seq[Partition.Stage] = Partition(dag)
     def describe: String = dag.describe
     def mpcNodes: Seq[Node] = dag.topo.filter(_.isMpc)
   }
@@ -29,7 +33,8 @@ object Compiler {
       Ownership.forceAllMpc(dag)
       Trust.annotate(dag)
     }
-    // Stage 6: partition into per-backend stages (execution + reporting).
-    Plan(dag, Partition(dag))
+    // Stage 6, partitioning into per-backend stages, runs when the plan's
+    // stages are first read.
+    Plan(dag)
   }
 }

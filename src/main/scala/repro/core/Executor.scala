@@ -51,6 +51,8 @@ final class Executor(
 
   private var mpcRealNs: Long = 0L
   private var closedRows: Long = 0L
+  /** Each cleartext value closed into MPC this run, by node id. */
+  private val closed = scala.collection.mutable.HashMap.empty[Int, SharedRelation]
 
   private def timedMpc[A](body: => A): A = {
     val t0 = System.nanoTime()
@@ -60,7 +62,7 @@ final class Executor(
 
   def run(plan: Compiler.Plan, inputs: Map[String, DataFrame]): ExecResult = {
     // Metrics and leakage describe this run only, also on a reused executor.
-    mpcRealNs = 0L; closedRows = 0L
+    mpcRealNs = 0L; closedRows = 0L; closed.clear()
     backend.meter.reset(); backend.leakage.clear()
     val t0 = System.nanoTime()
     val cache = scala.collection.mutable.HashMap.empty[Int, RelValue]
@@ -173,23 +175,24 @@ final class Executor(
       out
     }
 
-  /** Collect every cleartext partition of every child value in one batch:
+  /** Collect every cleartext partition of the given children in one batch:
     * one fresh thread per partition, so the parties' Spark jobs run at the
     * same time. Fresh threads, unlike a pool's, inherit the calling thread's
     * Spark local properties, so their jobs are attributed as its own. Once
     * every thread has finished, the first failure in batch order is
-    * rethrown. Per child, the result holds its partitions' rows in party
-    * order; a shared child has none.
+    * rethrown, and then every cell is checked. Per child, the result holds
+    * its partitions' columns in party order, each named `#<id>@<party>`; a
+    * shared child has none.
     */
-  private def collectClear(childVals: Seq[RelValue]): Seq[Seq[(Party, Array[Row])]] = {
-    val parts = childVals.map {
-      case ClearRel(byParty) => byParty.toSeq.sortBy(_._1)
-      case SecureRel(_)      => Seq.empty
+  private def collectClear(children: Seq[(Node, RelValue)]): Seq[Seq[(String, IndexedSeq[Array[Double]])]] = {
+    val parts = children.map {
+      case (c, ClearRel(byParty)) => byParty.toSeq.sortBy(_._1).map { case (p, df) => (c, p, df) }
+      case (_, SecureRel(_))      => Seq.empty
     }
     val batch = parts.flatten
     val rows = new Array[Array[Row]](batch.length)
     val errors = new Array[Throwable](batch.length)
-    val threads = batch.zipWithIndex.map { case ((p, partDf), i) =>
+    val threads = batch.zipWithIndex.map { case ((_, p, partDf), i) =>
       val t = new Thread(() =>
         try rows(i) = partDf.collect()
         catch { case e: Throwable => errors(i) = e },
@@ -201,25 +204,32 @@ final class Executor(
     threads.foreach(_.join())
     errors.find(_ != null).foreach(e => throw e)
     val it = rows.iterator
-    parts.map(_.map { case (p, _) => p -> it.next() })
+    parts.map(_.map { case (c, p, _) =>
+      val name = s"#${c.id}@${p.name}"
+      name -> columns(name, c.schema, it.next())
+    })
   }
 
-  /** The children of MPC operator `n` as shared relations. The cleartext
-    * children are collected in one batch, then closed on this thread in
-    * child order and party order, so dealer draws, share names and the
-    * leakage sequence do not depend on which collect finished first.
+  /** The children of MPC operator `n` as shared relations. A cleartext
+    * child is closed once per run, however many operators read it: its
+    * partitions are collected in one batch with the other children's, then
+    * closed on this thread in child order and party order, so dealer draws,
+    * share names and the leakage sequence do not depend on which collect
+    * finished first.
     */
   private def asSecure(n: Node, childVals: Seq[RelValue]): Seq[SharedRelation] = {
-    val collected = collectClear(childVals)
-    countClosed(collected.flatten.map(_._2.length.toLong).sum)
-    n.children.zip(childVals).zip(collected).map {
-      case ((_, SecureRel(rel)), _) => rel
-      case ((c, ClearRel(_)), byParty) =>
-        val shared = byParty.map { case (p, rows) =>
-          val name = s"#${c.id}@${p.name}"
-          timedMpc(backend.close(name, c.schema, columns(name, c.schema, rows)))
-        }
-        if (shared.length == 1) shared.head else timedMpc(backend.concat(shared))
+    val toClose = n.children.zip(childVals).toSeq
+      .filter { case (c, v) => v.isInstanceOf[ClearRel] && !closed.contains(c.id) }
+      .distinctBy(_._1.id)
+    val collected = collectClear(toClose)
+    countClosed(collected.flatten.map(_._2.headOption.fold(0L)(_.length.toLong)).sum)
+    toClose.zip(collected).foreach { case ((c, _), byParty) =>
+      val shared = byParty.map { case (name, cols) => timedMpc(backend.close(name, c.schema, cols)) }
+      closed(c.id) = if (shared.length == 1) shared.head else timedMpc(backend.concat(shared))
+    }
+    n.children.zip(childVals).map {
+      case (_, SecureRel(rel)) => rel
+      case (c, ClearRel(_))    => closed(c.id)
     }.toSeq
   }
 
@@ -303,9 +313,8 @@ final class Executor(
   private def publicJoinFromClear(n: Node, lk: Seq[String], rk: Seq[String],
       childVals: Seq[RelValue]): SharedRelation = {
     val Seq((lSchema, lCols), (rSchema, rCols)) =
-      n.children.zip(collectClear(childVals)).map { case (c, byParty) =>
-        val cols = byParty.map { case (p, rows) => columns(s"#${c.id}@${p.name}", c.schema, rows) }
-        c.schema -> c.schema.indices.map(i => Array.concat(cols.map(_(i)): _*))
+      n.children.zip(collectClear(n.children.zip(childVals).toSeq)).map { case (c, byParty) =>
+        c.schema -> c.schema.indices.map(i => Array.concat(byParty.map(_._2(i)): _*))
       }.toSeq
     def keys(schema: Seq[String], cols: IndexedSeq[Array[Double]], names: Seq[String]) =
       names.map(k => Fixed.encodeColumn(cols(schema.indexOf(k))))

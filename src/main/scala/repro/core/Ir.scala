@@ -43,6 +43,25 @@ final case class InCol(name: String, trust: Set[Party] = Set.empty, public: Bool
   */
 sealed trait OpKind { def label: String }
 object OpKind {
+  /** The join family: the MPC join and its hybrid and public rewrites
+    * (§5.3). They share the schema and trust rules and differ only in how
+    * they run.
+    */
+  sealed trait JoinKind extends OpKind {
+    def lKeys: Seq[String]
+    def rKeys: Seq[String]
+    protected def keys: String = s"${lKeys.mkString(",")}=${rKeys.mkString(",")}"
+  }
+
+  /** The aggregation family: the MPC aggregation and its hybrid rewrite. */
+  sealed trait AggKind extends OpKind {
+    def group: Seq[String]
+    def fn: AggFn
+    def aggCol: Option[String]
+    def out: String
+    protected def spec: String = s"$fn ${aggCol.getOrElse("*")} by ${group.mkString(",")} as $out"
+  }
+
   final case class Input(relName: String, cols: Seq[InCol], owner: Party) extends OpKind {
     def label = s"input:$relName@$owner"
   }
@@ -60,11 +79,11 @@ object OpKind {
     * push-down pass does not split it again.
     */
   final case class Agg(group: Seq[String], fn: AggFn, aggCol: Option[String], out: String,
-      secondary: Boolean = false) extends OpKind {
-    def label = s"agg($fn ${aggCol.getOrElse("*")} by ${group.mkString(",")} as $out)"
+      secondary: Boolean = false) extends AggKind {
+    def label = s"agg($spec)"
   }
-  final case class Join(lKeys: Seq[String], rKeys: Seq[String]) extends OpKind {
-    def label = s"join(${lKeys.mkString(",")}=${rKeys.mkString(",")})"
+  final case class Join(lKeys: Seq[String], rKeys: Seq[String]) extends JoinKind {
+    def label = s"join($keys)"
   }
   final case class Arith(fn: ArithFn, out: String, lhs: String, rhs: Either[String, Double])
       extends OpKind {
@@ -80,15 +99,15 @@ object OpKind {
   final case class Distinct(secondary: Boolean = false) extends OpKind { def label = "distinct" }
 
   // Rewrite-introduced hybrid operators (paper §5.3).
-  final case class HybridJoin(lKeys: Seq[String], rKeys: Seq[String], stp: Party) extends OpKind {
-    def label = s"hybridJoin(${lKeys.mkString(",")}=${rKeys.mkString(",")} stp=$stp)"
+  final case class HybridJoin(lKeys: Seq[String], rKeys: Seq[String], stp: Party) extends JoinKind {
+    def label = s"hybridJoin($keys stp=$stp)"
   }
-  final case class PublicJoin(lKeys: Seq[String], rKeys: Seq[String]) extends OpKind {
-    def label = s"publicJoin(${lKeys.mkString(",")}=${rKeys.mkString(",")})"
+  final case class PublicJoin(lKeys: Seq[String], rKeys: Seq[String]) extends JoinKind {
+    def label = s"publicJoin($keys)"
   }
   final case class HybridAgg(group: Seq[String], fn: AggFn, aggCol: Option[String], out: String,
-      stp: Party) extends OpKind {
-    def label = s"hybridAgg($fn ${aggCol.getOrElse("*")} by ${group.mkString(",")} as $out stp=$stp)"
+      stp: Party) extends AggKind {
+    def label = s"hybridAgg($spec stp=$stp)"
   }
 }
 
@@ -134,50 +153,35 @@ final class Node private[core] (val id: Int, var kind: OpKind) {
 
 object Ir {
   /** Output schema of `kind` given its children's schemas. */
-  def schemaOf(kind: OpKind, childSchemas: Seq[Seq[String]]): Seq[String] = kind match {
-    case OpKind.Input(_, cols, _) => cols.map(_.name)
-    case OpKind.Output(_, _)      => childSchemas.head
-    case OpKind.Concat =>
-      require(childSchemas.nonEmpty && childSchemas.forall(_ == childSchemas.head),
-        s"concat schema mismatch: $childSchemas")
-      childSchemas.head
-    case OpKind.Project(cols) =>
-      cols.foreach(c => require(childSchemas.head.contains(c), s"project: no column $c"))
-      cols
-    case OpKind.Filter(col, _, rhs) =>
-      require(childSchemas.head.contains(col), s"filter: no column $col")
-      rhs.left.foreach(c => require(childSchemas.head.contains(c), s"filter: no column $c"))
-      childSchemas.head
-    case OpKind.Agg(group, _, aggCol, out, _) =>
-      (group ++ aggCol).foreach(c => require(childSchemas.head.contains(c), s"agg: no column $c"))
-      group :+ out
-    case OpKind.HybridAgg(group, _, aggCol, out, _) =>
-      (group ++ aggCol).foreach(c => require(childSchemas.head.contains(c), s"agg: no column $c"))
-      group :+ out
-    case OpKind.Join(lk, rk)          => joinSchema(childSchemas, lk, rk)
-    case OpKind.HybridJoin(lk, rk, _) => joinSchema(childSchemas, lk, rk)
-    case OpKind.PublicJoin(lk, rk)    => joinSchema(childSchemas, lk, rk)
-    case OpKind.Arith(_, out, lhs, rhs) =>
-      require(childSchemas.head.contains(lhs), s"arith: no column $lhs")
-      rhs.left.foreach(c => require(childSchemas.head.contains(c), s"arith: no column $c"))
-      if (childSchemas.head.contains(out)) childSchemas.head else childSchemas.head :+ out
-    case OpKind.ConstCol(name, _) =>
-      require(!childSchemas.head.contains(name), s"const: column $name exists")
-      childSchemas.head :+ name
-    case OpKind.Sort(col, _) =>
-      require(childSchemas.head.contains(col), s"sort: no column $col")
-      childSchemas.head
-    case OpKind.Limit(_)    => childSchemas.head
-    case OpKind.Distinct(_) => childSchemas.head
-  }
-
-  private def joinSchema(childSchemas: Seq[Seq[String]], lk: Seq[String], rk: Seq[String]): Seq[String] = {
-    require(childSchemas.length == 2, "join needs two inputs")
-    val Seq(l, r) = childSchemas
-    lk.foreach(c => require(l.contains(c), s"join: left has no column $c"))
-    rk.foreach(c => require(r.contains(c), s"join: right has no column $c"))
-    require(lk.length == rk.length && lk.nonEmpty, "join key arity mismatch")
-    lk ++ l.filterNot(lk.contains) ++ r.filterNot(rk.contains)
+  def schemaOf(kind: OpKind, childSchemas: Seq[Seq[String]]): Seq[String] = {
+    lazy val in = childSchemas.head
+    def need(op: String, cols: Seq[String], schema: Seq[String] = in): Unit =
+      cols.foreach(c => require(schema.contains(c), s"$op no column $c"))
+    kind match {
+      case OpKind.Input(_, cols, _) => cols.map(_.name)
+      case OpKind.Concat =>
+        require(childSchemas.nonEmpty && childSchemas.forall(_ == in),
+          s"concat schema mismatch: $childSchemas")
+        in
+      case OpKind.Project(cols)       => need("project:", cols); cols
+      case OpKind.Filter(col, _, rhs) => need("filter:", col +: rhs.left.toSeq); in
+      case a: OpKind.AggKind          => need("agg:", a.group ++ a.aggCol); a.group :+ a.out
+      case j: OpKind.JoinKind =>
+        require(childSchemas.length == 2, "join needs two inputs")
+        val Seq(l, r) = childSchemas
+        need("join: left has", j.lKeys, l)
+        need("join: right has", j.rKeys, r)
+        require(j.lKeys.length == j.rKeys.length && j.lKeys.nonEmpty, "join key arity mismatch")
+        j.lKeys ++ l.filterNot(j.lKeys.contains) ++ r.filterNot(j.rKeys.contains)
+      case OpKind.Arith(_, out, lhs, rhs) =>
+        need("arith:", lhs +: rhs.left.toSeq)
+        if (in.contains(out)) in else in :+ out
+      case OpKind.ConstCol(name, _) =>
+        require(!in.contains(name), s"const: column $name exists")
+        in :+ name
+      case OpKind.Sort(col, _) => need("sort:", Seq(col)); in
+      case _: OpKind.Output | _: OpKind.Limit | _: OpKind.Distinct => in
+    }
   }
 }
 

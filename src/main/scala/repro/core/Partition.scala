@@ -6,9 +6,12 @@ package repro.core
   * Each maximal connected subgraph of operators with the same execution
   * mode — (cleartext, owner) or MPC — becomes one stage: every edge between
   * two operators of the same mode joins their stages. Stages are numbered in
-  * the topological order of their first operator. The executor walks the
-  * DAG in topological order and does not read the stages; they describe the
-  * plan (`Compiler.Plan.stages`) for tests and reports.
+  * the topological order of their first operator. Stage numbers are not an
+  * execution order: a maximal MPC stage can read a local stage numbered
+  * after it (aspirin under `smcqlCompat`: MPC stage 2 reads the medication
+  * inputs, stages 3 and 4). So the executor walks the DAG in topological
+  * order and does not read the stages; they describe the plan
+  * (`Compiler.Plan.stages`, computed when first read) for tests and reports.
   */
 object Partition {
 

@@ -24,7 +24,6 @@ object PushDown {
   def apply(dag: Dag, config: CompileConfig): Unit = {
     var changed = true
     while (changed) {
-      changed = false
       Ownership.annotate(dag)
       // A concat is a push-down site when it still sits under MPC, all of
       // its operands are locally computable, and it has a single consumer.
@@ -32,61 +31,36 @@ object PushDown {
         c.kind == OpKind.Concat && c.isMpc &&
           c.children.forall(_.owner.isDefined) && c.parents.length == 1
       }
-      sites.foreach { c =>
-        val p = c.parents.head
-        if (tryPush(dag, config, c, p)) changed = true
-      }
+      changed = sites.map(c => tryPush(dag, config, c, c.parents.head)).contains(true)
     }
     Ownership.annotate(dag)
   }
 
   /** Attempt to push parent `p` below concat `c`; true if the DAG changed. */
-  private def tryPush(dag: Dag, config: CompileConfig, c: Node, p: Node): Boolean = p.kind match {
-    case _: OpKind.Project | _: OpKind.ConstCol =>
-      distribute(dag, c, p); true
-    case _: OpKind.Filter if config.pushFiltersDown =>
-      distribute(dag, c, p); true
-    case _: OpKind.Arith =>
-      distribute(dag, c, p); true
-    case OpKind.Agg(group, fn, aggCol, out, secondary) if !secondary =>
-      val dataIndependent = group.isEmpty // one row per party, always
-      if (dataIndependent || config.allowCardinalityLeak) {
-        splitAgg(dag, c, p, group, fn, aggCol, out); true
-      } else false
-    case OpKind.Distinct(secondary) if !secondary && config.allowCardinalityLeak =>
-      splitDistinct(dag, c, p); true
-    case _ => false
+  private def tryPush(dag: Dag, config: CompileConfig, c: Node, p: Node): Boolean = {
+    def push(upper: Option[OpKind]): Boolean = { pushBelow(dag, c, p, upper); true }
+    p.kind match {
+      case _: OpKind.Project | _: OpKind.ConstCol | _: OpKind.Arith => push(None)
+      case _: OpKind.Filter if config.pushFiltersDown               => push(None)
+      // A group-less aggregation gives one row per party, whatever the data.
+      case OpKind.Agg(group, fn, _, out, false) if group.isEmpty || config.allowCardinalityLeak =>
+        // Partial counts are combined by summing; other functions self-combine.
+        val fn2 = if (fn == AggFn.Count) AggFn.Sum else fn
+        push(Some(OpKind.Agg(group, fn2, Some(out), out, secondary = true)))
+      case OpKind.Distinct(false) if config.allowCardinalityLeak =>
+        push(Some(OpKind.Distinct(secondary = true)))
+      case _ => false
+    }
   }
 
-  /** op(concat(r_i)) → concat(op(r_i)). */
-  private def distribute(dag: Dag, c: Node, p: Node): Unit = {
+  /** op(concat(r_i)) → upper(concat(op(r_i))): `p` runs locally on each
+    * operand of `c`, and `upper`, if any, combines the partial results under
+    * MPC. Distributive operators have no upper half. The new nodes are made
+    * in that order: the locals, the concat, the upper half.
+    */
+  private def pushBelow(dag: Dag, c: Node, p: Node, upper: Option[OpKind]): Unit = {
     val locals = c.children.toSeq.map(r => dag.newNode(p.kind, Seq(r)))
-    val newConcat = dag.newNode(OpKind.Concat, locals)
-    dag.replaceWith(p, newConcat)
-  }
-
-  /** agg(concat(r_i)) → secondaryAgg(concat(localAgg(r_i))). */
-  private def splitAgg(dag: Dag, c: Node, p: Node, group: Seq[String], fn: AggFn,
-      aggCol: Option[String], out: String): Unit = {
-    val locals = c.children.toSeq.map { r =>
-      dag.newNode(OpKind.Agg(group, fn, aggCol, out), Seq(r))
-    }
-    val newConcat = dag.newNode(OpKind.Concat, locals)
-    // Partial counts are combined by summing; other functions self-combine.
-    val fn2 = fn match {
-      case AggFn.Count => AggFn.Sum
-      case other       => other
-    }
-    val secondary =
-      dag.newNode(OpKind.Agg(group, fn2, Some(out), out, secondary = true), Seq(newConcat))
-    dag.replaceWith(p, secondary)
-  }
-
-  /** distinct(concat(r_i)) → distinct(concat(localDistinct(r_i))). */
-  private def splitDistinct(dag: Dag, c: Node, p: Node): Unit = {
-    val locals = c.children.toSeq.map(r => dag.newNode(OpKind.Distinct(), Seq(r)))
-    val newConcat = dag.newNode(OpKind.Concat, locals)
-    val secondary = dag.newNode(OpKind.Distinct(secondary = true), Seq(newConcat))
-    dag.replaceWith(p, secondary)
+    val concat = dag.newNode(OpKind.Concat, locals)
+    dag.replaceWith(p, upper.fold(concat)(u => dag.newNode(u, Seq(concat))))
   }
 }

@@ -23,45 +23,36 @@ package repro.core
   */
 object SortElim {
 
-  def apply(dag: Dag): Unit = {
-    var changed = true
-    while (changed) {
-      changed = false
-      dag.topo.foreach { n =>
-        val in = n.children.headOption.flatMap(_.sortedBy)
-        // preSorted consumers: skip the internal oblivious sort.
-        n.kind match {
-          case OpKind.Agg(group, _, _, _, _) if group.length == 1 =>
-            n.preSorted = in.contains((group.head, true))
-          case OpKind.Distinct(_) =>
-            // Safe when equal rows are guaranteed adjacent: the relation has
-            // exactly one column and is sorted by it.
-            n.preSorted = in.isDefined &&
-              n.children.head.schema.length == 1 &&
-              in.exists(_._1 == n.children.head.schema.head)
-          case _ => ()
-        }
-        n.sortedBy = n.kind match {
-          case _: OpKind.Input  => None
-          case _: OpKind.Output => in
-          case OpKind.Concat    => None // interleaves partitions
-          case OpKind.Project(cols) => in.filter { case (c, _) => cols.contains(c) }
-          case _: OpKind.Filter => in // validity-column filters preserve order
-          case OpKind.Arith(_, out, _, _) => in.filterNot(_._1 == out)
-          case _: OpKind.ConstCol => in
-          case OpKind.Limit(_) => in.filter(_ => n.isSortedLimit)
-          case OpKind.Sort(col, asc) =>
-            if (in.contains((col, asc)) && n.parents.nonEmpty && !n.parents.exists(_.isSortedLimit)) {
-              dag.splice(n) // redundant oblivious sort
-              changed = true
-            }
-            Some((col, asc))
-          case OpKind.PublicJoin(lk, _) => Some((lk.head, true)) // pairs come in key order
-          case _: OpKind.Join | _: OpKind.HybridJoin => None // shuffled outputs
-          case _: OpKind.Agg | _: OpKind.HybridAgg   => None // shuffled before reveal
-          case OpKind.Distinct(_) => in.filter(_ => n.preSorted)
-        }
-      }
+  /** One topological walk. A spliced sort's parents read its child, which
+    * carries the same claim, and every node visited before it is below it;
+    * so a splice changes nothing the walk has read or will read.
+    */
+  def apply(dag: Dag): Unit = dag.topo.foreach { n =>
+    val in = n.children.headOption.flatMap(_.sortedBy)
+    // preSorted consumers: skip the internal oblivious sort.
+    n.preSorted = n.kind match {
+      case OpKind.Agg(Seq(g), _, _, _, _) => in.contains((g, true))
+      // Safe when equal rows are guaranteed adjacent: the relation has
+      // exactly one column and is sorted by it.
+      case _: OpKind.Distinct =>
+        val schema = n.children.head.schema
+        schema.length == 1 && in.exists(_._1 == schema.head)
+      case _ => false
+    }
+    n.sortedBy = n.kind match {
+      case _: OpKind.Input | OpKind.Concat => None // concat interleaves partitions
+      // Filters only clear validity flags, so they keep the order too.
+      case _: OpKind.Output | _: OpKind.Filter | _: OpKind.ConstCol => in
+      case OpKind.Project(cols)       => in.filter { case (c, _) => cols.contains(c) }
+      case OpKind.Arith(_, out, _, _) => in.filterNot(_._1 == out)
+      case OpKind.Limit(_)            => in.filter(_ => n.isSortedLimit)
+      case OpKind.Distinct(_)         => in.filter(_ => n.preSorted)
+      case OpKind.Sort(col, asc) =>
+        if (in.contains((col, asc)) && n.parents.nonEmpty && !n.parents.exists(_.isSortedLimit))
+          dag.splice(n) // redundant oblivious sort
+        Some((col, asc))
+      case OpKind.PublicJoin(lk, _) => Some((lk.head, true)) // pairs come in key order
+      case _: OpKind.JoinKind | _: OpKind.AggKind => None // shuffled outputs
     }
   }
 }

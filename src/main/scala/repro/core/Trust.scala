@@ -38,18 +38,26 @@ object Trust {
 
         case OpKind.Filter(col, _, rhs) =>
           val ct = n.children.head.trust
-          val predTrust = ct(col) ++ Set.empty[Party]
-          val predAll = rhs.left.toSeq.foldLeft(predTrust)((t, c2) => t intersect ct(c2))
-          ct.map { case (c, t) => c -> (t intersect predAll) }
+          val predTrust = (col +: rhs.left.toSeq).map(ct).reduce(_ intersect _)
+          ct.map { case (c, t) => c -> (t intersect predTrust) }
 
-        case OpKind.Agg(group, _, aggCol, out, _) =>
-          aggTrust(n, group, aggCol, out)
-        case OpKind.HybridAgg(group, _, aggCol, out, _) =>
-          aggTrust(n, group, aggCol, out)
+        case a: OpKind.AggKind =>
+          val ct = n.children.head.trust
+          val groupTrust = groupKeyTrust(n, a.group)
+          val outT = a.aggCol match {
+            case Some(c) if a.group.nonEmpty => ct(c) intersect groupTrust
+            case Some(c)                     => ct(c) // global fold over one column
+            case None if a.group.nonEmpty    => groupTrust // count depends on keys only
+            case None                        => Set.empty[Party] // global count: conservative
+          }
+          a.group.map(g => g -> groupTrust).toMap + (a.out -> outT)
 
-        case OpKind.Join(lk, rk)          => joinTrust(n, lk, rk)
-        case OpKind.HybridJoin(lk, rk, _) => joinTrust(n, lk, rk)
-        case OpKind.PublicJoin(lk, rk) => joinTrust(n, lk, rk)
+        case j: OpKind.JoinKind =>
+          // The keys decide which rows pair up, so they gate every column.
+          val Seq(l, r) = n.children.toSeq
+          val keyTrust = joinKeyTrust(n, j.lKeys, j.rKeys)
+          (l.schema.map(c => c -> (l.trust(c) intersect keyTrust)) ++
+            r.schema.filterNot(j.rKeys.contains).map(c => c -> (r.trust(c) intersect keyTrust))).toMap
 
         case OpKind.Arith(_, out, lhs, rhs) =>
           val ct = n.children.head.trust
@@ -91,28 +99,4 @@ object Trust {
     */
   def joinKeyTrust(n: Node, lk: Seq[String], rk: Seq[String]): Set[Party] =
     (lk.map(n.children(0).trust) ++ rk.map(n.children(1).trust)).reduce(_ intersect _)
-
-  private def aggTrust(n: Node, group: Seq[String], aggCol: Option[String], out: String)
-      : Map[String, Set[Party]] = {
-    val ct = n.children.head.trust
-    val groupTrust = groupKeyTrust(n, group)
-    val outT = aggCol match {
-      case Some(a) if group.nonEmpty => ct(a) intersect groupTrust
-      case Some(a)                   => ct(a) // global fold over one column
-      case None if group.nonEmpty    => groupTrust // count depends on keys only
-      case None                      => Set.empty[Party] // global count: conservative
-    }
-    group.map(g => g -> groupTrust).toMap + (out -> outT)
-  }
-
-  private def joinTrust(n: Node, lk: Seq[String], rk: Seq[String]): Map[String, Set[Party]] = {
-    val lt = n.children(0).trust
-    val rt = n.children(1).trust
-    val keyTrust = joinKeyTrust(n, lk, rk)
-    val lRest = n.children(0).schema.filterNot(lk.contains)
-    val rRest = n.children(1).schema.filterNot(rk.contains)
-    (lk.map(c => c -> (lt(c) intersect keyTrust)) ++
-      lRest.map(c => c -> (lt(c) intersect keyTrust)) ++
-      rRest.map(c => c -> (rt(c) intersect keyTrust))).toMap
-  }
 }

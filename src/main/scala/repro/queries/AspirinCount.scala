@@ -71,14 +71,14 @@ object AspirinCount {
   def split(spark: SparkSession, inputs: Map[String, DataFrame]): Split = {
     val hospitals = Seq("1", "2")
     val sliced = Slicing.slice(spark,
-      hospitals.map(h => Map("diag" -> inputs(s"diag$h"), "med" -> inputs(s"med$h"))),
+      hospitals.map(h => Seq(s"diag$h", s"med$h").map(rel => rel -> inputs(rel)).toMap),
       keyCol = "patient")
     Split(
-      sliced.localParts.map(rels => localCount(rels("diag"), rels("med"))).sum,
+      hospitals.zip(sliced.localParts).map { case (h, rels) =>
+        localCount(rels(s"diag$h"), rels(s"med$h"))
+      }.sum,
       sliced.sharedKeys,
-      hospitals.zip(sliced.sharedParts).flatMap { case (h, rels) =>
-        rels.map { case (rel, df) => s"$rel$h" -> df }
-      }.toMap)
+      sliced.sharedParts.reduce(_ ++ _))
   }
 
   /** Cleartext reference over the union of both hospitals' inputs. */

@@ -24,17 +24,25 @@ object Slicing {
 
   /** Slice the given per-party relations on `keyCol`.
     *
+    * A NULL key has no slice: it fails, naming the column and the relation.
+    *
     * @param partyRels one map of (relation name → DataFrame) per party
     */
   def slice(spark: SparkSession, partyRels: Seq[Map[String, DataFrame]], keyCol: String): Sliced = {
     val keySets: Seq[Set[Double]] = partyRels.map { rels =>
-      rels.values
+      val keys = rels.values
         .map(df => df.select(col(keyCol).cast("double")).distinct())
         .reduce(_ unionAll _)
         .distinct()
         .collect()
-        .map(_.getDouble(0))
-        .toSet
+      if (keys.exists(_.isNullAt(0))) {
+        val rel = rels.collectFirst {
+          case (name, df) if !df.where(col(keyCol).cast("double").isNull).isEmpty => name
+        }
+        throw new IllegalArgumentException(
+          s"NULL in column '$keyCol' of ${rel.getOrElse("?")}: a NULL key cannot be sliced")
+      }
+      keys.map(_.getDouble(0)).toSet
     }
     val shared = keySets.reduce(_ intersect _)
     // Semi/anti joins against a shared-keys relation scale to large inputs

@@ -41,7 +41,10 @@ object SmcqlAspirin {
     val rows = ins.map { case (n, rel) =>
       val df = split.shared(rel)
       rel -> df.select(n.schema.map(df.col): _*).collect().toSeq
-        .map(r => n.schema.indices.map(r.getDouble)).groupBy(_(n.schema.indexOf("patient")))
+        .map(r => n.schema.indices.map { i =>
+          require(!r.isNullAt(i), s"NULL in column '${n.schema(i)}' of $rel cannot enter MPC")
+          r.getDouble(i)
+        }).groupBy(_(n.schema.indexOf("patient")))
     }.toMap
     val localSeconds = (System.nanoTime() - t0) / 1e9
 

@@ -142,6 +142,29 @@ class ExecutorSpec extends SparkSpec {
       "t" -> inputs("t"), "u" -> inputs("u"))
   }
 
+  test("a cleartext input read by two MPC operators is closed into MPC once") {
+    val dag = new Dag
+    val q = new Dsl(dag)
+    import q._
+    val t = table("t", pA, col("k"), col("v"))
+    concat(
+      t.join(table("u", pB, col("k"), col("w")), Seq("k"), Seq("k")).project("k"),
+      t.join(table("w", pC, col("k"), col("w")), Seq("k"), Seq("k")).project("k"))
+      .count(Seq.empty, "n").writeTo("out", pA)
+    val inputs = Map(
+      "t" -> Generators.keyed(spark, 20, 6, seed = 1),
+      "u" -> Generators.keyed(spark, 10, 6, seed = 2).toDF("k", "w"),
+      "w" -> Generators.keyed(spark, 10, 6, seed = 3).toDF("k", "w"))
+    val res = run(dag, CompileConfig.default, inputs, Set(pA, pB, pC))
+    Oracle.assertEquivalent(res.outputs("out"),
+      """SELECT CAST(COUNT(*) AS DOUBLE) AS n FROM (
+        |  SELECT t.k FROM t JOIN u ON t.k = u.k UNION ALL SELECT t.k FROM t JOIN w ON t.k = w.k)
+        |""".stripMargin, inputs.toSeq: _*)
+    assert(res.metrics.closedRows == 40L, res.metrics)
+    val closes = res.leakage.cardinalities.map(_.relation).filter(_.contains("@"))
+    assert(closes.sorted == Seq("#0@a", "#1@b", "#4@c"), res.leakage.events)
+  }
+
   test("the MPC-row safety cap triggers") {
     val inputs = twoPartyKeyed(300)
     val dag = new Dag

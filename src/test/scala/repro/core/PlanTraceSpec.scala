@@ -61,6 +61,15 @@ class PlanTraceSpec extends SparkSpec {
     // The order-by and limit run under MPC: the sorted-limit path.
     TraceRun("comorbidity-default", () => Comorbidity.build(), CompileConfig.default,
       Set(Comorbidity.pH1, Comorbidity.pH2), () => comorbidityInputs(200)),
+    // The fare filter stays under MPC.
+    TraceRun("hhi-smcqlCompat", () => MarketConcentration.build(), CompileConfig.smcqlCompat,
+      hhiParties, () => taxiInputs(100)),
+    // A Cartesian join over the closed concats.
+    TraceRun("aspirin-mpcOnly", () => AspirinCount.build(), CompileConfig.mpcOnly,
+      Set(AspirinCount.pH1, AspirinCount.pH2), () => aspirinInputs(40)),
+    // A full-MPC sort and limit.
+    TraceRun("comorbidity-mpcOnly", () => Comorbidity.build(), CompileConfig.mpcOnly,
+      Set(Comorbidity.pH1, Comorbidity.pH2), () => comorbidityInputs(60)),
   )
 
   private def parties(to: Set[Party]): String = to.map(_.name).toSeq.sorted.mkString("{", ",", "}")
@@ -95,24 +104,6 @@ class PlanTraceSpec extends SparkSpec {
       res.outputs.toSeq.sortBy(_._1).map { case (name, df) => s"output $name ${digest(df)}" }
   }
 
-  /** `-`/`+` lines where `got` differs from `want`, from their longest
-    * common subsequence, each with its line number in `want` or `got`.
-    */
-  private def lineDiff(want: IndexedSeq[String], got: IndexedSeq[String]): Seq[String] = {
-    val lcs = Array.ofDim[Int](want.length + 1, got.length + 1)
-    for (i <- want.indices.reverse; j <- got.indices.reverse)
-      lcs(i)(j) = if (want(i) == got(j)) lcs(i + 1)(j + 1) + 1 else math.max(lcs(i + 1)(j), lcs(i)(j + 1))
-    val out = Seq.newBuilder[String]
-    var i = 0; var j = 0
-    while (i < want.length || j < got.length) {
-      if (i < want.length && j < got.length && want(i) == got(j)) { i += 1; j += 1 }
-      else if (j < got.length && (i == want.length || lcs(i)(j + 1) >= lcs(i + 1)(j))) {
-        out += f"+${j + 1}%4d ${got(j)}"; j += 1
-      } else { out += f"-${i + 1}%4d ${want(i)}"; i += 1 }
-    }
-    out.result()
-  }
-
   for (run <- runs)
     test(s"${run.name} matches its committed trace") {
       val got = trace(run).toIndexedSeq
@@ -126,7 +117,7 @@ class PlanTraceSpec extends SparkSpec {
         Files.write(dir.resolve(s"${run.name}.txt"), got.mkString("", "\n", "\n").getBytes(UTF_8))
         fail(s"${run.name} differs from traces/${run.name}.txt" +
           (if (resource.isEmpty) " (no committed trace)" else "") +
-          s"; got written to target/plan-traces:\n${lineDiff(want, got).mkString("\n")}")
+          s"; got written to target/plan-traces:\n${PlanTraceSpec.lineDiff(want, got).mkString("\n")}")
       }
     }
 }
@@ -134,4 +125,22 @@ class PlanTraceSpec extends SparkSpec {
 object PlanTraceSpec {
   private final case class TraceRun(name: String, dag: () => Dag, config: CompileConfig,
       parties: Set[Party], inputs: () => Map[String, DataFrame])
+
+  /** `-`/`+` lines where `got` differs from `want`, from their longest
+    * common subsequence, each with its line number in `want` or `got`.
+    */
+  private[core] def lineDiff(want: IndexedSeq[String], got: IndexedSeq[String]): Seq[String] = {
+    val lcs = Array.ofDim[Int](want.length + 1, got.length + 1)
+    for (i <- want.indices.reverse; j <- got.indices.reverse)
+      lcs(i)(j) = if (want(i) == got(j)) lcs(i + 1)(j + 1) + 1 else math.max(lcs(i + 1)(j), lcs(i)(j + 1))
+    val out = Seq.newBuilder[String]
+    var i = 0; var j = 0
+    while (i < want.length || j < got.length) {
+      if (i < want.length && j < got.length && want(i) == got(j)) { i += 1; j += 1 }
+      else if (j < got.length && (i == want.length || lcs(i)(j + 1) >= lcs(i + 1)(j))) {
+        out += f"+${j + 1}%4d ${got(j)}"; j += 1
+      } else { out += f"-${i + 1}%4d ${want(i)}"; i += 1 }
+    }
+    out.result()
+  }
 }

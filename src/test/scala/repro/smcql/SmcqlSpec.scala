@@ -1,5 +1,7 @@
 package repro.smcql
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.lit
 import repro.SparkSpec
 import repro.core.CompileConfig
 import repro.data.Generators
@@ -46,6 +48,26 @@ class SmcqlSpec extends SparkSpec {
         assert((keys intersect sliced.sharedKeys).isEmpty, s"party $i local slice has shared keys")
       }
     }
+  }
+
+  /** `inputs` with column `c` of relation `rel` NULL in every row. */
+  private def withNulls(inputs: Map[String, DataFrame], rel: String, c: String) =
+    inputs.updated(rel, inputs(rel).withColumn(c, lit(null).cast("double")))
+
+  test("Conclave+slicing names the column and relation of a NULL key") {
+    val e = intercept[IllegalArgumentException](
+      AspirinSliced.run(spark, withNulls(aspirinInputs(40, overlap = 0.25), "diag1", "patient")))
+    assert(e.getMessage.contains("'patient' of diag1"), e.getMessage)
+  }
+
+  test("SMCQL aspirin names the column and relation of a NULL key or shared cell") {
+    val inputs = aspirinInputs(40, overlap = 0.25)
+    val key = intercept[IllegalArgumentException](
+      SmcqlAspirin.run(spark, withNulls(inputs, "med2", "patient")))
+    assert(key.getMessage.contains("'patient' of med2"), key.getMessage)
+    val cell = intercept[IllegalArgumentException](
+      SmcqlAspirin.run(spark, withNulls(inputs, "diag1", "dtime")))
+    assert(cell.getMessage.contains("'dtime' of diag1"), cell.getMessage)
   }
 
   test("slicing loses no rows") {
