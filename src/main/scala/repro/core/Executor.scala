@@ -124,11 +124,9 @@ final class Executor(
     case OpKind.Join(lk, rk) =>
       val l = dfs(0).alias("l"); val r = dfs(1).alias("r")
       val cond = lk.zip(rk).map { case (a, b) => col(s"l.$a") === col(s"r.$b") }.reduce(_ && _)
-      val lRest = dfs(0).columns.filterNot(lk.contains)
-      val rRest = dfs(1).columns.filterNot(rk.contains)
+      val (lOut, rOut) = Ir.joinColumns(dfs(0).columns.toSeq, dfs(1).columns.toSeq, lk, rk)
       l.join(r, cond, "inner").select(
-        lk.map(c => col(s"l.$c").as(c)) ++
-          lRest.map(c => col(s"l.$c").as(c)) ++ rRest.map(c => col(s"r.$c").as(c)): _*)
+        lOut.map(c => col(s"l.$c").as(c)) ++ rOut.map(c => col(s"r.$c").as(c)): _*)
     case OpKind.Arith(fn, out, lhs, rhs) =>
       val r = rhs.fold(col, lit(_))
       val expr = fn match {
@@ -154,26 +152,6 @@ final class Executor(
     require(closedRows <= maxCloseRows,
       s"safety cap: $closedRows rows crossed into the MPC simulator (max $maxCloseRows)")
   }
-
-  /** Rows of `relName` collected for MPC, as double columns. Every cell
-    * must have a fixed-point encoding: MPC values have no NULL, and a NaN,
-    * infinite or over-2^45 cell is rejected here, with its column and
-    * relation, rather than read as a number or failing without context.
-    */
-  private def columns(relName: String, schema: Seq[String], rows: Array[Row]): IndexedSeq[Array[Double]] =
-    schema.indices.map { c =>
-      val out = new Array[Double](rows.length)
-      var i = 0
-      while (i < rows.length) {
-        val r = rows(i)
-        require(!r.isNullAt(c), s"NULL in column '${schema(c)}' of $relName cannot enter MPC")
-        out(i) = r.getDouble(c)
-        require(Fixed.encodable(out(i)),
-          s"${out(i)} in column '${schema(c)}' of $relName cannot enter MPC (fixed-point values are finite, |x| <= 2^45)")
-        i += 1
-      }
-      out
-    }
 
   /** Collect every cleartext partition of the given children in one batch:
     * one fresh thread per partition, so the parties' Spark jobs run at the
@@ -326,6 +304,28 @@ final class Executor(
 }
 
 object Executor {
+
+  /** Rows of `relName` collected for MPC, as double columns. Every cell
+    * must have a fixed-point encoding: MPC values have no NULL, and a NaN,
+    * infinite or over-2^45 cell is rejected here, with its column and
+    * relation, rather than read as a number or failing without context.
+    * The one check of a cell entering MPC, for the executor's closes and for
+    * the shared slices of the hand-sliced SMCQL aspirin baseline.
+    */
+  def columns(relName: String, schema: Seq[String], rows: Array[Row]): IndexedSeq[Array[Double]] =
+    schema.indices.map { c =>
+      val out = new Array[Double](rows.length)
+      var i = 0
+      while (i < rows.length) {
+        val r = rows(i)
+        require(!r.isNullAt(c), s"NULL in column '${schema(c)}' of $relName cannot enter MPC")
+        out(i) = r.getDouble(c)
+        require(Fixed.encodable(out(i)),
+          s"${out(i)} in column '${schema(c)}' of $relName cannot enter MPC (fixed-point values are finite, |x| <= 2^45)")
+        i += 1
+      }
+      out
+    }
 
   /** Evaluate MPC operator `n` over its `shared` inputs (in child order) on
     * `backend`: the one mapping from plan operators to backend operations.

@@ -172,7 +172,8 @@ object Ir {
         need("join: left has", j.lKeys, l)
         need("join: right has", j.rKeys, r)
         require(j.lKeys.length == j.rKeys.length && j.lKeys.nonEmpty, "join key arity mismatch")
-        j.lKeys ++ l.filterNot(j.lKeys.contains) ++ r.filterNot(j.rKeys.contains)
+        val (lOut, rOut) = joinColumns(l, r, j.lKeys, j.rKeys)
+        lOut ++ rOut
       case OpKind.Arith(_, out, lhs, rhs) =>
         need("arith:", lhs +: rhs.left.toSeq)
         if (in.contains(out)) in else in :+ out
@@ -183,6 +184,14 @@ object Ir {
       case _: OpKind.Output | _: OpKind.Limit | _: OpKind.Distinct => in
     }
   }
+
+  /** The output columns of an equi-join of `l` and `r` on `lKeys` = `rKeys`:
+    * from the left, its keys and then the rest of it; from the right, all
+    * but its keys, which equal the left ones. The one statement of the
+    * layout, for column names (plans, Spark) and column indexes (MPC).
+    */
+  def joinColumns[A](l: Seq[A], r: Seq[A], lKeys: Seq[A], rKeys: Seq[A]): (Seq[A], Seq[A]) =
+    (lKeys ++ l.filterNot(lKeys.contains), r.filterNot(rKeys.contains))
 }
 
 /** The operator DAG plus structural edit helpers used by rewrite passes. */

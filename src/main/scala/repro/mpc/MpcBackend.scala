@@ -2,18 +2,24 @@ package repro.mpc
 
 import repro.core.{AggFn, ArithFn, CmpOp, Party}
 
+import scala.collection.mutable.ArrayBuilder
+
 /** Relation-level MPC backend: the API Conclave's executor programs against
   * (the role Sharemind / Obliv-C play in the paper, §6).
   *
   * Wraps an [[MpcEngine]] with input/output movement (`close` = inputToMPC,
-  * `reveal` = revealTo), the oblivious relational operators, Conclave's
-  * hybrid and public protocols (§5.3, Fig. 3), and — for garbled-circuit
-  * engines — the memory model that reproduces Obliv-C's OOM behaviour.
+  * `reveal` = revealTo), every relational operator, Conclave's hybrid and
+  * public protocols (§5.3, Fig. 3), and — for garbled-circuit engines — the
+  * memory model that reproduces Obliv-C's OOM behaviour. Each operator is
+  * one method: its memory check, its kernel (or a bare-engine kernel of
+  * [[Oblivious]]) and its leak record. Inherently sequential scans (the
+  * group fold, distinct's seen-chain, the global folds) run element by
+  * element over the shared arrays.
   *
-  * It is the only recorder of [[ColumnLeak]]s and [[CardinalityLeak]]s:
-  * every close, reveal and protocol logs what it discloses here, so tests
-  * can check that a plan leaks exactly what the paper authorizes (§5.2,
-  * §5.3, Appendix A) and nothing else.
+  * It is the only recorder of [[ColumnLeak]]s and [[CardinalityLeak]]s, and
+  * every value it opens is opened beside the record of what that discloses,
+  * so tests can check that a plan leaks exactly what the paper authorizes
+  * (§5.2, §5.3, Appendix A) and nothing else.
   */
 final class MpcBackend(
     val engine: MpcEngine,
@@ -23,6 +29,12 @@ final class MpcBackend(
   import MpcBackend._
 
   def meter: CostMeter = engine.meter
+
+  /** `out`, after recording that all parties learn its row count. */
+  private def leakSize(relName: String)(out: SharedRelation): SharedRelation = {
+    leakage.record(CardinalityLeak(relName, out.size.toLong, allParties))
+    out
+  }
 
   /** Secret-share a cleartext relation, given by column, into the MPC. The
     * row count becomes public (standard MPC input-length leakage, §3.2).
@@ -40,10 +52,16 @@ final class MpcBackend(
   def closeRows(relName: String, schema: Seq[String], rows: Seq[Seq[Double]]): SharedRelation =
     close(relName, schema, schema.indices.map(c => rows.map(_(c)).toArray))
 
-  /** Reveal a relation to `to` (invalid rows compacted away first). */
+  /** Reveal a relation to `to`. Invalid rows are compacted away first, with
+    * no record of their count: the revealed rows disclose it anyway.
+    */
   def reveal(relName: String, rel: SharedRelation, to: Set[Party]): Vector[Vector[Double]] = {
     leakage.record(RelationLeak(relName, to))
-    Oblivious.reveal(engine, rel)
+    val rows = compacted(rel)
+    engine.chargeRows(rows.size.toLong)
+    if (rows.size == 0) return Vector.empty
+    val opened = engine.open(rows.cols) // one opening round
+    Vector.tabulate(rows.size)(i => opened.map(c => Fixed.decode(c(i))).toVector)
   }
 
   def project(rel: SharedRelation, cols: Seq[String]): SharedRelation = {
@@ -62,22 +80,139 @@ final class MpcBackend(
     case CmpOp.Geq => engine.not(engine.lt(a, b))
   }
 
+  /** Order-preserving, size-hiding filter: ANDs the predicate's 0/1 `flags`
+    * (one per row) into the validity column. Nothing is revealed.
+    */
+  private def filter(rel: SharedRelation, flags: SharedCol): SharedRelation = {
+    engine.chargeRows(rel.size.toLong)
+    rel.copy(validity = Some(rel.validity.fold(flags)(engine.and(_, flags))))
+  }
+
   /** Oblivious filter against a public literal (size-hiding, order-preserving). */
   def filterLit(rel: SharedRelation, col: String, cmp: CmpOp, lit: Double): SharedRelation = {
     val c = rel.colIdx(col)
     val litV = engine.constant(Fixed.encode(lit), rel.size)
     engine.checkRelationMem("filter", rel.size.toLong, GcOpWidth.Projection)
-    Oblivious.filter(engine, rel, cmpFlag(rel.cols(c), cmp, litV))
+    filter(rel, cmpFlag(rel.cols(c), cmp, litV))
   }
 
   /** Oblivious filter comparing two columns. */
   def filterCol(rel: SharedRelation, colA: String, cmp: CmpOp, colB: String): SharedRelation = {
     val a = rel.colIdx(colA); val b = rel.colIdx(colB)
     engine.checkRelationMem("filter", rel.size.toLong, GcOpWidth.Projection)
-    Oblivious.filter(engine, rel, cmpFlag(rel.cols(a), cmp, rel.cols(b)))
+    filter(rel, cmpFlag(rel.cols(a), cmp, rel.cols(b)))
   }
 
-  /** Grouped oblivious aggregation; reveals the group count to all parties. */
+  // ------------------------------------------------------------ compaction
+
+  /** The rows of `cols` whose 0/1 `flags` are 1, in the order of the secret
+    * permutation `perm`: the flags are opened in that order (one round), so
+    * the opening discloses only how many rows are kept.
+    */
+  private def openFlagged(perm: Array[Int], schema: Vector[String], cols: Vector[SharedCol],
+      flags: SharedCol): SharedRelation = {
+    val opened = engine.open(flags.gather(perm))
+    val kept = new ArrayBuilder.ofInt
+    var t = 0
+    while (t < perm.length) { if (opened(t) == 1L) kept += perm(t); t += 1 }
+    val idx = kept.result()
+    SharedRelation(schema, cols.map(_.gather(idx)))
+  }
+
+  /** Shuffle `cols` together with their 0/1 `keep` flags, open the flags and
+    * keep the flagged rows. Callers record the kept count.
+    */
+  private def shuffleKeep(schema: Vector[String], cols: Vector[SharedCol],
+      keep: SharedCol): SharedRelation = {
+    val tagged = SharedRelation(schema :+ "__keep", cols :+ keep)
+    openFlagged(Oblivious.shufflePermutation(engine, tagged), schema, cols, keep)
+  }
+
+  /** `rel` without its invalid rows: shuffle, open the validity flags, drop.
+    * Callers record the surviving count, or reveal the rows themselves.
+    */
+  private def compacted(rel: SharedRelation): SharedRelation = rel.validity match {
+    case None    => rel
+    case Some(v) => openFlagged(Oblivious.shufflePermutation(engine, rel), rel.schema, rel.cols, v)
+  }
+
+  /** Compact away invalid rows; reveals the surviving count to all parties. */
+  def compact(relName: String, rel: SharedRelation): SharedRelation =
+    if (rel.validity.isEmpty) rel else leakSize(relName)(compacted(rel))
+
+  // ----------------------------------------------------------- aggregation
+
+  /** `same(i)` = 1 iff row i equals row i-1 on every column of `cols`;
+    * `same(0)` = 0.
+    */
+  private def continues(cols: Seq[SharedCol], n: Int): SharedCol = {
+    val same = SharedCol.concat(Seq(engine.alloc(1), engine.constant(1L, n - 1)))
+    val eqc = engine.alloc(n - 1)
+    cols.foreach { c =>
+      engine.eq(c, c, eqc, n - 1, ai = 1)
+      engine.mulFlag(same, eqc, same, n - 1, ai = 1, oi = 1)
+    }
+    same
+  }
+
+  /** Flags marking the last row of each run: `not(same(i + 1))`, and 1 for
+    * the last row.
+    */
+  private def lastOfRun(same: SharedCol): SharedCol = {
+    val n = same.length
+    val last = engine.constant(1L, n)
+    engine.not(same, last, n - 1, ai = 1)
+    last
+  }
+
+  /** The start of an `fn` fold, which a row whose validity flag is 0 adds. */
+  private def start(fn: AggFn): Long = fn match {
+    case AggFn.Min => Fixed.Big
+    case AggFn.Max => -Fixed.Big
+    case _         => 0L
+  }
+
+  /** Each row's contribution to an `fn` fold over `values`, gated by the
+    * rows' 0/1 `valid` flags.
+    */
+  private def contribution(fn: AggFn, valid: SharedCol, values: => SharedCol): SharedCol =
+    fn match {
+      case AggFn.Count => engine.mulPub(valid, Fixed.Scale)
+      case AggFn.Sum   => engine.mulFlag(valid, values)
+      case _           => engine.mux(valid, values, engine.constant(start(fn), valid.length))
+    }
+
+  /** Jónsson's linear scan: fold each run of rows into its last row, where
+    * `same(i)` says row i continues row i-1's run. Sequential by nature, so
+    * it runs one element at a time over `agg`, in place.
+    */
+  private def foldRuns(fn: AggFn, same: SharedCol, agg: SharedCol): Unit = {
+    val take = engine.alloc(1)
+    var i = 1
+    while (i < agg.length) {
+      fn match {
+        case AggFn.Sum | AggFn.Count =>
+          engine.mulFlag(same, agg, take, 1, ai = i, bi = i - 1)
+          engine.add(agg, take, agg, 1, ai = i, oi = i)
+        case AggFn.Min =>
+          engine.lt(agg, agg, take, 1, ai = i - 1, bi = i)
+          engine.mulFlag(same, take, take, 1, ai = i)
+          engine.mux(take, agg, agg, agg, 1, ai = i - 1, bi = i, oi = i)
+        case AggFn.Max =>
+          engine.lt(agg, agg, take, 1, ai = i, bi = i - 1)
+          engine.mulFlag(same, take, take, 1, ai = i)
+          engine.mux(take, agg, agg, agg, 1, ai = i - 1, bi = i, oi = i)
+      }
+      i += 1
+    }
+  }
+
+  /** Grouped aggregation per Jónsson et al. [39]: sort by group key,
+    * obliviously fold each group into its last row, shuffle, open the keep
+    * flags, discard. Reveals the number of groups to all parties (the output
+    * size — the paper's protocols do not pad, §7.4 comorbidity), 0 for an
+    * empty input. Output schema: group columns ++ [outName]; no validity.
+    */
   def aggregate(
       relName: String,
       rel: SharedRelation,
@@ -88,10 +223,37 @@ final class MpcBackend(
       preSorted: Boolean = false,
   ): SharedRelation = {
     engine.checkRelationMem("aggregate", rel.size.toLong, GcOpWidth.Aggregation)
-    val out = Oblivious.aggregate(engine, rel, rel.colIdxs(group), aggCol.map(rel.colIdx), fn,
-      outName, preSorted)
-    leakage.record(CardinalityLeak(relName, out.size.toLong, allParties))
-    out
+    val groupIdxs = rel.colIdxs(group)
+    val aggIdx = aggCol.map(rel.colIdx)
+    require(groupIdxs.nonEmpty, "use globalAggregate for group-less aggregation")
+    val outSchema = group.toVector :+ outName
+    leakSize(relName) {
+      if (rel.size == 0) SharedRelation(outSchema, outSchema.map(_ => engine.alloc(0)))
+      else {
+        // The sorting network may be skipped when the input is already
+        // grouped (sort elimination, §5.4) — but only if no validity column
+        // could interleave invalid rows into a group run.
+        val sorted =
+          if (preSorted && rel.validity.isEmpty) rel
+          else Oblivious.sortBy(engine, rel, groupIdxs.map(Oblivious.SortKey(_)))
+        val n = sorted.size
+        val valid = sorted.validity.getOrElse(engine.constant(1L, n))
+        val groups = groupIdxs.map(sorted.cols)
+        val agg = contribution(fn, valid, sorted.cols(aggIdx.get))
+
+        // same(i): row i continues row i-1's group. Gated by row i's
+        // validity so an invalid row with an equal key can never absorb (and
+        // then drop) a group's accumulated aggregate.
+        val same = continues(groups, n)
+        engine.mulFlag(same, valid, same, n - 1, ai = 1, bi = 1, oi = 1)
+        foldRuns(fn, same, agg)
+
+        // Keep the last row of each (valid) group.
+        val keep = lastOfRun(same)
+        engine.mulFlag(keep, valid, keep, n)
+        shuffleKeep(outSchema, groups :+ agg, keep)
+      }
+    }
   }
 
   /** Group-less aggregation to a single row; reveals nothing. */
@@ -102,7 +264,27 @@ final class MpcBackend(
       outName: String,
   ): SharedRelation = {
     engine.checkRelationMem("aggregate", rel.size.toLong, GcOpWidth.Aggregation)
-    Oblivious.globalAggregate(engine, rel, aggCol.map(rel.colIdx), fn, outName)
+    val values = aggCol.map(rel.col)
+    val n = rel.size
+    engine.chargeRows(n.toLong)
+    val valid = rel.validity.getOrElse(engine.constant(1L, n))
+    val xs = contribution(fn, valid, values.get)
+    val acc = engine.constant(start(fn), 1)
+    val better = engine.alloc(1)
+    var i = 0
+    while (i < n) {
+      fn match {
+        case AggFn.Sum | AggFn.Count => engine.add(acc, xs, acc, 1, bi = i)
+        case AggFn.Min =>
+          engine.lt(xs, acc, better, 1, ai = i)
+          engine.mux(better, xs, acc, acc, 1, ai = i)
+        case AggFn.Max =>
+          engine.lt(acc, xs, better, 1, bi = i)
+          engine.mux(better, xs, acc, acc, 1, ai = i)
+      }
+      i += 1
+    }
+    SharedRelation(Vector(outName), Vector(acc))
   }
 
   /** Standard MPC join (Cartesian approach, §6); leaks the output size. */
@@ -114,17 +296,43 @@ final class MpcBackend(
       rKeys: Seq[String],
   ): SharedRelation = {
     engine.checkRelationMem("join", left.size.toLong + right.size.toLong, GcOpWidth.Join)
-    val out = Oblivious.cartesianJoin(engine, left, right, left.colIdxs(lKeys), right.colIdxs(rKeys))
-    leakage.record(CardinalityLeak(relName, out.size.toLong, allParties))
-    out
+    leakSize(relName)(
+      Oblivious.cartesianJoin(engine, left, right, left.colIdxs(lKeys), right.colIdxs(rKeys)))
   }
 
-  /** Oblivious distinct over all columns (size-hiding). `preSorted` skips the
-    * sorting network — enabled by Conclave's sort-elimination pass.
+  /** Oblivious duplicate elimination over all columns: marks all but the
+    * first valid row of each run of equal rows invalid. Size-hiding (no
+    * reveal). `preSorted` skips the O(n log^2 n) sorting network for a
+    * linear scan — the optimization Conclave's sort-elimination pass enables
+    * (paper §7.4, aspirin count).
     */
   def distinct(rel: SharedRelation, preSorted: Boolean): SharedRelation = {
     engine.checkRelationMem("distinct", rel.size.toLong, GcOpWidth.Aggregation)
-    Oblivious.distinct(engine, rel, rel.schema.indices, preSorted)
+    if (rel.size == 0) return rel
+    val sorted =
+      if (preSorted) rel
+      else Oblivious.sortBy(engine, rel, rel.schema.indices.map(Oblivious.SortKey(_)))
+    val n = sorted.size
+    val valid = sorted.validity.getOrElse(engine.constant(1L, n))
+    engine.chargeRows(n.toLong)
+    val same = continues(sorted.cols, n)
+
+    // seen(i): an earlier row of this key run was valid:
+    // seen(i) = same(i) AND (seen(i-1) OR valid(i-1)).
+    val seen = engine.alloc(n)
+    val or = engine.alloc(1); val both = engine.alloc(1)
+    var i = 1
+    while (i < n) {
+      engine.add(seen, valid, or, 1, ai = i - 1, bi = i - 1)
+      engine.mulFlag(seen, valid, both, 1, ai = i - 1, bi = i - 1)
+      engine.sub(or, both, or, 1)
+      engine.mulFlag(same, or, seen, 1, ai = i, oi = i)
+      i += 1
+    }
+    val newValid = valid.slice(0, n)
+    engine.not(seen, seen, n - 1, ai = 1, oi = 1)
+    engine.mulFlag(valid, seen, newValid, n - 1, ai = 1, bi = 1, oi = 1)
+    sorted.copy(validity = Some(newValid))
   }
 
   def sort(rel: SharedRelation, keys: Seq[(String, Boolean)]): SharedRelation = {
@@ -202,15 +410,6 @@ final class MpcBackend(
     SharedRelation(rel.schema :+ name, rel.cols :+ engine.constant(Fixed.encode(value), rel.size),
       rel.validity)
   }
-
-  /** Compact away invalid rows; reveals the surviving count to all parties. */
-  def compact(relName: String, rel: SharedRelation): SharedRelation =
-    if (rel.validity.isEmpty) rel
-    else {
-      val out = Oblivious.compact(engine, rel)
-      leakage.record(CardinalityLeak(relName, out.size.toLong, allParties))
-      out
-    }
 
   // ------------------------------------------- hybrid and public protocols
 
@@ -360,22 +559,22 @@ final class MpcBackend(
     val same = engine.input(eqFlags)
     engine.chargeRows(n.toLong)
 
-    // 5-6. Parties reorder the shuffled relation by the public ordering.
-    val sorted = Oblivious.applyPublicPermutation(engine, shuffled, order)
+    // 5-6. Parties reorder the shuffled relation by the public ordering (no
+    //      oblivious cost beyond I/O).
+    engine.chargeRows(n.toLong)
+    val sorted = shuffled.gather(order)
 
     // 7. Linear oblivious accumulation into each group's last row.
     val agg = fn match {
       case AggFn.Count => engine.constant(Fixed.Scale, n)
       case _           => sorted.col(aggCol.get).slice(0, n) // folded in place
     }
-    Oblivious.foldRuns(engine, fn, same, agg)
-    val keep = Oblivious.lastOfRun(engine, same)
+    foldRuns(fn, same, agg)
+    val keep = lastOfRun(same)
 
     // 8. Shuffle, open keep flags, discard: all parties learn the number of
     //    groups (the output size).
-    val out = Oblivious.shuffleKeep(engine, outSchema, groupIdxs.map(sorted.cols) :+ agg, keep)
-    leakage.record(CardinalityLeak(relName, out.size.toLong, allParties))
-    out
+    leakSize(relName)(shuffleKeep(outSchema, groupIdxs.map(sorted.cols) :+ agg, keep))
   }
 }
 

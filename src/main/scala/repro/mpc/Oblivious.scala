@@ -1,26 +1,23 @@
 package repro.mpc
 
-import repro.core.AggFn
-
 import java.util.stream.IntStream
 
 import scala.collection.mutable.ArrayBuilder
 
-/** Data-oblivious relational algorithms, generic over the MPC engine.
-  *
-  * Every algorithm has data-independent control flow (modulo explicitly
-  * authorized reveals, which the caller logs as leakage): a bitonic sorting
-  * network, the sorting-based grouped aggregation of Jónsson et al. [39],
-  * a Cartesian-product join that opens match flags only after an oblivious
-  * shuffle (the output-size-leaking Sharemind join the paper benchmarks),
-  * and the oblivious indexing protocol of Laud [45] used by hybrid joins.
+/** The data-oblivious kernels that run on a bare [[MpcEngine]], with no
+  * backend, leakage log or memory check: an oblivious shuffle, a bitonic
+  * sorting network, a Cartesian-product join that learns its match flags
+  * only as the protocol's shuffled opening would (the output-size-leaking
+  * Sharemind join the paper benchmarks), and the oblivious indexing
+  * protocol of Laud [45] used by hybrid joins. Every kernel has
+  * data-independent control flow, apart from the join's match count, which
+  * its caller records. The relational operators built on them, with the
+  * values they open and record, are [[MpcBackend]]'s.
   *
   * Data-parallel steps run a whole column per engine call (a bitonic layer,
-  * a filter predicate, the keep flags, one left row's join candidates).
-  * Inherently sequential scans (the group fold, distinct's seen-chain, the
-  * global min/max folds) run element by element over the same arrays. The
-  * sorting network's layers and the Cartesian join's left rows also run in
-  * fixed-size blocks across cores, each block on its own engine fork.
+  * one left row's join candidates). The sorting network's layers and the
+  * Cartesian join's left rows also run in fixed-size blocks across cores,
+  * each block on its own engine fork.
   */
 object Oblivious {
 
@@ -32,7 +29,7 @@ object Oblivious {
   /** Draw and charge the permutation of a resharing-based oblivious shuffle
     * of `rel`: no party learns it.
     */
-  private def shufflePermutation(e: MpcEngine, rel: SharedRelation): Array[Int] = {
+  private[mpc] def shufflePermutation(e: MpcEngine, rel: SharedRelation): Array[Int] = {
     val perm = e.secretPermutation(rel.size)
     e.chargeShuffle(rel.size.toLong, rel.width.toLong + 1)
     perm
@@ -41,36 +38,6 @@ object Oblivious {
   /** Resharing-based oblivious shuffle: no party learns the permutation. */
   def shuffle(e: MpcEngine, rel: SharedRelation): SharedRelation =
     rel.gather(shufflePermutation(e, rel))
-
-  /** Reorder rows by a public permutation (no oblivious cost beyond I/O) —
-    * e.g. the STP-provided ordering in a hybrid aggregation.
-    */
-  def applyPublicPermutation(e: MpcEngine, rel: SharedRelation, perm: Array[Int]): SharedRelation = {
-    require(perm.length == rel.size, "permutation size mismatch")
-    e.chargeRows(rel.size.toLong)
-    rel.gather(perm)
-  }
-
-  /** Open the 0/1 `flags` in shuffled order `perm` (one round) and return the
-    * positions of the flagged rows in that order.
-    */
-  private def openFlagged(e: MpcEngine, perm: Array[Int], flags: SharedCol): Array[Int] = {
-    val opened = e.open(flags.gather(perm))
-    val kept = new ArrayBuilder.ofInt
-    var t = 0
-    while (t < perm.length) { if (opened(t) == 1L) kept += perm(t); t += 1 }
-    kept.result()
-  }
-
-  /** Shuffle `cols` together with their 0/1 `keep` flags, open the flags and
-    * keep the flagged rows. Reveals the kept count (caller must log it).
-    */
-  private[mpc] def shuffleKeep(e: MpcEngine, schema: Vector[String], cols: Vector[SharedCol],
-      keep: SharedCol): SharedRelation = {
-    val tagged = SharedRelation(schema :+ "__keep", cols :+ keep)
-    val kept = openFlagged(e, shufflePermutation(e, tagged), keep)
-    SharedRelation(schema, cols.map(_.gather(kept)))
-  }
 
   // ----------------------------------------------------------------- blocks
 
@@ -196,209 +163,13 @@ object Oblivious {
     )
   }
 
-  // ----------------------------------------------------------------- filter
-
-  /** Order-preserving, size-hiding filter: ANDs the predicate's 0/1 `flags`
-    * (one per row) into the validity column. Nothing is revealed.
-    */
-  def filter(e: MpcEngine, rel: SharedRelation, flags: SharedCol): SharedRelation = {
-    e.chargeRows(rel.size.toLong)
-    rel.copy(validity = Some(rel.validity.fold(flags)(e.and(_, flags))))
-  }
-
-  /** Materialize a filtered relation: shuffle, open validity flags, drop
-    * invalid rows. Reveals the surviving row count (caller must log it).
-    */
-  def compact(e: MpcEngine, rel: SharedRelation): SharedRelation = rel.validity match {
-    case None => rel
-    case Some(v) =>
-      val kept = openFlagged(e, shufflePermutation(e, rel), v)
-      SharedRelation(rel.schema, rel.cols.map(_.gather(kept)))
-  }
-
-  // ------------------------------------------------------------- aggregation
-
-  /** `same(i)` = 1 iff row i equals row i-1 on every column of `cols`;
-    * `same(0)` = 0.
-    */
-  private def continues(e: MpcEngine, cols: Seq[SharedCol], n: Int): SharedCol = {
-    val same = SharedCol.concat(Seq(e.alloc(1), e.constant(1L, n - 1)))
-    val eqc = e.alloc(n - 1)
-    cols.foreach { c =>
-      e.eq(c, c, eqc, n - 1, ai = 1)
-      e.mulFlag(same, eqc, same, n - 1, ai = 1, oi = 1)
-    }
-    same
-  }
-
-  /** Flags marking the last row of each run: `not(same(i + 1))`, and 1 for
-    * the last row.
-    */
-  private[mpc] def lastOfRun(e: MpcEngine, same: SharedCol): SharedCol = {
-    val n = same.length
-    val last = e.constant(1L, n)
-    e.not(same, last, n - 1, ai = 1)
-    last
-  }
-
-  /** Jónsson's linear scan: fold each run of rows into its last row, where
-    * `same(i)` says row i continues row i-1's run. Sequential by nature, so
-    * it runs one element at a time over `agg`, in place.
-    */
-  private[mpc] def foldRuns(e: MpcEngine, fn: AggFn, same: SharedCol, agg: SharedCol): Unit = {
-    val take = e.alloc(1)
-    var i = 1
-    while (i < agg.length) {
-      fn match {
-        case AggFn.Sum | AggFn.Count =>
-          e.mulFlag(same, agg, take, 1, ai = i, bi = i - 1)
-          e.add(agg, take, agg, 1, ai = i, oi = i)
-        case AggFn.Min =>
-          e.lt(agg, agg, take, 1, ai = i - 1, bi = i)
-          e.mulFlag(same, take, take, 1, ai = i)
-          e.mux(take, agg, agg, agg, 1, ai = i - 1, bi = i, oi = i)
-        case AggFn.Max =>
-          e.lt(agg, agg, take, 1, ai = i, bi = i - 1)
-          e.mulFlag(same, take, take, 1, ai = i)
-          e.mux(take, agg, agg, agg, 1, ai = i - 1, bi = i, oi = i)
-      }
-      i += 1
-    }
-  }
-
-  /** Grouped aggregation per Jónsson et al.: sort by group key, obliviously
-    * fold each group into its last row, shuffle, open keep-flags, discard.
-    * Reveals the number of groups (the output size — the paper's protocols
-    * do not pad, §7.4 comorbidity).
-    *
-    * Output schema: group columns ++ [outName]; no validity column.
-    */
-  def aggregate(
-      e: MpcEngine,
-      rel: SharedRelation,
-      groupIdxs: Seq[Int],
-      aggIdx: Option[Int],
-      fn: AggFn,
-      outName: String,
-      preSorted: Boolean = false,
-  ): SharedRelation = {
-    require(groupIdxs.nonEmpty, "use globalAggregate for group-less aggregation")
-    val outSchema = groupIdxs.map(rel.schema).toVector :+ outName
-    if (rel.size == 0) return SharedRelation(outSchema, outSchema.map(_ => e.alloc(0)))
-
-    // The sorting network may be skipped when the input is already grouped
-    // (sort elimination, §5.4) — but only if no validity column could
-    // interleave invalid rows into a group run.
-    val sorted =
-      if (preSorted && rel.validity.isEmpty) rel
-      else sortBy(e, rel, groupIdxs.map(SortKey(_)))
-    val n = sorted.size
-    val valid = sorted.validity.getOrElse(e.constant(1L, n))
-    val groups = groupIdxs.map(sorted.cols).toVector
-
-    // Initial per-row contribution, gated by validity.
-    val agg = fn match {
-      case AggFn.Count => e.mulPub(valid, Fixed.Scale)
-      case AggFn.Sum   => e.mulFlag(valid, sorted.cols(aggIdx.get))
-      case AggFn.Min   => e.mux(valid, sorted.cols(aggIdx.get), e.constant(Fixed.Big, n))
-      case AggFn.Max   => e.mux(valid, sorted.cols(aggIdx.get), e.constant(-Fixed.Big, n))
-    }
-
-    // same(i): row i continues row i-1's group. Gated by row i's validity so
-    // an invalid row with an equal key can never absorb (and then drop) a
-    // group's accumulated aggregate.
-    val same = continues(e, groups, n)
-    e.mulFlag(same, valid, same, n - 1, ai = 1, bi = 1, oi = 1)
-    foldRuns(e, fn, same, agg)
-
-    // Keep the last row of each (valid) group.
-    val keep = lastOfRun(e, same)
-    e.mulFlag(keep, valid, keep, n)
-    shuffleKeep(e, outSchema, groups :+ agg, keep)
-  }
-
-  /** Group-less aggregation: a single output row, nothing revealed. */
-  def globalAggregate(
-      e: MpcEngine,
-      rel: SharedRelation,
-      aggIdx: Option[Int],
-      fn: AggFn,
-      outName: String,
-  ): SharedRelation = {
-    val n = rel.size
-    e.chargeRows(n.toLong)
-    val valid = rel.validity.getOrElse(e.constant(1L, n))
-    def values = rel.cols(aggIdx.get)
-    // Each row's contribution, and the fold's starting value.
-    val (xs, acc) = fn match {
-      case AggFn.Count => (e.mulPub(valid, Fixed.Scale), e.constant(0L, 1))
-      case AggFn.Sum   => (e.mulFlag(valid, values), e.constant(0L, 1))
-      case AggFn.Min   => (e.mux(valid, values, e.constant(Fixed.Big, n)), e.constant(Fixed.Big, 1))
-      case AggFn.Max   => (e.mux(valid, values, e.constant(-Fixed.Big, n)), e.constant(-Fixed.Big, 1))
-    }
-    val better = e.alloc(1)
-    var i = 0
-    while (i < n) {
-      fn match {
-        case AggFn.Sum | AggFn.Count => e.add(acc, xs, acc, 1, bi = i)
-        case AggFn.Min =>
-          e.lt(xs, acc, better, 1, ai = i)
-          e.mux(better, xs, acc, acc, 1, ai = i)
-        case AggFn.Max =>
-          e.lt(acc, xs, better, 1, bi = i)
-          e.mux(better, xs, acc, acc, 1, ai = i)
-      }
-      i += 1
-    }
-    SharedRelation(Vector(outName), Vector(acc))
-  }
-
-  // ---------------------------------------------------------------- distinct
-
-  /** Oblivious duplicate elimination over `keyIdxs`: marks all but the first
-    * valid row of each key group invalid. Size-hiding (no reveal). When
-    * `preSorted`, the O(n log^2 n) sorting network is skipped and a linear
-    * scan suffices — the optimization Conclave's sort-elimination pass
-    * enables (paper §7.4, aspirin count).
-    */
-  def distinct(
-      e: MpcEngine,
-      rel: SharedRelation,
-      keyIdxs: Seq[Int],
-      preSorted: Boolean,
-  ): SharedRelation = {
-    if (rel.size == 0) return rel
-    val sorted = if (preSorted) rel else sortBy(e, rel, keyIdxs.map(SortKey(_)))
-    val n = sorted.size
-    val valid = sorted.validity.getOrElse(e.constant(1L, n))
-    e.chargeRows(n.toLong)
-    val same = continues(e, keyIdxs.map(sorted.cols), n)
-
-    // seen(i): an earlier row of this key run was valid:
-    // seen(i) = same(i) AND (seen(i-1) OR valid(i-1)).
-    val seen = e.alloc(n)
-    val or = e.alloc(1); val both = e.alloc(1)
-    var i = 1
-    while (i < n) {
-      e.add(seen, valid, or, 1, ai = i - 1, bi = i - 1)
-      e.mulFlag(seen, valid, both, 1, ai = i - 1, bi = i - 1)
-      e.sub(or, both, or, 1)
-      e.mulFlag(same, or, seen, 1, ai = i, oi = i)
-      i += 1
-    }
-    val newValid = valid.slice(0, n)
-    e.not(seen, seen, n - 1, ai = 1, oi = 1)
-    e.mulFlag(valid, seen, newValid, n - 1, ai = 1, bi = 1, oi = 1)
-    sorted.copy(validity = Some(newValid))
-  }
-
   // -------------------------------------------------------------------- join
 
   /** Cartesian-product MPC join — the standard algorithm the paper implements
     * in both Sharemind and Obliv-C (§6): O(n·m) oblivious equality tests,
     * then an oblivious shuffle of the candidates and an opening of the match
     * flags. Leaks the output size (as the paper's Sharemind baseline does,
-    * §7.3). Output schema: left keys ++ left rest ++ right rest.
+    * §7.3). The output is laid out as [[joinOutput]]'s.
     */
   def cartesianJoin(
       e: MpcEngine,
@@ -462,16 +233,14 @@ object Oblivious {
     out
   }
 
-  /** The output of an equi-join: left keys ++ left rest ++ right rest (the
-    * right keys equal the left ones and are dropped). `lCols` and `rCols`
-    * give each side's matched rows, row-aligned, for the column indexes
-    * asked; the left side is asked first.
+  /** The output of an equi-join, laid out by `Ir.joinColumns`. `lCols` and
+    * `rCols` give each side's matched rows, row-aligned, for the column
+    * indexes asked; the left side is asked first.
     */
   private[mpc] def joinOutput(lSchema: Seq[String], rSchema: Seq[String], lKeys: Seq[Int],
       rKeys: Seq[Int])(lCols: Seq[Int] => Seq[SharedCol],
       rCols: Seq[Int] => Seq[SharedCol]): SharedRelation = {
-    val lOut = lKeys ++ lSchema.indices.filterNot(lKeys.contains)
-    val rOut = rSchema.indices.filterNot(rKeys.contains)
+    val (lOut, rOut) = repro.core.Ir.joinColumns(lSchema.indices, rSchema.indices, lKeys, rKeys)
     val l = lCols(lOut)
     SharedRelation((lOut.map(lSchema) ++ rOut.map(rSchema)).toVector, (l ++ rCols(rOut)).toVector)
   }
@@ -501,20 +270,5 @@ object Oblivious {
       t += 1
     }
     rel.gather(pos)
-  }
-
-  // ------------------------------------------------------------------ reveal
-
-  /** Open an entire relation (e.g. at the MPC frontier to the recipients).
-    * Invalid rows are compacted away first (revealing the surviving count —
-    * that count is part of the revealed output anyway). Callers go through
-    * `MpcBackend.reveal`, which logs the reveal.
-    */
-  private[mpc] def reveal(e: MpcEngine, rel: SharedRelation): Vector[Vector[Double]] = {
-    val compacted = compact(e, rel)
-    e.chargeRows(compacted.size.toLong)
-    if (compacted.size == 0) return Vector.empty
-    val opened = e.open(compacted.cols) // one opening round
-    Vector.tabulate(compacted.size)(i => opened.map(c => Fixed.decode(c(i))).toVector)
   }
 }

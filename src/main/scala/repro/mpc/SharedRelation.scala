@@ -5,7 +5,7 @@ package repro.mpc
   * Every column holds fixed-point encoded data values. `validity`, when
   * present, is a column of raw 0/1 flags: rows whose flag is 0 have been
   * obliviously filtered out but are still carried (size-hiding,
-  * order-preserving filtering — see `Oblivious.filter`).
+  * order-preserving filtering — see `MpcBackend.filterLit`).
   *
   * The row count of a shared relation is public (standard MPC treatment of
   * input lengths, paper §3.2); the validity pattern is not.

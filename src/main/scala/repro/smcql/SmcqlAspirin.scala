@@ -37,14 +37,12 @@ object SmcqlAspirin {
 
     val t0 = System.nanoTime()
     val split = AspirinCount.split(spark, inputs)
-    // Each input's shared rows, by patient ID.
+    // Each input's shared rows, by patient ID, every cell checked as the
+    // executor checks what it closes.
     val rows = ins.map { case (n, rel) =>
       val df = split.shared(rel)
-      rel -> df.select(n.schema.map(df.col): _*).collect().toSeq
-        .map(r => n.schema.indices.map { i =>
-          require(!r.isNullAt(i), s"NULL in column '${n.schema(i)}' of $rel cannot enter MPC")
-          r.getDouble(i)
-        }).groupBy(_(n.schema.indexOf("patient")))
+      val cols = Executor.columns(rel, n.schema, df.select(n.schema.map(df.col): _*).collect())
+      rel -> cols.head.indices.map(i => cols.map(_(i))).groupBy(_(n.schema.indexOf("patient")))
     }.toMap
     val localSeconds = (System.nanoTime() - t0) / 1e9
 

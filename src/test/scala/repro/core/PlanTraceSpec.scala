@@ -70,6 +70,10 @@ class PlanTraceSpec extends SparkSpec {
     // A full-MPC sort and limit.
     TraceRun("comorbidity-mpcOnly", () => Comorbidity.build(), CompileConfig.mpcOnly,
       Set(Comorbidity.pH1, Comorbidity.pH2), () => comorbidityInputs(60)),
+    // SMCQL's comorbidity (T6) on the garbled-circuit ObliVM backend: gates
+    // and peak memory.
+    TraceRun("comorbidity-oblivm", () => Comorbidity.build(), CompileConfig.default,
+      Set(Comorbidity.pH1, Comorbidity.pH2), () => comorbidityInputs(60), MpcBackend.oblivm(_)),
   )
 
   private def parties(to: Set[Party]): String = to.map(_.name).toSeq.sorted.mkString("{", ",", "}")
@@ -91,7 +95,7 @@ class PlanTraceSpec extends SparkSpec {
 
   private def trace(run: TraceRun): Seq[String] = {
     val plan = Compiler.compile(run.dag(), run.config)
-    val res = new Executor(spark, MpcBackend.sharemind(run.parties)).run(plan, run.inputs())
+    val res = new Executor(spark, run.backend(run.parties)).run(plan, run.inputs())
     val cost = res.metrics.cost
     Seq(
       s"run ${run.name}",
@@ -124,7 +128,8 @@ class PlanTraceSpec extends SparkSpec {
 
 object PlanTraceSpec {
   private final case class TraceRun(name: String, dag: () => Dag, config: CompileConfig,
-      parties: Set[Party], inputs: () => Map[String, DataFrame])
+      parties: Set[Party], inputs: () => Map[String, DataFrame],
+      backend: Set[Party] => MpcBackend = MpcBackend.sharemind(_))
 
   /** `-`/`+` lines where `got` differs from `want`, from their longest
     * common subsequence, each with its line number in `want` or `got`.

@@ -21,6 +21,10 @@ class GoldenCountersSpec extends SparkSpec {
     Seq.fill(n)(maxes.map(m => rnd.nextInt(m + 1).toDouble))
   }
 
+  /** A relation `(k, v)` with no rows, behind a literal filter. */
+  private def empty(b: MpcBackend): SharedRelation =
+    b.filterLit(rel(b, Seq("k", "v"), Seq.empty), "v", CmpOp.Gt, 0.0)
+
   /** Counters and leakage of `op` alone (setup costs are cleared first). */
   private def capture(b: MpcBackend)(op: => Any): Golden = {
     b.meter.reset(); b.leakage.clear()
@@ -107,6 +111,53 @@ class GoldenCountersSpec extends SparkSpec {
     op("reveal with validity") { b =>
       val f = b.filterLit(rel(b, Seq("a", "b2"), rows(9, 18, 9, 9)), "a", CmpOp.Lt, 5.0)
       capture(b)(b.reveal("rv", f, Set(pA)))
+    },
+  ) ++ Seq(
+    // Every operator on a relation with no rows (a filtered one, so it
+    // carries a validity column), beside a 6-row right side for the joins.
+    op("aggregate on 0 rows") { b =>
+      val e = empty(b)
+      capture(b)(b.aggregate("agg", e, Seq("k"), Some("v"), AggFn.Sum, "out"))
+    },
+    op("globalAggregate Min on 0 rows") { b =>
+      val e = empty(b)
+      capture(b)(b.globalAggregate(e, Some("v"), AggFn.Min, "out"))
+    },
+    op("distinct on 0 rows") { b =>
+      val e = empty(b)
+      capture(b)(b.distinct(e, preSorted = false))
+    },
+    op("compact on 0 rows") { b =>
+      val e = empty(b)
+      capture(b)(b.compact("cp", e))
+    },
+    op("reveal on 0 rows") { b =>
+      val e = empty(b)
+      capture(b)(b.reveal("rv", e, Set(pA)))
+    },
+    op("join on 0 rows") { b =>
+      val e = empty(b); val r = rel(b, Seq("k", "y"), rows(6, 20, 4, 9))
+      capture(b)(b.join("cj", e, r, Seq("k"), Seq("k")))
+    },
+    op("sorted limit on 0 rows") { b =>
+      val e = empty(b)
+      capture(b)(b.limit("lim", e, 3, sorted = true))
+    },
+    op("compacting limit on 0 rows") { b =>
+      val e = empty(b)
+      capture(b)(b.limit("lim", e, 3, sorted = false))
+    },
+    op("hybridAggregate on 0 rows") { b =>
+      val e = empty(b)
+      capture(b)(b.hybridAggregate("hagg", e, Seq("k"), Some("v"), AggFn.Sum, "out", pC))
+    },
+    op("hybridJoin on 0 rows") { b =>
+      val e = empty(b); val r = rel(b, Seq("k", "y"), rows(6, 21, 4, 9))
+      capture(b)(b.hybridJoin("hj", e, r, Seq("k"), Seq("k"), pC))
+    },
+    op("publicJoin on 0 rows") { b =>
+      val e = empty(b); val r = rel(b, Seq("k", "y"), rows(6, 22, 4, 9))
+      capture(b)(b.publicJoin("pj", e, r, Seq("k"), Seq("k")))
     },
   )
 
@@ -270,6 +321,41 @@ object GoldenCountersSpec {
     "sharemind: reveal with validity" ->
       Golden(CostSnapshot(3L, 0L, 0L, 0L, 5L, 108L, 0L, 0L, 0L, 0.006464),
         Map("relation(rv)->a" -> 1)),
+    "sharemind: aggregate on 0 rows" ->
+      Golden(CostSnapshot(0L, 0L, 0L, 0L, 0L, 0L, 0L, 0L, 0L, 0.0),
+        Map("card(agg,0)->a+b+c" -> 1)),
+    "sharemind: globalAggregate Min on 0 rows" ->
+      Golden(CostSnapshot(0L, 0L, 0L, 0L, 0L, 0L, 0L, 0L, 0L, 0.0),
+        Map()),
+    "sharemind: distinct on 0 rows" ->
+      Golden(CostSnapshot(0L, 0L, 0L, 0L, 0L, 0L, 0L, 0L, 0L, 0.0),
+        Map()),
+    "sharemind: compact on 0 rows" ->
+      Golden(CostSnapshot(0L, 0L, 0L, 0L, 4L, 0L, 0L, 0L, 0L, 0.004),
+        Map("card(cp,0)->a+b+c" -> 1)),
+    "sharemind: reveal on 0 rows" ->
+      Golden(CostSnapshot(0L, 0L, 0L, 0L, 4L, 0L, 0L, 0L, 0L, 0.004),
+        Map("relation(rv)->a" -> 1)),
+    "sharemind: join on 0 rows" ->
+      Golden(CostSnapshot(6L, 0L, 0L, 0L, 7L, 1L, 0L, 0L, 0L, 0.008208),
+        Map("card(cj,0)->a+b+c" -> 1)),
+    "sharemind: sorted limit on 0 rows" ->
+      Golden(CostSnapshot(0L, 0L, 0L, 0L, 1L, 0L, 0L, 0L, 0L, 0.001),
+        Map("card(lim,0)->a+b+c" -> 1)),
+    "sharemind: compacting limit on 0 rows" ->
+      Golden(CostSnapshot(0L, 0L, 0L, 0L, 4L, 0L, 0L, 0L, 0L, 0.004),
+        Map("card(lim,0)->a+b+c" -> 1)),
+    "sharemind: hybridAggregate on 0 rows" ->
+      Golden(CostSnapshot(0L, 0L, 0L, 0L, 4L, 0L, 0L, 0L, 0L, 0.004),
+        Map("card(hagg:in,0)->a+b+c" -> 1)),
+    "sharemind: hybridJoin on 0 rows" ->
+      Golden(CostSnapshot(12L, 0L, 0L, 36L, 18L, 54L, 0L, 0L, 0L, 0.020904000000000002),
+        Map("card(hj,0)->a+b+c" -> 1, "card(hj:left,0)->a+b+c" -> 1, "column(hj,left:k)->c" -> 1,
+          "column(hj,right:k)->c" -> 1)),
+    "sharemind: publicJoin on 0 rows" ->
+      Golden(CostSnapshot(6L, 0L, 0L, 0L, 5L, 0L, 0L, 0L, 0L, 0.006200000000000001),
+        Map("card(pj,0)->a+b+c" -> 1, "card(pj:left,0)->a+b+c" -> 1,
+          "column(pj,left:k)->a+b+c" -> 1, "column(pj,right:k)->a+b+c" -> 1)),
     "obliv-c: shuffle" ->
       Golden(CostSnapshot(0L, 0L, 0L, 0L, 0L, 0L, 10240L, 0L, 0L, 0.010239999999999999),
         Map()),
@@ -343,6 +429,41 @@ object GoldenCountersSpec {
     "obliv-c: reveal with validity" ->
       Golden(CostSnapshot(3L, 0L, 0L, 0L, 2L, 0L, 6912L, 0L, 0L, 0.007062),
         Map("relation(rv)->a" -> 1)),
+    "obliv-c: aggregate on 0 rows" ->
+      Golden(CostSnapshot(0L, 0L, 0L, 0L, 0L, 0L, 0L, 0L, 0L, 0.0),
+        Map("card(agg,0)->a+b" -> 1)),
+    "obliv-c: globalAggregate Min on 0 rows" ->
+      Golden(CostSnapshot(0L, 0L, 0L, 0L, 0L, 0L, 0L, 0L, 0L, 0.0),
+        Map()),
+    "obliv-c: distinct on 0 rows" ->
+      Golden(CostSnapshot(0L, 0L, 0L, 0L, 0L, 0L, 0L, 0L, 0L, 0.0),
+        Map()),
+    "obliv-c: compact on 0 rows" ->
+      Golden(CostSnapshot(0L, 0L, 0L, 0L, 1L, 0L, 0L, 0L, 0L, 0.0),
+        Map("card(cp,0)->a+b" -> 1)),
+    "obliv-c: reveal on 0 rows" ->
+      Golden(CostSnapshot(0L, 0L, 0L, 0L, 1L, 0L, 0L, 0L, 0L, 0.0),
+        Map("relation(rv)->a" -> 1)),
+    "obliv-c: join on 0 rows" ->
+      Golden(CostSnapshot(6L, 0L, 0L, 0L, 1L, 0L, 64L, 0L, 786432L, 3.64E-4),
+        Map("card(cj,0)->a+b" -> 1)),
+    "obliv-c: sorted limit on 0 rows" ->
+      Golden(CostSnapshot(0L, 0L, 0L, 0L, 1L, 0L, 0L, 0L, 0L, 0.0),
+        Map("card(lim,0)->a+b" -> 1)),
+    "obliv-c: compacting limit on 0 rows" ->
+      Golden(CostSnapshot(0L, 0L, 0L, 0L, 1L, 0L, 0L, 0L, 0L, 0.0),
+        Map("card(lim,0)->a+b" -> 1)),
+    "obliv-c: hybridAggregate on 0 rows" ->
+      Golden(CostSnapshot(0L, 0L, 0L, 0L, 1L, 0L, 0L, 0L, 0L, 0.0),
+        Map("card(hagg:in,0)->a+b" -> 1)),
+    "obliv-c: hybridJoin on 0 rows" ->
+      Golden(CostSnapshot(12L, 0L, 0L, 36L, 6L, 0L, 3456L, 0L, 0L, 0.004056),
+        Map("card(hj,0)->a+b" -> 1, "card(hj:left,0)->a+b" -> 1, "column(hj,left:k)->c" -> 1,
+          "column(hj,right:k)->c" -> 1)),
+    "obliv-c: publicJoin on 0 rows" ->
+      Golden(CostSnapshot(6L, 0L, 0L, 0L, 2L, 0L, 0L, 0L, 0L, 3.0000000000000003E-4),
+        Map("card(pj,0)->a+b" -> 1, "card(pj:left,0)->a+b" -> 1, "column(pj,left:k)->a+b" -> 1,
+          "column(pj,right:k)->a+b" -> 1)),
     "sharemind: sortBy 9999 x 2" ->
       Golden(CostSnapshot(16384L, 860160L, 860160L, 6881280L, 0L, 0L, 0L, 0L, 0L, 287.1296),
         Map()),

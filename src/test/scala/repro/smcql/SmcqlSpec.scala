@@ -70,6 +70,13 @@ class SmcqlSpec extends SparkSpec {
     assert(cell.getMessage.contains("'dtime' of diag1"), cell.getMessage)
   }
 
+  test("SMCQL aspirin names the column and relation of a NaN shared cell") {
+    val inputs = aspirinInputs(40, overlap = 0.25)
+    val nan = inputs.updated("diag1", inputs("diag1").withColumn("dtime", lit(Double.NaN)))
+    val e = intercept[IllegalArgumentException](SmcqlAspirin.run(spark, nan))
+    assert(e.getMessage.contains("'dtime' of diag1"), e.getMessage)
+  }
+
   test("slicing loses no rows") {
     val inputs = aspirinInputs(250)
     val sliced = Slicing.slice(spark,
