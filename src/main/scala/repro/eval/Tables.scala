@@ -52,11 +52,9 @@ object Tables {
       Sizes(1000, 10000, 50000, 200000),
       Sizes(1000, 10000, 50000),
       (_, s) => Fig5Hybrid.runJoins(s.mpc)),
-    // Power-of-two bench sizes keep the sorting network's padding out of the
-    // asymptotic-gap comparison (50k pads to 64k, 10k to 16k otherwise).
     Table("T3b", "T3b (Fig. 5b) — aggregation operator variants (rows per party)",
       Sizes(1000, 10000, 50000, 200000),
-      Sizes(1024, 8192, 65536),
+      Sizes(1000, 10000, 50000),
       (_, s) => Fig5Hybrid.runAggs(s.mpc)),
     Table("T4", "T4 (Fig. 6) — credit-card regulation (total records)",
       Sizes(300, 3000, 30000, 300000),

@@ -197,25 +197,23 @@ object CostModel {
   }
 
   /** A bitonic sort of `rows` rows of `width` columns by keys with the
-    * given directions (`Oblivious.sortBy`). The network pads to the next
-    * power of two p, touches p rows and runs p/4·log₂p·(log₂p+1)
-    * compare-exchanges; one compare-exchange is what a 2-row sort of the
-    * same width and keys charges beyond its 2 row touches.
+    * given directions (`Oblivious.sortBy`). The network touches each row
+    * once and runs `Oblivious.sortPairs(rows)` compare-exchanges; one
+    * compare-exchange is what a 2-row sort of the same width and keys
+    * charges beyond its 2 row touches.
     */
   def sort(params: CostParams, rows: Long, width: Int, ascending: Seq[Boolean]): CostSnapshot =
     charged(params) { m =>
       if (rows > 1) {
         require(ascending.length <= width, s"${ascending.length} sort keys over $width columns")
-        val log = Log2.ceil(rows)
-        val p = 1L << log
         val keys = ascending.zipWithIndex.map { case (asc, i) => Oblivious.SortKey(i, asc) }
         val exchange = step(params) { e =>
           val cols = Vector.fill(width)(e.constant(0L, 2))
           Oblivious.sortBy(e, SharedRelation(cols.indices.map(i => s"c$i").toVector, cols), keys)
         }
         exchange.rowsTouched -= 2
-        m.absorb(exchange, p * log * (log + 1) / 4)
-        m.addRows(p)
+        m.absorb(exchange, Oblivious.sortPairs(rows))
+        m.addRows(rows)
       }
     }
 

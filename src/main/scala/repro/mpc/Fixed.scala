@@ -38,8 +38,9 @@ object Fixed {
   /** Rescale after a fixed-point multiply: (a*2^16)(b*2^16) -> ab*2^16. */
   def rescale(prod: Long): Long = prod >> ScaleBits
 
-  /** A public constant larger than any encoded data value; used to build
-    * composite sort keys that push invalid/padded rows to the end.
+  /** A public constant larger than any encoded data value: what an invalid
+    * row contributes to a MIN fold (and its negation to a MAX fold), so it
+    * never wins.
     */
   val Big: Long = 1L << 62
 }

@@ -58,36 +58,69 @@ object Oblivious {
 
   // ------------------------------------------------------------------- sort
 
+  /** The layers of the all-ascending bitonic network over `n` rows, in
+    * order: for each merge size k = 2, 4, … up to the next power of two p,
+    * layer (k, k/2) pairs each row with its mirror inside its run of k rows,
+    * and each later layer (k, j) pairs rows j apart. The network is Batcher's
+    * (AFIPS 1968) for p rows; a comparator between two real rows is kept and
+    * one that touches an index ≥ n is dropped (see [[sortBy]]).
+    */
+  private[mpc] def sortLayers(n: Long): Iterator[(Long, Long)] =
+    Iterator.iterate(2L)(_ << 1).takeWhile(_ / 2 < n)
+      .flatMap(k => Iterator.iterate(k >> 1)(_ >> 1).takeWhile(_ > 0).map(j => (k, j)))
+
+  /** The upper row of pair t of a layer (k, j): the t-th row with bit j set.
+    * Rows below n come first, so a layer's pairs are a prefix `[0, count)`.
+    */
+  private[mpc] def upperRow(j: Int, t: Int): Int = ((t & ~(j - 1)) << 1) | j | (t & (j - 1))
+
+  /** The row that layer (k, j) pairs with `upper`: its mirror in its run of
+    * k rows on the first layer of a merge, else the row j below it.
+    */
+  private[mpc] def lowerRow(k: Long, j: Int, upper: Int): Int =
+    if (j == (k >> 1)) upper ^ (k - 1).toInt else upper ^ j
+
+  /** The pairs of a layer (k, j) over `n` rows: the rows below n with bit j
+    * set, i.e. `j` per full run of 2j rows plus those of the partial run.
+    */
+  private[mpc] def layerPairs(n: Long, j: Long): Long = n / (2 * j) * j + math.max(0L, n % (2 * j) - j)
+
+  /** The compare-exchanges a sort of `n` rows runs: n/4·log₂n·(log₂n+1) at
+    * a power of two, fewer than the network over the next power of two
+    * otherwise.
+    */
+  def sortPairs(n: Long): Long = sortLayers(n).map { case (_, j) => layerPairs(n, j) }.sum
+
   /** Bitonic sorting network over `keys`, O(n log^2 n) oblivious
     * compare-exchanges. Invalid rows (validity 0) always sort after valid
-    * ones; the relative order of data is by `keys`. Rows are padded to a
-    * power of two with invalid sentinel rows that are dropped afterwards
-    * (their final positions are data-independent in count).
+    * ones; the relative order of data is by `keys`.
     *
-    * Each layer of the network (all p/2 compare-exchanges of one step) is
-    * gathered into scratch columns, run as one batch and scattered back.
-    * The pairs of a layer touch disjoint rows, so a layer runs in blocks of
-    * `SortBlock` pairs, each block on its own engine fork and its own range
-    * of the scratch columns.
+    * The network is the all-ascending form of the bitonic sorter over the
+    * next power of two p: every comparator puts the row that sorts first at
+    * the lower index. Rows n until p would be sentinel rows that sort after
+    * every real row, so a comparator touching one never swaps; the kernel
+    * runs only the `sortPairs(n)` comparators between real rows. Which ones
+    * run depends only on the public n.
+    *
+    * Each layer of the network (at most n/2 compare-exchanges, disjoint
+    * pairs) is gathered into scratch columns, run as one batch and scattered
+    * back, in blocks of `SortBlock` pairs, each block on its own engine fork
+    * (drawn once per sort, in block order) and its own range of the scratch
+    * columns.
     */
   def sortBy(e: MpcEngine, rel: SharedRelation, keys: Seq[SortKey]): SharedRelation = {
     val n = rel.size
     if (n <= 1) return rel
-    var p = 1
-    while (p < n) p <<= 1
 
-    // Working state: cells and per-row validity, padded with sentinel rows.
-    def padded(c: SharedCol): SharedCol =
-      if (p == n) c.slice(0, n) else SharedCol.concat(Seq(c, e.constant(0L, p - n)))
-    val cells = rel.cols.map(padded)
-    val valid = padded(rel.validity.getOrElse(e.constant(1L, n)))
-    e.chargeRows(p.toLong)
+    // Working state: copies of the cells and the per-row validity.
+    val valid = rel.validity.fold(e.constant(1L, n))(_.slice(0, n))
+    val cells = rel.cols.map(_.slice(0, n))
+    e.chargeRows(n.toLong)
 
-    // Per layer: pair t compares row first(t) with row second(t), and
-    // swaps them if first(t) sorts after second(t).
-    val h = p / 2
-    val blocks = (h + SortBlock - 1) / SortBlock
-    val engines = Array.fill(blocks)(e.fork())
+    // Per layer: pair t compares row first(t) with the higher row
+    // second(t), and swaps them if first(t) sorts after second(t).
+    val h = n / 2
+    val engines = Array.fill((h + SortBlock - 1) / SortBlock)(e.fork())
     val first = new Array[Int](h); val second = new Array[Int](h)
     val as = cells.map(_ => e.alloc(h)); val bs = cells.map(_ => e.alloc(h))
     val va = e.alloc(h); val vb = e.alloc(h)
@@ -100,9 +133,8 @@ object Oblivious {
       // validity level: a after b iff va < vb, i.e. vb AND NOT va = vb - va*vb
       c.mulFlag(va, vb, t1, m, o, o, o); c.sub(vb, t1, sw, m, o, o, o)
       // eq on 0/1 flags: 1 - (va XOR vb) = 1 - va - vb + 2*va*vb
-      c.mulFlag(va, vb, t1, m, o, o, o); c.mulFlag(va, vb, t2, m, o, o, o)
-      c.add(t1, t2, t1, m, o, o, o)
-      c.add(va, vb, t2, m, o, o, o); c.sub(t1, t2, t1, m, o, o, o); c.addPub(t1, 1L, eqSoFar, m, o, o)
+      c.add(t1, t1, t1, m, o, o, o); c.add(va, vb, t2, m, o, o, o)
+      c.sub(t1, t2, t1, m, o, o, o); c.addPub(t1, 1L, eqSoFar, m, o, o)
       keys.foreach { k =>
         val x = as(k.col); val y = bs(k.col)
         c.lt(x, y, ltf, m, o, o, o); c.eq(x, y, eqf, m, o, o, o)
@@ -121,46 +153,36 @@ object Oblivious {
       c.add(a, t1, a, m, o, o, o); c.sub(b, t1, b, m, o, o, o)
     }
 
-    // The step of the network that compares rows j apart inside each
-    // bitonic sequence of k rows; block b runs pairs [from, until) on
-    // engines(b).
-    def layer(k: Int, j: Int): Unit = forBlocks(blocks) { b =>
-      val c = engines(b)
-      val from = b * SortBlock; val until = math.min(h, from + SortBlock)
-      var t = from
-      while (t < until) {
-        // The t-th row x whose j bit is clear: t with a 0 bit inserted at j.
-        val x = ((t & ~(j - 1)) << 1) | (t & (j - 1)); val l = x | j
-        // Ascending sequences keep the smaller row at x, descending at l.
-        if ((x & k) == 0) { first(t) = x; second(t) = l } else { first(t) = l; second(t) = x }
-        t += 1
+    // Layer (k, j): block b runs pairs [from, until) on engines(b).
+    def layer(k: Long, j: Int): Unit = {
+      val pairs = layerPairs(n, j).toInt
+      forBlocks((pairs + SortBlock - 1) / SortBlock) { b =>
+        val c = engines(b)
+        val from = b * SortBlock; val until = math.min(pairs, from + SortBlock)
+        var t = from
+        while (t < until) {
+          val u = upperRow(j, t)
+          first(t) = lowerRow(k, j, u); second(t) = u
+          t += 1
+        }
+        cells.indices.foreach { i =>
+          cells(i).gatherInto(first, as(i), from, until); cells(i).gatherInto(second, bs(i), from, until)
+        }
+        valid.gatherInto(first, va, from, until); valid.gatherInto(second, vb, from, until)
+        after(c, from, until - from)
+        cells.indices.foreach(i => exchange(c, as(i), bs(i), from, until - from))
+        exchange(c, va, vb, from, until - from)
+        cells.indices.foreach { i =>
+          cells(i).scatterFrom(as(i), first, from, until); cells(i).scatterFrom(bs(i), second, from, until)
+        }
+        valid.scatterFrom(va, first, from, until); valid.scatterFrom(vb, second, from, until)
       }
-      cells.indices.foreach { i =>
-        cells(i).gatherInto(first, as(i), from, until); cells(i).gatherInto(second, bs(i), from, until)
-      }
-      valid.gatherInto(first, va, from, until); valid.gatherInto(second, vb, from, until)
-      after(c, from, until - from)
-      cells.indices.foreach(i => exchange(c, as(i), bs(i), from, until - from))
-      exchange(c, va, vb, from, until - from)
-      cells.indices.foreach { i =>
-        cells(i).scatterFrom(as(i), first, from, until); cells(i).scatterFrom(bs(i), second, from, until)
-      }
-      valid.scatterFrom(va, first, from, until); valid.scatterFrom(vb, second, from, until)
     }
 
-    var k = 2
-    while (k <= p) {
-      var j = k >> 1
-      while (j > 0) { layer(k, j); j >>= 1 }
-      k <<= 1
-    }
+    sortLayers(n).foreach { case (k, j) => layer(k, j.toInt) }
     engines.foreach(c => e.meter.absorb(c.meter))
 
-    SharedRelation(
-      rel.schema,
-      cells.map(_.slice(0, n)),
-      if (rel.validity.isDefined) Some(valid.slice(0, n)) else None,
-    )
+    SharedRelation(rel.schema, cells, if (rel.validity.isDefined) Some(valid) else None)
   }
 
   // -------------------------------------------------------------------- join

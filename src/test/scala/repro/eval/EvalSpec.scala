@@ -88,30 +88,50 @@ class EvalSpec extends SparkSpec {
 
   test("the sort predictor equals the metered counters") {
     val keySets = Seq(Seq("k1" -> true), Seq("k1" -> false), Seq("k1" -> true, "k2" -> false))
-    val cases =
-      for (n <- Seq(2, 3, 13, 1000, 1024, 1025); keys <- keySets; valid <- Seq(false, true))
+    val small =
+      for (n <- Seq(2, 3, 7, 8, 9, 13); keys <- keySets; valid <- Seq(false, true))
         yield (n, keys, valid)
-    val large = Seq((9999, keySets(0), false), (9999, keySets(2), true))
-    for ((n, keys, valid) <- cases ++ large; b <- Seq(sharemind(), oblivc())) {
+    // Either side of 2^11 and 2^12, on ties and a validity column.
+    val large = Seq(2047, 2048, 2049, 4095, 4096, 4097).map(n => (n, keySets(2), true)) ++
+      Seq((9999, keySets(0), false))
+    for ((n, keys, valid) <- small ++ large; b <- Seq(sharemind(), oblivc())) {
       val r = testRel(b, n, valid)
-      val got = metered(b)(b.sort(r, keys))
+      lazy val sorted = b.sort(r, keys)
+      val got = metered(b)(sorted)
       val predicted = CostModel.sort(b.meter.params, n, width = 3, ascending = keys.map(_._2))
-      assert(got == predicted, s"${b.meter.params.name} n=$n keys=$keys validity=$valid")
+      val label = s"${b.meter.params.name} n=$n keys=$keys validity=$valid"
+      assert(got == predicted, label)
+      // By position (a reveal shuffles): valid rows first, in key order.
+      val flags = b.engine.idealOpen(sorted.validity.getOrElse(b.engine.constant(1L, n)))
+      val kept = flags.count(_ == 1L)
+      assert(flags.take(kept).forall(_ == 1L) && flags.drop(kept).forall(_ == 0L), label)
+      val cols = keys.map { case (c, asc) => (b.engine.idealOpen(sorted.col(c)), if (asc) 1L else -1L) }
+      val rowKeys = (0 until kept).map(i => cols.map { case (xs, sign) => sign * xs(i) })
+      assert(rowKeys == rowKeys.sorted(Ordering.Implicits.seqOrdering[Seq, Long]), label)
+    }
+  }
+
+  test("at a power of two the sort runs the padded network's counts") {
+    for (log <- 1 to 24) {
+      val p = 1L << log
+      val exchanges = p * log * (log + 1) / 4
+      assert(Oblivious.sortPairs(p) == exchanges, s"p=$p")
+      val sm = CostModel.sort(CostParams.Sharemind, p, 2, Seq(true))
+      assert((sm.rowsTouched, sm.eqs, sm.cmps) == ((p, exchanges, exchanges)), s"p=$p")
+      assert(CostModel.sort(CostParams.OblivC, p, 2, Seq(true)).rowsTouched == p, s"p=$p")
     }
   }
 
   test("the sort predictor reproduces the pinned golden sort counters") {
     def sm(n: Long, asc: Boolean*) = CostModel.sort(CostParams.Sharemind, n, 2, asc)
     def oc(n: Long, asc: Boolean*) = CostModel.sort(CostParams.OblivC, n, 2, asc)
-    assert(sm(13, true) ==
-      CostSnapshot(16L, 80L, 80L, 640L, 0L, 0L, 0L, 0L, 0L, 0.029599999999999998))
+    assert(sm(13, true) == CostSnapshot(13L, 57L, 57L, 342L, 0L, 0L, 0L, 0L, 0L, 0.021182))
     assert(sm(13, true, false) ==
-      CostSnapshot(16L, 160L, 160L, 800L, 0L, 0L, 0L, 0L, 0L, 0.05503999999999999))
-    assert(oc(13, true) == CostSnapshot(16L, 0L, 0L, 0L, 0L, 0L, 138240L, 0L, 0L, 0.13904))
-    assert(oc(13, true, false) ==
-      CostSnapshot(16L, 0L, 0L, 0L, 0L, 0L, 163840L, 0L, 0L, 0.16463999999999998))
+      CostSnapshot(13L, 114L, 114L, 456L, 0L, 0L, 0L, 0L, 0L, 0.039307999999999996))
+    assert(oc(13, true) == CostSnapshot(13L, 0L, 0L, 0L, 0L, 0L, 91200L, 0L, 0L, 0.09184999999999999))
+    assert(oc(13, true, false) == CostSnapshot(13L, 0L, 0L, 0L, 0L, 0L, 109440L, 0L, 0L, 0.11009))
     val big = sm(9999, true)
-    assert((big.rowsTouched, big.eqs, big.cmps, big.muls) == (16384L, 860160L, 860160L, 6881280L))
+    assert((big.rowsTouched, big.eqs, big.cmps, big.muls) == (9999L, 515150L, 515150L, 3090900L))
   }
 
   test("the join predictor's equality count equals the metered count") {

@@ -174,7 +174,7 @@ class GoldenCountersSpec extends SparkSpec {
     val got = capture(b)(b.sort(f, Seq("companyID" -> true)))
     check("sharemind: sortBy 9999 x 2", got)
     assert((got.cost.rowsTouched, got.cost.eqs, got.cost.cmps, got.cost.muls) ==
-      ((16384L, 860160L, 860160L, 6881280L)))
+      ((9999L, 515150L, 515150L, 3090900L)))
   }
 
   // ------------------------------------------------------- end-to-end plans
@@ -251,16 +251,16 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(0L, 0L, 0L, 0L, 3L, 160L, 0L, 0L, 0L, 0.00428),
         Map()),
     "sharemind: sortBy n=13 without validity" ->
-      Golden(CostSnapshot(16L, 80L, 80L, 640L, 0L, 0L, 0L, 0L, 0L, 0.029599999999999998),
+      Golden(CostSnapshot(13L, 57L, 57L, 342L, 0L, 0L, 0L, 0L, 0L, 0.021182),
         Map()),
     "sharemind: sortBy n=13 with validity, two keys" ->
-      Golden(CostSnapshot(16L, 160L, 160L, 800L, 0L, 0L, 0L, 0L, 0L, 0.05503999999999999),
+      Golden(CostSnapshot(13L, 114L, 114L, 456L, 0L, 0L, 0L, 0L, 0L, 0.039307999999999996),
         Map()),
     "sharemind: filter literal and column" ->
       Golden(CostSnapshot(22L, 0L, 22L, 11L, 0L, 0L, 0L, 0L, 0L, 0.011021999999999999),
         Map()),
     "sharemind: aggregate Sum with validity" ->
-      Golden(CostSnapshot(32L, 259L, 240L, 2017L, 4L, 400L, 0L, 0L, 0L, 0.09325999999999998),
+      Golden(CostSnapshot(20L, 153L, 134L, 901L, 4L, 400L, 0L, 0L, 0L, 0.055344),
         Map("card(agg,5)->a+b+c" -> 1)),
     "sharemind: globalAggregate Sum with validity" ->
       Golden(CostSnapshot(15L, 0L, 0L, 15L, 0L, 0L, 0L, 0L, 0L, 0.00303),
@@ -269,7 +269,7 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(48L, 0L, 0L, 15L, 12L, 748L, 0L, 0L, 0L, 0.027614000000000003),
         Map("card(hagg,5)->a+b+c" -> 1, "card(hagg:in,16)->a+b+c" -> 1, "column(hagg,k)->c" -> 1)),
     "sharemind: aggregate Count with validity" ->
-      Golden(CostSnapshot(32L, 259L, 240L, 1997L, 4L, 400L, 0L, 0L, 0L, 0.09321999999999998),
+      Golden(CostSnapshot(20L, 153L, 134L, 881L, 4L, 400L, 0L, 0L, 0L, 0.055304),
         Map("card(agg,5)->a+b+c" -> 1)),
     "sharemind: globalAggregate Count with validity" ->
       Golden(CostSnapshot(15L, 0L, 0L, 0L, 0L, 0L, 0L, 0L, 0L, 0.003),
@@ -278,7 +278,7 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(48L, 0L, 0L, 15L, 12L, 748L, 0L, 0L, 0L, 0.027614000000000003),
         Map("card(hagg,5)->a+b+c" -> 1, "card(hagg:in,16)->a+b+c" -> 1, "column(hagg,k)->c" -> 1)),
     "sharemind: aggregate Min with validity" ->
-      Golden(CostSnapshot(32L, 259L, 259L, 2036L, 4L, 400L, 0L, 0L, 0L, 0.098998),
+      Golden(CostSnapshot(20L, 153L, 153L, 920L, 4L, 400L, 0L, 0L, 0L, 0.061082000000000004),
         Map("card(agg,5)->a+b+c" -> 1)),
     "sharemind: globalAggregate Min with validity" ->
       Golden(CostSnapshot(15L, 0L, 15L, 30L, 0L, 0L, 0L, 0L, 0L, 0.00756),
@@ -287,7 +287,7 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(48L, 0L, 15L, 30L, 12L, 748L, 0L, 0L, 0L, 0.032144000000000006),
         Map("card(hagg,5)->a+b+c" -> 1, "card(hagg:in,16)->a+b+c" -> 1, "column(hagg,k)->c" -> 1)),
     "sharemind: aggregate Max with validity" ->
-      Golden(CostSnapshot(32L, 259L, 259L, 2036L, 4L, 400L, 0L, 0L, 0L, 0.098998),
+      Golden(CostSnapshot(20L, 153L, 153L, 920L, 4L, 400L, 0L, 0L, 0L, 0.061082000000000004),
         Map("card(agg,5)->a+b+c" -> 1)),
     "sharemind: globalAggregate Max with validity" ->
       Golden(CostSnapshot(15L, 0L, 15L, 30L, 0L, 0L, 0L, 0L, 0L, 0.00756),
@@ -299,7 +299,7 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(0L, 11L, 0L, 57L, 4L, 192L, 0L, 0L, 0L, 0.005804),
         Map("card(agg,4)->a+b+c" -> 1)),
     "sharemind: distinct with validity" ->
-      Golden(CostSnapshot(30L, 186L, 160L, 865L, 0L, 0L, 0L, 0L, 0L, 0.058334),
+      Golden(CostSnapshot(28L, 154L, 128L, 577L, 0L, 0L, 0L, 0L, 0L, 0.04731),
         Map()),
     "sharemind: distinct preSorted" ->
       Golden(CostSnapshot(14L, 13L, 0L, 52L, 0L, 0L, 0L, 0L, 0L, 0.0030859999999999998),
@@ -360,16 +360,16 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(0L, 0L, 0L, 0L, 0L, 0L, 10240L, 0L, 0L, 0.010239999999999999),
         Map()),
     "obliv-c: sortBy n=13 without validity" ->
-      Golden(CostSnapshot(16L, 0L, 0L, 0L, 0L, 0L, 138240L, 0L, 425984L, 0.13904),
+      Golden(CostSnapshot(13L, 0L, 0L, 0L, 0L, 0L, 91200L, 0L, 425984L, 0.09184999999999999),
         Map()),
     "obliv-c: sortBy n=13 with validity, two keys" ->
-      Golden(CostSnapshot(16L, 0L, 0L, 0L, 0L, 0L, 163840L, 0L, 0L, 0.16463999999999998),
+      Golden(CostSnapshot(13L, 0L, 0L, 0L, 0L, 0L, 109440L, 0L, 0L, 0.11009),
         Map()),
     "obliv-c: filter literal and column" ->
       Golden(CostSnapshot(22L, 0L, 0L, 0L, 0L, 0L, 2816L, 0L, 146432L, 0.003916),
         Map()),
     "obliv-c: aggregate Sum with validity" ->
-      Golden(CostSnapshot(32L, 0L, 0L, 0L, 1L, 0L, 450176L, 0L, 655360L, 0.45177599999999996),
+      Golden(CostSnapshot(20L, 0L, 0L, 0L, 1L, 0L, 249856L, 0L, 655360L, 0.25085599999999997),
         Map("card(agg,5)->a+b" -> 1)),
     "obliv-c: globalAggregate Sum with validity" ->
       Golden(CostSnapshot(15L, 0L, 0L, 0L, 0L, 0L, 1920L, 0L, 491520L, 0.0026699999999999996),
@@ -378,7 +378,7 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(48L, 0L, 0L, 0L, 3L, 0L, 50752L, 0L, 0L, 0.053152),
         Map("card(hagg,5)->a+b" -> 1, "card(hagg:in,16)->a+b" -> 1, "column(hagg,k)->c" -> 1)),
     "obliv-c: aggregate Count with validity" ->
-      Golden(CostSnapshot(32L, 0L, 0L, 0L, 1L, 0L, 489216L, 0L, 655360L, 0.490816),
+      Golden(CostSnapshot(20L, 0L, 0L, 0L, 1L, 0L, 288896L, 0L, 655360L, 0.289896),
         Map("card(agg,5)->a+b" -> 1)),
     "obliv-c: globalAggregate Count with validity" ->
       Golden(CostSnapshot(15L, 0L, 0L, 0L, 0L, 0L, 31200L, 0L, 491520L, 0.03195),
@@ -387,7 +387,7 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(48L, 0L, 0L, 0L, 3L, 0L, 50752L, 0L, 0L, 0.053152),
         Map("card(hagg,5)->a+b" -> 1, "card(hagg:in,16)->a+b" -> 1, "column(hagg,k)->c" -> 1)),
     "obliv-c: aggregate Min with validity" ->
-      Golden(CostSnapshot(32L, 0L, 0L, 0L, 1L, 0L, 456384L, 0L, 655360L, 0.45798399999999995),
+      Golden(CostSnapshot(20L, 0L, 0L, 0L, 1L, 0L, 256064L, 0L, 655360L, 0.257064),
         Map("card(agg,5)->a+b" -> 1)),
     "obliv-c: globalAggregate Min with validity" ->
       Golden(CostSnapshot(15L, 0L, 0L, 0L, 0L, 0L, 6720L, 0L, 491520L, 0.007469999999999999),
@@ -396,7 +396,7 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(48L, 0L, 0L, 0L, 3L, 0L, 53632L, 0L, 0L, 0.056032),
         Map("card(hagg,5)->a+b" -> 1, "card(hagg:in,16)->a+b" -> 1, "column(hagg,k)->c" -> 1)),
     "obliv-c: aggregate Max with validity" ->
-      Golden(CostSnapshot(32L, 0L, 0L, 0L, 1L, 0L, 456384L, 0L, 655360L, 0.45798399999999995),
+      Golden(CostSnapshot(20L, 0L, 0L, 0L, 1L, 0L, 256064L, 0L, 655360L, 0.257064),
         Map("card(agg,5)->a+b" -> 1)),
     "obliv-c: globalAggregate Max with validity" ->
       Golden(CostSnapshot(15L, 0L, 0L, 0L, 0L, 0L, 6720L, 0L, 491520L, 0.007469999999999999),
@@ -408,7 +408,7 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(0L, 0L, 0L, 0L, 1L, 0L, 18048L, 0L, 393216L, 0.018047999999999998),
         Map("card(agg,4)->a+b" -> 1)),
     "obliv-c: distinct with validity" ->
-      Golden(CostSnapshot(30L, 0L, 0L, 0L, 0L, 0L, 182400L, 0L, 458752L, 0.18389999999999998),
+      Golden(CostSnapshot(28L, 0L, 0L, 0L, 0L, 0L, 139392L, 0L, 458752L, 0.140792),
         Map()),
     "obliv-c: distinct preSorted" ->
       Golden(CostSnapshot(14L, 0L, 0L, 0L, 0L, 0L, 6656L, 0L, 458752L, 0.007356),
@@ -465,10 +465,10 @@ object GoldenCountersSpec {
         Map("card(pj,0)->a+b" -> 1, "card(pj:left,0)->a+b" -> 1, "column(pj,left:k)->a+b" -> 1,
           "column(pj,right:k)->a+b" -> 1)),
     "sharemind: sortBy 9999 x 2" ->
-      Golden(CostSnapshot(16384L, 860160L, 860160L, 6881280L, 0L, 0L, 0L, 0L, 0L, 287.1296),
+      Golden(CostSnapshot(9999L, 515150L, 515150L, 3090900L, 0L, 0L, 0L, 0L, 0L, 169.93869999999998),
         Map()),
     "hhi-mpc" ->
-      Golden(CostSnapshot(1450L, 11824L, 11825L, 93677L, 12L, 10861L, 0L, 0L, 0L, 4.2892779999999995),
+      Golden(CostSnapshot(1238L, 6742L, 6743L, 40145L, 12L, 10861L, 0L, 0L, 0L, 2.5440660000000004),
         Map("card(#10,5)->a+b+c" -> 1, "card(#3@a,100)->a+b+c" -> 1, "card(#3@b,100)->a+b+c" -> 1,
           "card(#3@c,100)->a+b+c" -> 1, "card(#6,5)->a+b+c" -> 1, "relation(hhi)->a" -> 1)),
     "credit-hybrid" ->

@@ -91,6 +91,78 @@ class ObliviousSpec extends AnyFunSuite {
     assertSameRows(open(b, sorted), Seq(Seq(1.0), Seq(2.0), Seq(5.0)))
   }
 
+  /** The pairs of each layer of the kernel's schedule over `n` rows, as
+    * (lower row, upper row).
+    */
+  private def schedule(n: Int): Seq[Seq[(Int, Int)]] =
+    Oblivious.sortLayers(n).map { case (k, j) =>
+      (0 until Oblivious.layerPairs(n, j).toInt).map { t =>
+        val u = Oblivious.upperRow(j.toInt, t)
+        (Oblivious.lowerRow(k, j.toInt, u), u)
+      }
+    }.toSeq
+
+  /** Batcher's all-ascending bitonic network over the next power of two p
+    * by its definition, kept where both rows are below `n`: per merge size k,
+    * row x with bit k/2 clear against its mirror x ^ (k - 1), then for each
+    * j < k/2 row x with bit j clear against x | j.
+    */
+  private def batcher(n: Int): Seq[Seq[(Int, Int)]] = {
+    val p = Iterator.iterate(1)(_ << 1).dropWhile(_ < n).next()
+    Iterator.iterate(2)(_ << 1).takeWhile(_ <= p).flatMap { k =>
+      val mirror = (0 until p).filter(x => (x & (k >> 1)) == 0).map(x => (x, x ^ (k - 1)))
+      val steps = Iterator.iterate(k >> 2)(_ >> 1).takeWhile(_ > 0)
+        .map(j => (0 until p).filter(x => (x & j) == 0).map(x => (x, x | j)))
+      Iterator(mirror) ++ steps
+    }.map(_.filter(_._2 < n)).toSeq
+  }
+
+  test("the sort schedule is Batcher's network restricted to the real rows") {
+    for (n <- 0 to 70) {
+      val got = schedule(n)
+      assert(got.map(_.toSet) == batcher(n).map(_.toSet), s"n=$n")
+      got.foreach { layer =>
+        assert(layer.forall { case (lo, hi) => 0 <= lo && lo < hi && hi < n }, s"n=$n")
+        assert(layer.flatMap { case (lo, hi) => Seq(lo, hi) }.distinct.size == 2 * layer.size,
+          s"n=$n: a layer's pairs must be disjoint")
+        assert(layer.size <= n / 2)
+      }
+    }
+  }
+
+  test("the sort schedule sorts every 0/1 input (0-1 principle)") {
+    for (n <- 1 to 16) {
+      val pairs = schedule(n).flatten.toArray
+      val a = new Array[Int](n)
+      for (bits <- 0 until (1 << n)) {
+        var i = 0
+        while (i < n) { a(i) = (bits >> i) & 1; i += 1 }
+        pairs.foreach { case (lo, hi) => if (a(lo) > a(hi)) { a(lo) = 0; a(hi) = 1 } }
+        val ones = Integer.bitCount(bits)
+        assert((0 until n).forall(i => a(i) == (if (i >= n - ones) 1 else 0)), s"n=$n input=$bits")
+      }
+    }
+  }
+
+  test("sortPairs counts the network's pairs between real rows, for every n <= 5,000") {
+    // A sort of n rows runs the merges of sizes 2, 4, … up to the next power
+    // of two p, and each merge is the same whatever p; it keeps the pairs
+    // whose upper row is below n.
+    val max = 8192
+    val layers = batcher(max)
+    val offsets = (1 to 13).scanLeft(0)(_ + _) // merge size 2^s has s layers
+    val below = (1 to 13).map { s =>
+      val count = new Array[Long](max + 1)
+      layers.slice(offsets(s - 1), offsets(s)).flatten.foreach { case (_, hi) => count(hi + 1) += 1 }
+      (0 until max).foreach(y => count(y + 1) += count(y))
+      count // count(n): the pairs of merge size 2^s with upper row below n
+    }
+    for (n <- 0 to 5000) {
+      val merges = if (n <= 1) 0 else 32 - Integer.numberOfLeadingZeros(n - 1)
+      assert(Oblivious.sortPairs(n) == below.take(merges).map(_(n)).sum, s"n=$n")
+    }
+  }
+
   // ------------------------------------------------------------------- filter
 
   test("filter is size-hiding and order-preserving; compact reveals") {
@@ -324,7 +396,7 @@ class ObliviousSpec extends AnyFunSuite {
   test("a blocked sort does not depend on the schedule and charges CostModel.sort") {
     val rnd = new scala.util.Random(11)
     val rows = Seq.fill(5000)(Seq(rnd.nextInt(20), rnd.nextInt(100), rnd.nextInt(50)).map(_.toDouble))
-    assert(8192 / 2 > Oblivious.SortBlock, "the sort must span several blocks")
+    assert(rows.size / 2 > Oblivious.SortBlock, "the sort must span several blocks")
     val keys = Seq(Oblivious.SortKey(0), Oblivious.SortKey(1, ascending = false))
     val run = sameOnBothPools(kernelRun { b =>
       b.filterLit(rel(b, Seq("a", "b2", "v"), rows), "v", CmpOp.Gt, 10.0)

@@ -63,7 +63,7 @@ class SharePinSpec extends AnyFunSuite {
     d.addAll(e.open(Seq(a, b)): _*)
   }
 
-  /** 3,000 rows, two blocks of every sorting-network layer. */
+  /** 3,000 rows: the wider sorting-network layers run in two blocks. */
   private def sort(e: MpcEngine, d: Digest): Unit = {
     val n = 3000
     val rel = SharedRelation(Vector("k", "v"),
@@ -134,11 +134,11 @@ object SharePinSpec {
 
   private val Pinned: Seq[String] = Seq(
     "ss ops shares=e9b411bc174041af cost=CostSnapshot(0,26,52,138,1,0,0,0,0,0.01724)",
-    "ss sort shares=edfb6fe0467524be cost=CostSnapshot(4096,319488,319488,1597440,0,0,0,0,0,104.33331199999999)",
+    "ss sort shares=6358083631545c9e cost=CostSnapshot(3000,229608,229608,918432,0,0,0,0,0,74.53377599999999)",
     "ss join shares=7f4a7d0809adcd76 cost=CostSnapshot(696,18000,0,18000,7,11610,0,0,0,0.52708)",
     "ss protocols shares=17d4ad85c12591f7 cost=CostSnapshot(1024,0,143,4510,41,10371,0,0,0,0.38068799999999997)",
     "gc ops shares=48fe2bf634109a9d cost=CostSnapshot(0,0,0,0,1,0,384064,0,0,0.38406399999999996)",
-    "gc sort shares=0d9a36ef73272d1c cost=CostSnapshot(4096,0,0,0,0,0,327155712,0,0,327.36051199999997)",
+    "gc sort shares=d538da3f5119a486 cost=CostSnapshot(3000,0,0,0,0,0,220423680,0,0,220.57368)",
     "gc join shares=0b9b96f43aec0463 cost=CostSnapshot(696,0,0,0,1,0,3047040,0,0,3.08184)",
     "gc protocols shares=b6011197423bea8a cost=CostSnapshot(1024,0,0,4304,23,0,705856,0,532480,0.757056)")
 }
