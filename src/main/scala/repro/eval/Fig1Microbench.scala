@@ -41,7 +41,7 @@ object Fig1Microbench {
     * touches.
     */
   private[eval] def predicted(params: CostParams, op: OpKindT, n: Long): Double = (op match {
-    case AggOp     => CostModel.sort(params, n, width = 2, ascending = Seq(true))
+    case AggOp     => CostModel.sort(params, n, width = 2, ascending = Seq(true), validity = false)
     case JoinOp    => CostModel.cartesianJoin(params, n / 2, n - n / 2, keys = 1)
     case ProjectOp => CostModel.scan(params, n)
   }).modeledSeconds

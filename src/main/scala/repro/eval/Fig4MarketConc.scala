@@ -39,10 +39,11 @@ object Fig4MarketConc {
 
   /** A lower bound on the Sharemind-only run's modeled seconds: the
     * sorting network of the revenue aggregation over all (companyID, price)
-    * rows of the three inputs.
+    * rows of the three inputs, with the zero-fare filter's validity column.
     */
   private[eval] def sharemindOnlyPredicted(n: Long): Double =
-    CostModel.sort(CostParams.Sharemind, 3 * (n / 3), width = 2, ascending = Seq(true)).modeledSeconds
+    CostModel.sort(CostParams.Sharemind, 3 * (n / 3), width = 2, ascending = Seq(true),
+      validity = true).modeledSeconds
 
   private def insecureSpark(spark: SparkSession, n: Long, in: Map[String, DataFrame]): BenchPoint = {
     in.foreach { case (nm, df) => df.createOrReplaceTempView(nm) }

@@ -56,5 +56,6 @@ object Fig5Hybrid {
 
   /** A lower bound on the MPC aggregation's modeled seconds: its sorting network. */
   private[eval] def mpcAggPredicted(n: Long): Double =
-    CostModel.sort(CostParams.Sharemind, n, width = 2, ascending = Seq(true)).modeledSeconds
+    CostModel.sort(CostParams.Sharemind, n, width = 2, ascending = Seq(true), validity = false)
+      .modeledSeconds
 }

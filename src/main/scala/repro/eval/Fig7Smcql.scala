@@ -46,7 +46,7 @@ object Fig7Smcql {
     */
   private[eval] def smcqlComorbidityPredicted(n: Long): Double =
     CostModel.sort(CostParams.ObliVM, (n * 2 * Generators.DistinctFrac).toLong, width = 2,
-      ascending = Seq(true)).modeledSeconds
+      ascending = Seq(true), validity = false).modeledSeconds
 
   def runAspirin(spark: SparkSession, sizes: Seq[Long]): Seq[BenchPoint] =
     sizes.flatMap { n =>

@@ -25,6 +25,9 @@ final case class CostParams(
       * sorting-network compare-exchange.
       * Anchor: Sharemind aggregation of 30k rows (bitonic sort ≈ 1.8M
       * compare-exchanges) takes ~10 min (Fig. 5 caption) → ~3e-4 s each.
+      * The constant was fitted to those 1.8M bitonic compare-exchanges and
+      * is kept as is; the odd–even merge network over the same rows runs
+      * 1.6M, with one comparison each.
       * Comparisons are far costlier than equality in additive sharing
       * (bit-decomposition vs. masked zero-test), hence the gap.
       */
@@ -196,20 +199,23 @@ object CostModel {
     m
   }
 
-  /** A bitonic sort of `rows` rows of `width` columns by keys with the
-    * given directions (`Oblivious.sortBy`). The network touches each row
-    * once and runs `Oblivious.sortPairs(rows)` compare-exchanges; one
-    * compare-exchange is what a 2-row sort of the same width and keys
-    * charges beyond its 2 row touches.
+  /** An odd–even merge sort of `rows` rows of `width` columns, with a
+    * validity column if `validity`, by keys with the given directions
+    * (`Oblivious.sortBy`). The network touches each row once and runs
+    * `Oblivious.sortPairs(rows)` compare-exchanges; one compare-exchange is
+    * what a 2-row sort of the same width, validity and keys charges beyond
+    * its 2 row touches.
     */
-  def sort(params: CostParams, rows: Long, width: Int, ascending: Seq[Boolean]): CostSnapshot =
+  def sort(params: CostParams, rows: Long, width: Int, ascending: Seq[Boolean],
+      validity: Boolean): CostSnapshot =
     charged(params) { m =>
       if (rows > 1) {
         require(ascending.length <= width, s"${ascending.length} sort keys over $width columns")
         val keys = ascending.zipWithIndex.map { case (asc, i) => Oblivious.SortKey(i, asc) }
         val exchange = step(params) { e =>
           val cols = Vector.fill(width)(e.constant(0L, 2))
-          Oblivious.sortBy(e, SharedRelation(cols.indices.map(i => s"c$i").toVector, cols), keys)
+          val valid = if (validity) Some(e.constant(1L, 2)) else None
+          Oblivious.sortBy(e, SharedRelation(cols.indices.map(i => s"c$i").toVector, cols, valid), keys)
         }
         exchange.rowsTouched -= 2
         m.absorb(exchange, Oblivious.sortPairs(rows))

@@ -349,6 +349,11 @@ trait MpcEngine {
   /** Charge per-row storage-layer cost. */
   final def chargeRows(rows: Long): Unit = meter.addRows(rows)
 
+  /** Charge `n` executions of `op` at the engine's price, for a protocol
+    * simulated by its ideal functionality.
+    */
+  final def chargeIdeal(op: Op, n: Long): Unit = charge(op, n)
+
   /** Memory-model hook for relation-level operators (GC backends OOM). */
   def checkRelationMem(op: String, records: Long, width: Long): Unit = ()
 }

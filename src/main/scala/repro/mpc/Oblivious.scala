@@ -5,16 +5,16 @@ import java.util.stream.IntStream
 import scala.collection.mutable.ArrayBuilder
 
 /** The data-oblivious kernels that run on a bare [[MpcEngine]], with no
-  * backend, leakage log or memory check: an oblivious shuffle, a bitonic
-  * sorting network, a Cartesian-product join that learns its match flags
-  * only as the protocol's shuffled opening would (the output-size-leaking
-  * Sharemind join the paper benchmarks), and the oblivious indexing
-  * protocol of Laud [45] used by hybrid joins. Every kernel has
-  * data-independent control flow, apart from the join's match count, which
-  * its caller records. The relational operators built on them, with the
-  * values they open and record, are [[MpcBackend]]'s.
+  * backend, leakage log or memory check: an oblivious shuffle, Batcher's
+  * odd–even merge sorting network, a Cartesian-product join that learns its
+  * match flags only as the protocol's shuffled opening would (the
+  * output-size-leaking Sharemind join the paper benchmarks), and the
+  * oblivious indexing protocol of Laud [45] used by hybrid joins. Every
+  * kernel has data-independent control flow, apart from the join's match
+  * count, which its caller records. The relational operators built on them,
+  * with the values they open and record, are [[MpcBackend]]'s.
   *
-  * Data-parallel steps run a whole column per engine call (a bitonic layer,
+  * Data-parallel steps run a whole column per engine call (a network layer,
   * one left row's join candidates). The sorting network's layers and the
   * Cartesian join's left rows also run in fixed-size blocks across cores,
   * each block on its own engine fork.
@@ -27,11 +27,12 @@ object Oblivious {
   // ---------------------------------------------------------------- shuffle
 
   /** Draw and charge the permutation of a resharing-based oblivious shuffle
-    * of `rel`: no party learns it.
+    * of `rel`, which moves its columns and its validity flags, if any: no
+    * party learns it.
     */
   private[mpc] def shufflePermutation(e: MpcEngine, rel: SharedRelation): Array[Int] = {
     val perm = e.secretPermutation(rel.size)
-    e.chargeShuffle(rel.size.toLong, rel.width.toLong + 1)
+    e.chargeShuffle(rel.size.toLong, rel.width.toLong + (if (rel.validity.isDefined) 1 else 0))
     perm
   }
 
@@ -58,49 +59,59 @@ object Oblivious {
 
   // ------------------------------------------------------------------- sort
 
-  /** The layers of the all-ascending bitonic network over `n` rows, in
-    * order: for each merge size k = 2, 4, … up to the next power of two p,
-    * layer (k, k/2) pairs each row with its mirror inside its run of k rows,
-    * and each later layer (k, j) pairs rows j apart. The network is Batcher's
-    * (AFIPS 1968) for p rows; a comparator between two real rows is kept and
+  /** The layers of Batcher's odd–even merge sort (AFIPS 1968) over `n`
+    * rows, in order. For each run length P = 1, 2, 4, … below n, the runs of
+    * P sorted rows are merged in pairs: layer (P, P) pairs each row of a
+    * block of 2P rows with the row P above it, and each later layer (P, k),
+    * k = P/2, …, 1, pairs rows k apart inside the block, leaving its first
+    * and last k rows alone. A comparator between two real rows is kept and
     * one that touches an index ≥ n is dropped (see [[sortBy]]).
     */
   private[mpc] def sortLayers(n: Long): Iterator[(Long, Long)] =
-    Iterator.iterate(2L)(_ << 1).takeWhile(_ / 2 < n)
-      .flatMap(k => Iterator.iterate(k >> 1)(_ >> 1).takeWhile(_ > 0).map(j => (k, j)))
+    Iterator.iterate(1L)(_ << 1).takeWhile(_ < n)
+      .flatMap(p => Iterator.iterate(p)(_ >> 1).takeWhile(_ > 0).map(k => (p, k)))
 
-  /** The upper row of pair t of a layer (k, j): the t-th row with bit j set.
-    * Rows below n come first, so a layer's pairs are a prefix `[0, count)`.
+  /** The lower row of pair t of layer (p, k); its upper row is k above it.
+    * Pairs are in lower-row order, so a layer's pairs between real rows are
+    * a prefix `[0, layerPairs(n, p, k))`.
     */
-  private[mpc] def upperRow(j: Int, t: Int): Int = ((t & ~(j - 1)) << 1) | j | (t & (j - 1))
+  private[mpc] def lowerRow(p: Int, k: Int, t: Int): Int =
+    if (k == p) t / p * 2 * p + t % p
+    else t / (p - k) * 2 * p + k + t % (p - k) / k * 2 * k + t % k
 
-  /** The row that layer (k, j) pairs with `upper`: its mirror in its run of
-    * k rows on the first layer of a merge, else the row j below it.
+  /** The rows below n with bit j set: j per full run of 2j rows plus those
+    * of the partial run.
     */
-  private[mpc] def lowerRow(k: Long, j: Int, upper: Int): Int =
-    if (j == (k >> 1)) upper ^ (k - 1).toInt else upper ^ j
+  private def withBit(n: Long, j: Long): Long = n / (2 * j) * j + math.max(0L, n % (2 * j) - j)
 
-  /** The pairs of a layer (k, j) over `n` rows: the rows below n with bit j
-    * set, i.e. `j` per full run of 2j rows plus those of the partial run.
+  /** The pairs of layer (p, k) whose rows are both below n: on the first
+    * layer of a merge, one per row below n with bit p set; on a later one,
+    * p − k per full block of 2p rows, plus those of the partial block, whose
+    * lower rows are its rows with bit k set below its length less k.
     */
-  private[mpc] def layerPairs(n: Long, j: Long): Long = n / (2 * j) * j + math.max(0L, n % (2 * j) - j)
+  private[mpc] def layerPairs(n: Long, p: Long, k: Long): Long =
+    if (k == p) withBit(n, p)
+    else n / (2 * p) * (p - k) + withBit(math.max(0L, n % (2 * p) - k), k)
 
-  /** The compare-exchanges a sort of `n` rows runs: n/4·log₂n·(log₂n+1) at
-    * a power of two, fewer than the network over the next power of two
-    * otherwise.
+  /** The compare-exchanges a sort of `n` rows runs: (L² − L + 4)·n/4 − 1
+    * at a power of two n = 2^L, fewer than the network over the next power of
+    * two otherwise.
     */
-  def sortPairs(n: Long): Long = sortLayers(n).map { case (_, j) => layerPairs(n, j) }.sum
+  def sortPairs(n: Long): Long = sortLayers(n).map { case (p, k) => layerPairs(n, p, k) }.sum
 
-  /** Bitonic sorting network over `keys`, O(n log^2 n) oblivious
-    * compare-exchanges. Invalid rows (validity 0) always sort after valid
-    * ones; the relative order of data is by `keys`.
+  /** Batcher's odd–even merge sorting network over `keys`, O(n log^2 n)
+    * oblivious compare-exchanges. Invalid rows (validity 0) always sort
+    * after valid ones; the relative order of data is by `keys`.
     *
-    * The network is the all-ascending form of the bitonic sorter over the
-    * next power of two p: every comparator puts the row that sorts first at
-    * the lower index. Rows n until p would be sentinel rows that sort after
-    * every real row, so a comparator touching one never swaps; the kernel
-    * runs only the `sortPairs(n)` comparators between real rows. Which ones
-    * run depends only on the public n.
+    * Every comparator puts the row that sorts first at the lower index. Rows
+    * from n up to the next power of two would be sentinel rows that sort
+    * after every real row, so a comparator touching one never swaps; the
+    * kernel runs only the `sortPairs(n)` comparators between real rows.
+    * Which ones run depends only on the public n.
+    *
+    * A compare-exchange runs one comparison per key, and an equality test
+    * only for a key that another key follows; a relation with no validity
+    * column has no validity level and exchanges only its cells.
     *
     * Each layer of the network (at most n/2 compare-exchanges, disjoint
     * pairs) is gathered into scratch columns, run as one batch and scattered
@@ -112,9 +123,11 @@ object Oblivious {
     val n = rel.size
     if (n <= 1) return rel
 
-    // Working state: copies of the cells and the per-row validity.
-    val valid = rel.validity.fold(e.constant(1L, n))(_.slice(0, n))
+    // Working state: copies of the cells and of the validity flags, if any,
+    // which move with them.
+    val valid = rel.validity.map(_.slice(0, n))
     val cells = rel.cols.map(_.slice(0, n))
+    val moved = cells ++ valid
     e.chargeRows(n.toLong)
 
     // Per layer: pair t compares row first(t) with the higher row
@@ -122,28 +135,33 @@ object Oblivious {
     val h = n / 2
     val engines = Array.fill((h + SortBlock - 1) / SortBlock)(e.fork())
     val first = new Array[Int](h); val second = new Array[Int](h)
-    val as = cells.map(_ => e.alloc(h)); val bs = cells.map(_ => e.alloc(h))
-    val va = e.alloc(h); val vb = e.alloc(h)
-    val sw = e.alloc(h); val eqSoFar = e.alloc(h)
-    val t1 = e.alloc(h); val t2 = e.alloc(h); val ltf = e.alloc(h); val eqf = e.alloc(h)
+    val as = moved.map(_ => e.alloc(h)); val bs = moved.map(_ => e.alloc(h))
+    val sw = e.alloc(h); val eqSoFar = e.alloc(h); val t1 = e.alloc(h); val t2 = e.alloc(h)
 
     // sw = "a sorts after b" for pairs [o, o + m): validity descending, then
     // keys in order.
     def after(c: MpcEngine, o: Int, m: Int): Unit = {
-      // validity level: a after b iff va < vb, i.e. vb AND NOT va = vb - va*vb
-      c.mulFlag(va, vb, t1, m, o, o, o); c.sub(vb, t1, sw, m, o, o, o)
-      // eq on 0/1 flags: 1 - (va XOR vb) = 1 - va - vb + 2*va*vb
-      c.add(t1, t1, t1, m, o, o, o); c.add(va, vb, t2, m, o, o, o)
-      c.sub(t1, t2, t1, m, o, o, o); c.addPub(t1, 1L, eqSoFar, m, o, o)
-      keys.foreach { k =>
+      if (valid.isDefined) {
+        val va = as(cells.length); val vb = bs(cells.length)
+        // a after b iff va < vb, i.e. vb AND NOT va = vb - va*vb
+        c.mulFlag(va, vb, t1, m, o, o, o); c.sub(vb, t1, sw, m, o, o, o)
+        // eq on 0/1 flags: 1 - (va XOR vb) = 1 - va - vb + 2*va*vb
+        c.add(t1, t1, t1, m, o, o, o); c.add(va, vb, t2, m, o, o, o)
+        c.sub(t1, t2, t1, m, o, o, o); c.addPub(t1, 1L, eqSoFar, m, o, o)
+      }
+      keys.zipWithIndex.foreach { case (k, i) =>
         val x = as(k.col); val y = bs(k.col)
-        c.lt(x, y, ltf, m, o, o, o); c.eq(x, y, eqf, m, o, o, o)
-        // ascending: a after b iff x > y  = 1 - lt - eq (disjoint events)
-        val cmpFlag =
-          if (k.ascending) { c.not(ltf, t1, m, o, o); c.sub(t1, eqf, t1, m, o, o, o); t1 }
-          else ltf
-        c.mulFlag(eqSoFar, cmpFlag, t2, m, o, o, o); c.add(sw, t2, sw, m, o, o, o) // disjoint OR
-        c.mulFlag(eqSoFar, eqf, eqSoFar, m, o, o, o)
+        // The first level decides alone: its flag is the swap flag.
+        val decides = valid.isEmpty && i == 0
+        val flag = if (decides) sw else t2
+        // a after b iff y < x (ascending) or x < y (descending)
+        if (k.ascending) c.lt(y, x, flag, m, o, o, o) else c.lt(x, y, flag, m, o, o, o)
+        // disjoint OR: earlier levels tie and this one says after
+        if (!decides) { c.mulFlag(eqSoFar, t2, t2, m, o, o, o); c.add(sw, t2, sw, m, o, o, o) }
+        if (i < keys.length - 1) {
+          if (decides) c.eq(x, y, eqSoFar, m, o, o, o)
+          else { c.eq(x, y, t1, m, o, o, o); c.mulFlag(eqSoFar, t1, eqSoFar, m, o, o, o) }
+        }
       }
     }
 
@@ -153,36 +171,33 @@ object Oblivious {
       c.add(a, t1, a, m, o, o, o); c.sub(b, t1, b, m, o, o, o)
     }
 
-    // Layer (k, j): block b runs pairs [from, until) on engines(b).
-    def layer(k: Long, j: Int): Unit = {
-      val pairs = layerPairs(n, j).toInt
+    // Layer (p, k): block b runs pairs [from, until) on engines(b).
+    def layer(p: Int, k: Int): Unit = {
+      val pairs = layerPairs(n, p, k).toInt
       forBlocks((pairs + SortBlock - 1) / SortBlock) { b =>
         val c = engines(b)
         val from = b * SortBlock; val until = math.min(pairs, from + SortBlock)
         var t = from
         while (t < until) {
-          val u = upperRow(j, t)
-          first(t) = lowerRow(k, j, u); second(t) = u
+          val lo = lowerRow(p, k, t)
+          first(t) = lo; second(t) = lo + k
           t += 1
         }
-        cells.indices.foreach { i =>
-          cells(i).gatherInto(first, as(i), from, until); cells(i).gatherInto(second, bs(i), from, until)
+        moved.indices.foreach { i =>
+          moved(i).gatherInto(first, as(i), from, until); moved(i).gatherInto(second, bs(i), from, until)
         }
-        valid.gatherInto(first, va, from, until); valid.gatherInto(second, vb, from, until)
         after(c, from, until - from)
-        cells.indices.foreach(i => exchange(c, as(i), bs(i), from, until - from))
-        exchange(c, va, vb, from, until - from)
-        cells.indices.foreach { i =>
-          cells(i).scatterFrom(as(i), first, from, until); cells(i).scatterFrom(bs(i), second, from, until)
+        moved.indices.foreach { i =>
+          exchange(c, as(i), bs(i), from, until - from)
+          moved(i).scatterFrom(as(i), first, from, until); moved(i).scatterFrom(bs(i), second, from, until)
         }
-        valid.scatterFrom(va, first, from, until); valid.scatterFrom(vb, second, from, until)
       }
     }
 
-    sortLayers(n).foreach { case (k, j) => layer(k, j.toInt) }
+    sortLayers(n).foreach { case (p, k) => layer(p.toInt, k.toInt) }
     engines.foreach(c => e.meter.absorb(c.meter))
 
-    SharedRelation(rel.schema, cells, if (rel.validity.isDefined) Some(valid) else None)
+    SharedRelation(rel.schema, cells, valid)
   }
 
   // -------------------------------------------------------------------- join
@@ -273,13 +288,14 @@ object Oblivious {
     * `rel`, returns the rows at those positions without revealing which.
     * Cost O((n+m) log(n+m)) — this is what makes the hybrid join an
     * asymptotic improvement over the Cartesian join.
-    * Simulated as its ideal functionality with the protocol's cost charged.
+    * Simulated as its ideal functionality with the protocol's cost charged:
+    * one flag multiply per cell in each of its ⌈log₂(n+m)⌉ rounds.
     */
   def select(e: MpcEngine, rel: SharedRelation, idxs: SharedCol): SharedRelation = {
     require(rel.validity.isEmpty, "select requires a compacted relation")
     val n = rel.size.toLong; val m = idxs.length.toLong
     val logNm = Log2.ceil(n + m)
-    e.meter.addMul((n + m) * logNm * rel.width)
+    e.chargeIdeal(MpcEngine.Op.MulFlag, (n + m) * logNm * rel.width)
     e.meter.addRound(logNm)
     e.chargeRows(n + m)
     val opened = e.idealOpen(idxs)

@@ -98,7 +98,8 @@ class EvalSpec extends SparkSpec {
       val r = testRel(b, n, valid)
       lazy val sorted = b.sort(r, keys)
       val got = metered(b)(sorted)
-      val predicted = CostModel.sort(b.meter.params, n, width = 3, ascending = keys.map(_._2))
+      val predicted = CostModel.sort(b.meter.params, n, width = 3, ascending = keys.map(_._2),
+        validity = valid)
       val label = s"${b.meter.params.name} n=$n keys=$keys validity=$valid"
       assert(got == predicted, label)
       // By position (a reveal shuffles): valid rows first, in key order.
@@ -111,27 +112,36 @@ class EvalSpec extends SparkSpec {
     }
   }
 
-  test("at a power of two the sort runs the padded network's counts") {
+  test("at a power of two the sort runs the closed-form count of compare-exchanges") {
     for (log <- 1 to 24) {
       val p = 1L << log
-      val exchanges = p * log * (log + 1) / 4
+      val exchanges = (log * log - log + 4) * p / 4 - 1
       assert(Oblivious.sortPairs(p) == exchanges, s"p=$p")
-      val sm = CostModel.sort(CostParams.Sharemind, p, 2, Seq(true))
-      assert((sm.rowsTouched, sm.eqs, sm.cmps) == ((p, exchanges, exchanges)), s"p=$p")
-      assert(CostModel.sort(CostParams.OblivC, p, 2, Seq(true)).rowsTouched == p, s"p=$p")
+      // One comparison per key, one equality test per key that another follows.
+      for (keys <- 1 to 2; validity <- Seq(false, true)) {
+        val sm = CostModel.sort(CostParams.Sharemind, p, 2, Seq.fill(keys)(true), validity)
+        assert((sm.rowsTouched, sm.eqs, sm.cmps) == ((p, (keys - 1) * exchanges, keys * exchanges)),
+          s"p=$p keys=$keys validity=$validity")
+      }
+      assert(CostModel.sort(CostParams.OblivC, p, 2, Seq(true), validity = false).rowsTouched == p,
+        s"p=$p")
     }
   }
 
   test("the sort predictor reproduces the pinned golden sort counters") {
-    def sm(n: Long, asc: Boolean*) = CostModel.sort(CostParams.Sharemind, n, 2, asc)
-    def oc(n: Long, asc: Boolean*) = CostModel.sort(CostParams.OblivC, n, 2, asc)
-    assert(sm(13, true) == CostSnapshot(13L, 57L, 57L, 342L, 0L, 0L, 0L, 0L, 0L, 0.021182))
-    assert(sm(13, true, false) ==
-      CostSnapshot(13L, 114L, 114L, 456L, 0L, 0L, 0L, 0L, 0L, 0.039307999999999996))
-    assert(oc(13, true) == CostSnapshot(13L, 0L, 0L, 0L, 0L, 0L, 91200L, 0L, 0L, 0.09184999999999999))
-    assert(oc(13, true, false) == CostSnapshot(13L, 0L, 0L, 0L, 0L, 0L, 109440L, 0L, 0L, 0.11009))
-    val big = sm(9999, true)
-    assert((big.rowsTouched, big.eqs, big.cmps, big.muls) == (9999L, 515150L, 515150L, 3090900L))
+    def sm(n: Long, validity: Boolean, asc: Boolean*) =
+      CostModel.sort(CostParams.Sharemind, n, 2, asc, validity)
+    def oc(n: Long, validity: Boolean, asc: Boolean*) =
+      CostModel.sort(CostParams.OblivC, n, 2, asc, validity)
+    assert(sm(13, false, true) ==
+      CostSnapshot(13L, 0L, 48L, 96L, 0L, 0L, 0L, 0L, 0L, 0.017192000000000002))
+    assert(sm(13, true, true, false) ==
+      CostSnapshot(13L, 48L, 96L, 336L, 0L, 0L, 0L, 0L, 0L, 0.032743999999999995))
+    assert(oc(13, false, true) == CostSnapshot(13L, 0L, 0L, 0L, 0L, 0L, 27648L, 0L, 0L, 0.028298))
+    assert(oc(13, true, true, false) ==
+      CostSnapshot(13L, 0L, 0L, 0L, 0L, 0L, 79872L, 0L, 0L, 0.080522))
+    val big = sm(9999, true, true)
+    assert((big.rowsTouched, big.eqs, big.cmps, big.muls) == (9999L, 0L, 456195L, 2280975L))
   }
 
   test("the join predictor's equality count equals the metered count") {
@@ -145,7 +155,8 @@ class EvalSpec extends SparkSpec {
   }
 
   test("aggregation estimate grows superlinearly and respects the cap") {
-    def e(n: Long) = CostModel.sort(CostParams.Sharemind, n, 2, Seq(true)).modeledSeconds
+    def e(n: Long) =
+      CostModel.sort(CostParams.Sharemind, n, 2, Seq(true), validity = false).modeledSeconds
     assert(e(100000) > 10 * e(10000))
     assert(e(10000000) > Bench.TimeoutSeconds)
   }
@@ -153,7 +164,8 @@ class EvalSpec extends SparkSpec {
   test("ObliVM sort estimate reproduces the paper's one-hour-plus anchor") {
     // ~4k pre-aggregated rows entering MPC (20k total at 10% distinct keys,
     // both parties) must land beyond an hour (§7.4: SMCQL >1h at the 20k mark).
-    assert(CostModel.sort(CostParams.ObliVM, 4000, 2, Seq(true)).modeledSeconds > 3600)
+    assert(CostModel.sort(CostParams.ObliVM, 4000, 2, Seq(true), validity = false)
+      .modeledSeconds > 3600)
   }
 
   test("microbenchmark pre-checks skip hopeless sizes without executing") {

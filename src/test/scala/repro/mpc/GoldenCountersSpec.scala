@@ -174,7 +174,7 @@ class GoldenCountersSpec extends SparkSpec {
     val got = capture(b)(b.sort(f, Seq("companyID" -> true)))
     check("sharemind: sortBy 9999 x 2", got)
     assert((got.cost.rowsTouched, got.cost.eqs, got.cost.cmps, got.cost.muls) ==
-      ((9999L, 515150L, 515150L, 3090900L)))
+      ((9999L, 0L, 456195L, 2280975L)))
   }
 
   // ------------------------------------------------------- end-to-end plans
@@ -248,58 +248,58 @@ object GoldenCountersSpec {
 
   val Expected: Map[String, Golden] = Map(
     "sharemind: shuffle" ->
-      Golden(CostSnapshot(0L, 0L, 0L, 0L, 3L, 160L, 0L, 0L, 0L, 0.00428),
+      Golden(CostSnapshot(0L, 0L, 0L, 0L, 3L, 120L, 0L, 0L, 0L, 0.00396),
         Map()),
     "sharemind: sortBy n=13 without validity" ->
-      Golden(CostSnapshot(13L, 57L, 57L, 342L, 0L, 0L, 0L, 0L, 0L, 0.021182),
+      Golden(CostSnapshot(13L, 0L, 48L, 96L, 0L, 0L, 0L, 0L, 0L, 0.017192000000000002),
         Map()),
     "sharemind: sortBy n=13 with validity, two keys" ->
-      Golden(CostSnapshot(13L, 114L, 114L, 456L, 0L, 0L, 0L, 0L, 0L, 0.039307999999999996),
+      Golden(CostSnapshot(13L, 48L, 96L, 336L, 0L, 0L, 0L, 0L, 0L, 0.032743999999999995),
         Map()),
     "sharemind: filter literal and column" ->
       Golden(CostSnapshot(22L, 0L, 22L, 11L, 0L, 0L, 0L, 0L, 0L, 0.011021999999999999),
         Map()),
     "sharemind: aggregate Sum with validity" ->
-      Golden(CostSnapshot(20L, 153L, 134L, 901L, 4L, 400L, 0L, 0L, 0L, 0.055344),
+      Golden(CostSnapshot(20L, 19L, 103L, 612L, 4L, 300L, 0L, 0L, 0L, 0.042789999999999995),
         Map("card(agg,5)->a+b+c" -> 1)),
     "sharemind: globalAggregate Sum with validity" ->
       Golden(CostSnapshot(15L, 0L, 0L, 15L, 0L, 0L, 0L, 0L, 0L, 0.00303),
         Map()),
     "sharemind: hybridAggregate Sum with validity" ->
-      Golden(CostSnapshot(48L, 0L, 0L, 15L, 12L, 748L, 0L, 0L, 0L, 0.027614000000000003),
+      Golden(CostSnapshot(48L, 0L, 0L, 15L, 12L, 620L, 0L, 0L, 0L, 0.026590000000000003),
         Map("card(hagg,5)->a+b+c" -> 1, "card(hagg:in,16)->a+b+c" -> 1, "column(hagg,k)->c" -> 1)),
     "sharemind: aggregate Count with validity" ->
-      Golden(CostSnapshot(20L, 153L, 134L, 881L, 4L, 400L, 0L, 0L, 0L, 0.055304),
+      Golden(CostSnapshot(20L, 19L, 103L, 592L, 4L, 300L, 0L, 0L, 0L, 0.042749999999999996),
         Map("card(agg,5)->a+b+c" -> 1)),
     "sharemind: globalAggregate Count with validity" ->
       Golden(CostSnapshot(15L, 0L, 0L, 0L, 0L, 0L, 0L, 0L, 0L, 0.003),
         Map()),
     "sharemind: hybridAggregate Count with validity" ->
-      Golden(CostSnapshot(48L, 0L, 0L, 15L, 12L, 748L, 0L, 0L, 0L, 0.027614000000000003),
+      Golden(CostSnapshot(48L, 0L, 0L, 15L, 12L, 620L, 0L, 0L, 0L, 0.026590000000000003),
         Map("card(hagg,5)->a+b+c" -> 1, "card(hagg:in,16)->a+b+c" -> 1, "column(hagg,k)->c" -> 1)),
     "sharemind: aggregate Min with validity" ->
-      Golden(CostSnapshot(20L, 153L, 153L, 920L, 4L, 400L, 0L, 0L, 0L, 0.061082000000000004),
+      Golden(CostSnapshot(20L, 19L, 122L, 631L, 4L, 300L, 0L, 0L, 0L, 0.04852799999999999),
         Map("card(agg,5)->a+b+c" -> 1)),
     "sharemind: globalAggregate Min with validity" ->
       Golden(CostSnapshot(15L, 0L, 15L, 30L, 0L, 0L, 0L, 0L, 0L, 0.00756),
         Map()),
     "sharemind: hybridAggregate Min with validity" ->
-      Golden(CostSnapshot(48L, 0L, 15L, 30L, 12L, 748L, 0L, 0L, 0L, 0.032144000000000006),
+      Golden(CostSnapshot(48L, 0L, 15L, 30L, 12L, 620L, 0L, 0L, 0L, 0.031120000000000002),
         Map("card(hagg,5)->a+b+c" -> 1, "card(hagg:in,16)->a+b+c" -> 1, "column(hagg,k)->c" -> 1)),
     "sharemind: aggregate Max with validity" ->
-      Golden(CostSnapshot(20L, 153L, 153L, 920L, 4L, 400L, 0L, 0L, 0L, 0.061082000000000004),
+      Golden(CostSnapshot(20L, 19L, 122L, 631L, 4L, 300L, 0L, 0L, 0L, 0.04852799999999999),
         Map("card(agg,5)->a+b+c" -> 1)),
     "sharemind: globalAggregate Max with validity" ->
       Golden(CostSnapshot(15L, 0L, 15L, 30L, 0L, 0L, 0L, 0L, 0L, 0.00756),
         Map()),
     "sharemind: hybridAggregate Max with validity" ->
-      Golden(CostSnapshot(48L, 0L, 15L, 30L, 12L, 748L, 0L, 0L, 0L, 0.032144000000000006),
+      Golden(CostSnapshot(48L, 0L, 15L, 30L, 12L, 620L, 0L, 0L, 0L, 0.031120000000000002),
         Map("card(hagg,5)->a+b+c" -> 1, "card(hagg:in,16)->a+b+c" -> 1, "column(hagg,k)->c" -> 1)),
     "sharemind: aggregate preSorted" ->
-      Golden(CostSnapshot(0L, 11L, 0L, 57L, 4L, 192L, 0L, 0L, 0L, 0.005804),
+      Golden(CostSnapshot(0L, 11L, 0L, 57L, 4L, 144L, 0L, 0L, 0L, 0.00542),
         Map("card(agg,4)->a+b+c" -> 1)),
     "sharemind: distinct with validity" ->
-      Golden(CostSnapshot(28L, 154L, 128L, 577L, 0L, 0L, 0L, 0L, 0L, 0.04731),
+      Golden(CostSnapshot(28L, 79L, 106L, 436L, 0L, 0L, 0L, 0L, 0L, 0.039377999999999996),
         Map()),
     "sharemind: distinct preSorted" ->
       Golden(CostSnapshot(14L, 13L, 0L, 52L, 0L, 0L, 0L, 0L, 0L, 0.0030859999999999998),
@@ -311,7 +311,7 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(14L, 0L, 0L, 112L, 4L, 0L, 0L, 0L, 0L, 0.007024),
         Map()),
     "sharemind: hybridJoin with validity" ->
-      Golden(CostSnapshot(102L, 0L, 0L, 610L, 25L, 796L, 0L, 0L, 0L, 0.052988),
+      Golden(CostSnapshot(102L, 0L, 0L, 610L, 25L, 612L, 0L, 0L, 0L, 0.051516),
         Map("card(hj,20)->a+b+c" -> 1, "card(hj:left,11)->a+b+c" -> 1, "column(hj,left:k)->c" -> 1,
           "column(hj,right:k)->c" -> 1)),
     "sharemind: publicJoin" ->
@@ -349,7 +349,7 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(0L, 0L, 0L, 0L, 4L, 0L, 0L, 0L, 0L, 0.004),
         Map("card(hagg:in,0)->a+b+c" -> 1)),
     "sharemind: hybridJoin on 0 rows" ->
-      Golden(CostSnapshot(12L, 0L, 0L, 36L, 18L, 54L, 0L, 0L, 0L, 0.020904000000000002),
+      Golden(CostSnapshot(12L, 0L, 0L, 36L, 18L, 36L, 0L, 0L, 0L, 0.020760000000000004),
         Map("card(hj,0)->a+b+c" -> 1, "card(hj:left,0)->a+b+c" -> 1, "column(hj,left:k)->c" -> 1,
           "column(hj,right:k)->c" -> 1)),
     "sharemind: publicJoin on 0 rows" ->
@@ -357,58 +357,58 @@ object GoldenCountersSpec {
         Map("card(pj,0)->a+b+c" -> 1, "card(pj:left,0)->a+b+c" -> 1,
           "column(pj,left:k)->a+b+c" -> 1, "column(pj,right:k)->a+b+c" -> 1)),
     "obliv-c: shuffle" ->
-      Golden(CostSnapshot(0L, 0L, 0L, 0L, 0L, 0L, 10240L, 0L, 0L, 0.010239999999999999),
+      Golden(CostSnapshot(0L, 0L, 0L, 0L, 0L, 0L, 7680L, 0L, 0L, 0.007679999999999999),
         Map()),
     "obliv-c: sortBy n=13 without validity" ->
-      Golden(CostSnapshot(13L, 0L, 0L, 0L, 0L, 0L, 91200L, 0L, 425984L, 0.09184999999999999),
+      Golden(CostSnapshot(13L, 0L, 0L, 0L, 0L, 0L, 27648L, 0L, 425984L, 0.028298),
         Map()),
     "obliv-c: sortBy n=13 with validity, two keys" ->
-      Golden(CostSnapshot(13L, 0L, 0L, 0L, 0L, 0L, 109440L, 0L, 0L, 0.11009),
+      Golden(CostSnapshot(13L, 0L, 0L, 0L, 0L, 0L, 79872L, 0L, 0L, 0.080522),
         Map()),
     "obliv-c: filter literal and column" ->
       Golden(CostSnapshot(22L, 0L, 0L, 0L, 0L, 0L, 2816L, 0L, 146432L, 0.003916),
         Map()),
     "obliv-c: aggregate Sum with validity" ->
-      Golden(CostSnapshot(20L, 0L, 0L, 0L, 1L, 0L, 249856L, 0L, 655360L, 0.25085599999999997),
+      Golden(CostSnapshot(20L, 0L, 0L, 0L, 1L, 0L, 167488L, 0L, 655360L, 0.168488),
         Map("card(agg,5)->a+b" -> 1)),
     "obliv-c: globalAggregate Sum with validity" ->
       Golden(CostSnapshot(15L, 0L, 0L, 0L, 0L, 0L, 1920L, 0L, 491520L, 0.0026699999999999996),
         Map()),
     "obliv-c: hybridAggregate Sum with validity" ->
-      Golden(CostSnapshot(48L, 0L, 0L, 0L, 3L, 0L, 50752L, 0L, 0L, 0.053152),
+      Golden(CostSnapshot(48L, 0L, 0L, 0L, 3L, 0L, 42560L, 0L, 0L, 0.04496),
         Map("card(hagg,5)->a+b" -> 1, "card(hagg:in,16)->a+b" -> 1, "column(hagg,k)->c" -> 1)),
     "obliv-c: aggregate Count with validity" ->
-      Golden(CostSnapshot(20L, 0L, 0L, 0L, 1L, 0L, 288896L, 0L, 655360L, 0.289896),
+      Golden(CostSnapshot(20L, 0L, 0L, 0L, 1L, 0L, 206528L, 0L, 655360L, 0.207528),
         Map("card(agg,5)->a+b" -> 1)),
     "obliv-c: globalAggregate Count with validity" ->
       Golden(CostSnapshot(15L, 0L, 0L, 0L, 0L, 0L, 31200L, 0L, 491520L, 0.03195),
         Map()),
     "obliv-c: hybridAggregate Count with validity" ->
-      Golden(CostSnapshot(48L, 0L, 0L, 0L, 3L, 0L, 50752L, 0L, 0L, 0.053152),
+      Golden(CostSnapshot(48L, 0L, 0L, 0L, 3L, 0L, 42560L, 0L, 0L, 0.04496),
         Map("card(hagg,5)->a+b" -> 1, "card(hagg:in,16)->a+b" -> 1, "column(hagg,k)->c" -> 1)),
     "obliv-c: aggregate Min with validity" ->
-      Golden(CostSnapshot(20L, 0L, 0L, 0L, 1L, 0L, 256064L, 0L, 655360L, 0.257064),
+      Golden(CostSnapshot(20L, 0L, 0L, 0L, 1L, 0L, 173696L, 0L, 655360L, 0.174696),
         Map("card(agg,5)->a+b" -> 1)),
     "obliv-c: globalAggregate Min with validity" ->
       Golden(CostSnapshot(15L, 0L, 0L, 0L, 0L, 0L, 6720L, 0L, 491520L, 0.007469999999999999),
         Map()),
     "obliv-c: hybridAggregate Min with validity" ->
-      Golden(CostSnapshot(48L, 0L, 0L, 0L, 3L, 0L, 53632L, 0L, 0L, 0.056032),
+      Golden(CostSnapshot(48L, 0L, 0L, 0L, 3L, 0L, 45440L, 0L, 0L, 0.04784),
         Map("card(hagg,5)->a+b" -> 1, "card(hagg:in,16)->a+b" -> 1, "column(hagg,k)->c" -> 1)),
     "obliv-c: aggregate Max with validity" ->
-      Golden(CostSnapshot(20L, 0L, 0L, 0L, 1L, 0L, 256064L, 0L, 655360L, 0.257064),
+      Golden(CostSnapshot(20L, 0L, 0L, 0L, 1L, 0L, 173696L, 0L, 655360L, 0.174696),
         Map("card(agg,5)->a+b" -> 1)),
     "obliv-c: globalAggregate Max with validity" ->
       Golden(CostSnapshot(15L, 0L, 0L, 0L, 0L, 0L, 6720L, 0L, 491520L, 0.007469999999999999),
         Map()),
     "obliv-c: hybridAggregate Max with validity" ->
-      Golden(CostSnapshot(48L, 0L, 0L, 0L, 3L, 0L, 53632L, 0L, 0L, 0.056032),
+      Golden(CostSnapshot(48L, 0L, 0L, 0L, 3L, 0L, 45440L, 0L, 0L, 0.04784),
         Map("card(hagg,5)->a+b" -> 1, "card(hagg:in,16)->a+b" -> 1, "column(hagg,k)->c" -> 1)),
     "obliv-c: aggregate preSorted" ->
-      Golden(CostSnapshot(0L, 0L, 0L, 0L, 1L, 0L, 18048L, 0L, 393216L, 0.018047999999999998),
+      Golden(CostSnapshot(0L, 0L, 0L, 0L, 1L, 0L, 14976L, 0L, 393216L, 0.014976),
         Map("card(agg,4)->a+b" -> 1)),
     "obliv-c: distinct with validity" ->
-      Golden(CostSnapshot(28L, 0L, 0L, 0L, 0L, 0L, 139392L, 0L, 458752L, 0.140792),
+      Golden(CostSnapshot(28L, 0L, 0L, 0L, 0L, 0L, 96512L, 0L, 458752L, 0.097912),
         Map()),
     "obliv-c: distinct preSorted" ->
       Golden(CostSnapshot(14L, 0L, 0L, 0L, 0L, 0L, 6656L, 0L, 458752L, 0.007356),
@@ -417,10 +417,10 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(28L, 0L, 0L, 0L, 1L, 0L, 17792L, 0L, 2228224L, 0.019191999999999997),
         Map("card(cj,11)->a+b" -> 1)),
     "obliv-c: select" ->
-      Golden(CostSnapshot(14L, 0L, 0L, 112L, 4L, 0L, 0L, 0L, 0L, 7.0E-4),
+      Golden(CostSnapshot(14L, 0L, 0L, 0L, 4L, 0L, 7168L, 0L, 0L, 0.007868),
         Map()),
     "obliv-c: hybridJoin with validity" ->
-      Golden(CostSnapshot(102L, 0L, 0L, 610L, 13L, 0L, 50944L, 0L, 0L, 0.056044),
+      Golden(CostSnapshot(102L, 0L, 0L, 0L, 13L, 0L, 78208L, 0L, 0L, 0.083308),
         Map("card(hj,20)->a+b" -> 1, "card(hj:left,11)->a+b" -> 1, "column(hj,left:k)->c" -> 1,
           "column(hj,right:k)->c" -> 1)),
     "obliv-c: publicJoin" ->
@@ -457,7 +457,7 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(0L, 0L, 0L, 0L, 1L, 0L, 0L, 0L, 0L, 0.0),
         Map("card(hagg:in,0)->a+b" -> 1)),
     "obliv-c: hybridJoin on 0 rows" ->
-      Golden(CostSnapshot(12L, 0L, 0L, 36L, 6L, 0L, 3456L, 0L, 0L, 0.004056),
+      Golden(CostSnapshot(12L, 0L, 0L, 0L, 6L, 0L, 4608L, 0L, 0L, 0.005208),
         Map("card(hj,0)->a+b" -> 1, "card(hj:left,0)->a+b" -> 1, "column(hj,left:k)->c" -> 1,
           "column(hj,right:k)->c" -> 1)),
     "obliv-c: publicJoin on 0 rows" ->
@@ -465,14 +465,14 @@ object GoldenCountersSpec {
         Map("card(pj,0)->a+b" -> 1, "card(pj:left,0)->a+b" -> 1, "column(pj,left:k)->a+b" -> 1,
           "column(pj,right:k)->a+b" -> 1)),
     "sharemind: sortBy 9999 x 2" ->
-      Golden(CostSnapshot(9999L, 515150L, 515150L, 3090900L, 0L, 0L, 0L, 0L, 0L, 169.93869999999998),
+      Golden(CostSnapshot(9999L, 0L, 456195L, 2280975L, 0L, 0L, 0L, 0L, 0L, 143.42024999999998),
         Map()),
     "hhi-mpc" ->
-      Golden(CostSnapshot(1238L, 6742L, 6743L, 40145L, 12L, 10861L, 0L, 0L, 0L, 2.5440660000000004),
+      Golden(CostSnapshot(1238L, 304L, 5722L, 28602L, 12L, 8161L, 0L, 0L, 0L, 2.1029479999999996),
         Map("card(#10,5)->a+b+c" -> 1, "card(#3@a,100)->a+b+c" -> 1, "card(#3@b,100)->a+b+c" -> 1,
           "card(#3@c,100)->a+b+c" -> 1, "card(#6,5)->a+b+c" -> 1, "relation(hhi)->a" -> 1)),
     "credit-hybrid" ->
-      Golden(CostSnapshot(4932L, 0L, 48L, 27286L, 73L, 73080L, 0L, 0L, 0L, 1.713012),
+      Golden(CostSnapshot(4932L, 0L, 48L, 27286L, 73L, 53316L, 0L, 0L, 0L, 1.5549000000000002),
         Map("card(#0@a,300)->a+b+c" -> 1, "card(#3@b,150)->a+b+c" -> 1,
           "card(#3@c,150)->a+b+c" -> 1, "card(#4,300)->a+b+c" -> 1, "card(#5,48)->a+b+c" -> 1,
           "card(#6,48)->a+b+c" -> 1, "card(#7,48)->a+b+c" -> 1, "column(#4,left:ssn)->a" -> 1,

@@ -95,26 +95,36 @@ class ObliviousSpec extends AnyFunSuite {
     * (lower row, upper row).
     */
   private def schedule(n: Int): Seq[Seq[(Int, Int)]] =
-    Oblivious.sortLayers(n).map { case (k, j) =>
-      (0 until Oblivious.layerPairs(n, j).toInt).map { t =>
-        val u = Oblivious.upperRow(j.toInt, t)
-        (Oblivious.lowerRow(k, j.toInt, u), u)
+    Oblivious.sortLayers(n).map { case (p, k) =>
+      (0 until Oblivious.layerPairs(n, p, k).toInt).map { t =>
+        val lo = Oblivious.lowerRow(p.toInt, k.toInt, t)
+        (lo, lo + k.toInt)
       }
     }.toSeq
 
-  /** Batcher's all-ascending bitonic network over the next power of two p
-    * by its definition, kept where both rows are below `n`: per merge size k,
-    * row x with bit k/2 clear against its mirror x ^ (k - 1), then for each
-    * j < k/2 row x with bit j clear against x | j.
+  /** Batcher's odd–even merge sort over the next power of two p by its
+    * definition, kept where both rows are below `n`: sort both halves, then
+    * merge them by merging their even and their odd subsequences and
+    * comparing neighbours r apart. A comparator of the merge of two runs of
+    * P rows at distance k belongs to layer (P, k); the layers are in order
+    * of P, then of k descending.
     */
   private def batcher(n: Int): Seq[Seq[(Int, Int)]] = {
     val p = Iterator.iterate(1)(_ << 1).dropWhile(_ < n).next()
-    Iterator.iterate(2)(_ << 1).takeWhile(_ <= p).flatMap { k =>
-      val mirror = (0 until p).filter(x => (x & (k >> 1)) == 0).map(x => (x, x ^ (k - 1)))
-      val steps = Iterator.iterate(k >> 2)(_ >> 1).takeWhile(_ > 0)
-        .map(j => (0 until p).filter(x => (x & j) == 0).map(x => (x, x | j)))
-      Iterator(mirror) ++ steps
-    }.map(_.filter(_._2 < n)).toSeq
+    val pairs = Seq.newBuilder[((Int, Int), (Int, Int))]
+    // Merge the sorted halves of the m rows from lo, taking every r-th row.
+    def merge(lo: Int, m: Int, r: Int): Unit =
+      if (2 * r < m) {
+        merge(lo, m, 2 * r); merge(lo + r, m, 2 * r)
+        (lo + r until lo + m - r by 2 * r).foreach(i => pairs += (((m / 2, r), (i, i + r))))
+      } else pairs += (((m / 2, r), (lo, lo + r)))
+    def sort(lo: Int, m: Int): Unit =
+      if (m > 1) { sort(lo, m / 2); sort(lo + m / 2, m / 2); merge(lo, m, 1) }
+    sort(0, p)
+    val byLayer = pairs.result().groupMap(_._1)(_._2)
+    Iterator.iterate(1)(_ << 1).takeWhile(_ < p).flatMap { mp =>
+      Iterator.iterate(mp)(_ >> 1).takeWhile(_ > 0).map(k => byLayer((mp, k)).filter(_._2 < n))
+    }.toSeq
   }
 
   test("the sort schedule is Batcher's network restricted to the real rows") {
@@ -145,17 +155,17 @@ class ObliviousSpec extends AnyFunSuite {
   }
 
   test("sortPairs counts the network's pairs between real rows, for every n <= 5,000") {
-    // A sort of n rows runs the merges of sizes 2, 4, … up to the next power
-    // of two p, and each merge is the same whatever p; it keeps the pairs
-    // whose upper row is below n.
+    // A sort of n rows runs the merges of runs of 1, 2, 4, … rows up to half
+    // the next power of two p, and each merge is the same whatever p; it
+    // keeps the pairs whose upper row is below n.
     val max = 8192
     val layers = batcher(max)
-    val offsets = (1 to 13).scanLeft(0)(_ + _) // merge size 2^s has s layers
+    val offsets = (1 to 13).scanLeft(0)(_ + _) // the merge of runs of 2^(s-1) has s layers
     val below = (1 to 13).map { s =>
       val count = new Array[Long](max + 1)
       layers.slice(offsets(s - 1), offsets(s)).flatten.foreach { case (_, hi) => count(hi + 1) += 1 }
       (0 until max).foreach(y => count(y + 1) += count(y))
-      count // count(n): the pairs of merge size 2^s with upper row below n
+      count // count(n): the pairs of that merge with upper row below n
     }
     for (n <- 0 to 5000) {
       val merges = if (n <= 1) 0 else 32 - Integer.numberOfLeadingZeros(n - 1)
@@ -398,21 +408,28 @@ class ObliviousSpec extends AnyFunSuite {
     val rows = Seq.fill(5000)(Seq(rnd.nextInt(20), rnd.nextInt(100), rnd.nextInt(50)).map(_.toDouble))
     assert(rows.size / 2 > Oblivious.SortBlock, "the sort must span several blocks")
     val keys = Seq(Oblivious.SortKey(0), Oblivious.SortKey(1, ascending = false))
-    val run = sameOnBothPools(kernelRun { b =>
-      b.filterLit(rel(b, Seq("a", "b2", "v"), rows), "v", CmpOp.Gt, 10.0)
-    } { (b, in) =>
-      val sorted = Oblivious.sortBy(b.engine, in, keys)
-      // By position (a reveal shuffles): the valid rows come first, by keys.
-      val valid = b.engine.idealOpen(sorted.validity.get)
-      val kept = rows.filter(_(2) > 10.0)
-      assert(valid.toSeq == Seq.fill(kept.size)(1L) ++ Seq.fill(rows.size - kept.size)(0L))
-      val a = b.engine.idealOpen(sorted.cols(0)).map(Fixed.decode)
-      val b2 = b.engine.idealOpen(sorted.cols(1)).map(Fixed.decode)
-      assert(a.zip(b2).take(kept.size).toSeq == kept.map(r => (r(0), r(1))).sortBy(k => (k._1, -k._2)))
-      sorted
-    })
-    assertSameRows(run.rows, rows.filter(_(2) > 10.0))
-    assert(run.cost == CostModel.sort(CostParams.Sharemind, rows.size.toLong, 3, Seq(true, false)))
+    for (validity <- Seq(true, false)) {
+      val kept = if (validity) rows.filter(_(2) > 10.0) else rows
+      val run = sameOnBothPools(kernelRun { b =>
+        val r = rel(b, Seq("a", "b2", "v"), rows)
+        if (validity) b.filterLit(r, "v", CmpOp.Gt, 10.0) else r
+      } { (b, in) =>
+        val sorted = Oblivious.sortBy(b.engine, in, keys)
+        // By position (a reveal shuffles): the valid rows come first, by keys.
+        assert(sorted.validity.isDefined == validity)
+        sorted.validity.foreach { v =>
+          assert(b.engine.idealOpen(v).toSeq ==
+            Seq.fill(kept.size)(1L) ++ Seq.fill(rows.size - kept.size)(0L))
+        }
+        val a = b.engine.idealOpen(sorted.cols(0)).map(Fixed.decode)
+        val b2 = b.engine.idealOpen(sorted.cols(1)).map(Fixed.decode)
+        assert(a.zip(b2).take(kept.size).toSeq == kept.map(r => (r(0), r(1))).sortBy(k => (k._1, -k._2)))
+        sorted
+      })
+      assertSameRows(run.rows, kept)
+      assert(run.cost == CostModel.sort(CostParams.Sharemind, rows.size.toLong, 3, Seq(true, false),
+        validity), s"validity=$validity")
+    }
   }
 
   test("a blocked Cartesian join does not depend on the schedule") {

@@ -266,7 +266,7 @@ class ProtocolsSpec extends AnyFunSuite {
     }
 
   pinnedCase("hybrid join", """
-    |CostSnapshot(69,0,0,447,33,432,0,0,0,0.05115)
+    |CostSnapshot(69,0,0,447,33,333,0,0,0,0.050358)
     |ColumnLeak(hj0,left:k1,Set(a))
     |ColumnLeak(hj0,left:k2,Set(a))
     |ColumnLeak(hj0,right:k1,Set(a))
@@ -293,7 +293,7 @@ class ProtocolsSpec extends AnyFunSuite {
   }
 
   pinnedCase("hybrid aggregation", """
-    |CostSnapshot(21,0,0,6,8,189,0,0,0,0.013724)
+    |CostSnapshot(21,0,0,6,8,147,0,0,0,0.013388)
     |ColumnLeak(ha,k1,Set(c))
     |ColumnLeak(ha,k2,Set(c))
     |CardinalityLeak(ha,5,Set(a, b, c))

@@ -10,7 +10,8 @@ import MpcTestKit._
 /** Pins the exact shares and counters of both engines on a fixed script:
   *   - every elementwise operation, whole-column, in offset form into a
   *     fresh column, and in offset form with `out` aliasing an input;
-  *   - a bitonic sort of 3,000 rows and a Cartesian join of 300 × 60 rows,
+  *   - an odd–even merge sort of 3,000 rows and a Cartesian join of
+  *     300 × 60 rows,
   *     both of several blocks;
   *   - a hybrid join, a hybrid aggregation and a public join on seeded
   *     backends.
@@ -134,11 +135,11 @@ object SharePinSpec {
 
   private val Pinned: Seq[String] = Seq(
     "ss ops shares=e9b411bc174041af cost=CostSnapshot(0,26,52,138,1,0,0,0,0,0.01724)",
-    "ss sort shares=6358083631545c9e cost=CostSnapshot(3000,229608,229608,918432,0,0,0,0,0,74.53377599999999)",
+    "ss sort shares=f0709a830c26016a cost=CostSnapshot(3000,100602,201204,704214,0,0,0,0,0,63.778056)",
     "ss join shares=7f4a7d0809adcd76 cost=CostSnapshot(696,18000,0,18000,7,11610,0,0,0,0.52708)",
-    "ss protocols shares=17d4ad85c12591f7 cost=CostSnapshot(1024,0,143,4510,41,10371,0,0,0,0.38068799999999997)",
+    "ss protocols shares=17d4ad85c12591f7 cost=CostSnapshot(1024,0,143,4510,41,7882,0,0,0,0.360776)",
     "gc ops shares=48fe2bf634109a9d cost=CostSnapshot(0,0,0,0,1,0,384064,0,0,0.38406399999999996)",
-    "gc sort shares=d538da3f5119a486 cost=CostSnapshot(3000,0,0,0,0,0,220423680,0,0,220.57368)",
+    "gc sort shares=d538da3f5119a486 cost=CostSnapshot(3000,0,0,0,0,0,167401728,0,0,167.551728)",
     "gc join shares=0b9b96f43aec0463 cost=CostSnapshot(696,0,0,0,1,0,3047040,0,0,3.08184)",
-    "gc protocols shares=b6011197423bea8a cost=CostSnapshot(1024,0,0,4304,23,0,705856,0,532480,0.757056)")
+    "gc protocols shares=b6011197423bea8a cost=CostSnapshot(1024,0,0,0,23,0,822016,0,532480,0.873216)")
 }

@@ -125,12 +125,12 @@ class SmcqlSpec extends SparkSpec {
 
   test("SMCQL aspirin at 1000 rows per party: count, slices and modeled seconds are pinned") {
     val r = SmcqlAspirin.run(spark, Fig7Smcql.aspirinInputs(spark, 1000))
-    assert((r.count, r.slices, math.rint(r.mpcModeledSeconds * 1e4) / 1e4) == ((2L, 13, 58.6279)), r)
+    assert((r.count, r.slices, math.rint(r.mpcModeledSeconds * 1e4) / 1e4) == ((2L, 13, 48.7687)), r)
   }
 
   test("SMCQL comorbidity at 1000 rows per party: modeled seconds are pinned") {
     val r = smcqlComorbidity(Fig7Smcql.comorbidityInputs(spark, 1000))
-    assert(math.rint(r.metrics.mpcModeledSeconds * 1e4) / 1e4 == 401.2552, r.metrics)
+    assert(math.rint(r.metrics.mpcModeledSeconds * 1e4) / 1e4 == 136.0008, r.metrics)
   }
 
   test("SMCQL comorbidity top-k matches the Conclave result") {
