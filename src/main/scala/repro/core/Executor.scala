@@ -114,6 +114,9 @@ final class Executor(
     case OpKind.Filter(c, cmp, rhs) => dfs.head.where(cmpColumn(c, cmp, rhs))
     case OpKind.Agg(group, fn, aggCol, out, _) =>
       val aggExpr = (fn match {
+        // Over no rows Spark's sum is NULL; a split's partial gives 0, the
+        // identity of the upper SUM.
+        case AggFn.Sum if isSumPartial(n) => coalesce(sum(col(aggCol.get)), lit(0.0))
         case AggFn.Sum   => sum(col(aggCol.get))
         case AggFn.Count => count(lit(1))
         case AggFn.Min   => min(col(aggCol.get))
@@ -327,6 +330,18 @@ object Executor {
       out
     }
 
+  /** `n` is a local partial of a split group-less SUM (`PushDown`): it feeds
+    * only concats, each of which feeds only the split's upper SUM under MPC.
+    */
+  private def isSumPartial(n: Node): Boolean = {
+    def upper(u: Node) = u.isMpc && (u.kind match {
+      case OpKind.Agg(Seq(), AggFn.Sum, _, _, true) => true
+      case _                                        => false
+    })
+    n.parents.nonEmpty && n.parents.forall(c =>
+      c.kind == OpKind.Concat && c.parents.nonEmpty && c.parents.forall(upper))
+  }
+
   /** Evaluate MPC operator `n` over its `shared` inputs (in child order) on
     * `backend`: the one mapping from plan operators to backend operations.
     * Leakage is recorded under the name `#<node id>`.
@@ -336,9 +351,7 @@ object Executor {
     n.kind match {
       case OpKind.Concat              => backend.concat(shared)
       case OpKind.Project(cols)       => backend.project(shared.head, cols)
-      case OpKind.Filter(c, cmp, rhs) =>
-        rhs.fold(c2 => backend.filterCol(shared.head, c, cmp, c2),
-                 v => backend.filterLit(shared.head, c, cmp, v))
+      case OpKind.Filter(c, cmp, rhs) => backend.filter(shared.head, c, cmp, rhs)
       case OpKind.Agg(group, fn, aggCol, out, _) =>
         if (group.isEmpty) backend.globalAggregate(shared.head, aggCol, fn, out)
         else backend.aggregate(name, shared.head, group, aggCol, fn, out, n.preSorted)

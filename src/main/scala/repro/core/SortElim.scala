@@ -15,6 +15,10 @@ package repro.core
   *   - joins, aggregations and concat drop it — except the public join,
   *     whose rows are paired in the clear and come in key order.
   *
+  * A sort whose parents are all sorts is removed whatever its input: each
+  * parent reorders every row, and an oblivious sort is not stable, so the
+  * lower sort's order is never read.
+  *
   * Consumers that sort internally are marked `preSorted` when their input is
   * already ordered compatibly, letting the executor skip the O(n log² n)
   * oblivious sorting network (the §7.4 aspirin-count optimization that
@@ -23,9 +27,11 @@ package repro.core
   */
 object SortElim {
 
-  /** One topological walk. A spliced sort's parents read its child, which
-    * carries the same claim, and every node visited before it is below it;
-    * so a splice changes nothing the walk has read or will read.
+  /** One topological walk. A spliced sort's parents are either readers of
+    * its child, which carries the same claim, or sorts, which reorder every
+    * row and read a claim only to decide their own splice. Every node
+    * visited before it is below it, so a splice changes nothing the walk
+    * has read, and each later node reads the claim it now sits on.
     */
   def apply(dag: Dag): Unit = dag.topo.foreach { n =>
     val in = n.children.headOption.flatMap(_.sortedBy)
@@ -48,8 +54,9 @@ object SortElim {
       case OpKind.Limit(_)            => in.filter(_ => n.isSortedLimit)
       case OpKind.Distinct(_)         => in.filter(_ => n.preSorted)
       case OpKind.Sort(col, asc) =>
-        if (in.contains((col, asc)) && n.parents.nonEmpty && !n.parents.exists(_.isSortedLimit))
-          dag.splice(n) // redundant oblivious sort
+        val redundant = n.parents.forall(_.kind.isInstanceOf[OpKind.Sort]) ||
+          in.contains((col, asc)) && !n.parents.exists(_.isSortedLimit)
+        if (n.parents.nonEmpty && redundant) dag.splice(n) // redundant oblivious sort
         Some((col, asc))
       case OpKind.PublicJoin(lk, _) => Some((lk.head, true)) // pairs come in key order
       case _: OpKind.JoinKind | _: OpKind.AggKind => None // shuffled outputs

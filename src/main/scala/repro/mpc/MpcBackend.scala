@@ -71,69 +71,44 @@ final class MpcBackend(
     SharedRelation(cols.toVector, idxs.map(rel.cols), rel.validity)
   }
 
-  private def cmpFlag(a: SharedCol, cmp: CmpOp, b: SharedCol): SharedCol = cmp match {
-    case CmpOp.Eq  => engine.eq(a, b)
-    case CmpOp.Neq => engine.not(engine.eq(a, b))
-    case CmpOp.Lt  => engine.lt(a, b)
-    case CmpOp.Gt  => engine.lt(b, a)
-    case CmpOp.Leq => engine.not(engine.lt(b, a))
-    case CmpOp.Geq => engine.not(engine.lt(a, b))
-  }
-
-  /** Order-preserving, size-hiding filter: ANDs the predicate's 0/1 `flags`
-    * (one per row) into the validity column. Nothing is revealed.
+  /** Oblivious filter of column `col` against a public literal or another
+    * column (size-hiding, order-preserving): ANDs the comparison's 0/1
+    * flags into the validity column. Nothing is revealed.
     */
-  private def filter(rel: SharedRelation, flags: SharedCol): SharedRelation = {
+  def filter(rel: SharedRelation, col: String, cmp: CmpOp,
+      rhs: Either[String, Double]): SharedRelation = {
+    val a = rel.col(col)
+    val b = rhs.fold(rel.col, lit => engine.constant(Fixed.encode(lit), rel.size))
+    engine.checkRelationMem("filter", rel.size.toLong, GcOpWidth.Projection)
+    val flags = cmp match {
+      case CmpOp.Eq  => engine.eq(a, b)
+      case CmpOp.Neq => engine.not(engine.eq(a, b))
+      case CmpOp.Lt  => engine.lt(a, b)
+      case CmpOp.Gt  => engine.lt(b, a)
+      case CmpOp.Leq => engine.not(engine.lt(b, a))
+      case CmpOp.Geq => engine.not(engine.lt(a, b))
+    }
     engine.chargeRows(rel.size.toLong)
     rel.copy(validity = Some(rel.validity.fold(flags)(engine.and(_, flags))))
   }
 
-  /** Oblivious filter against a public literal (size-hiding, order-preserving). */
-  def filterLit(rel: SharedRelation, col: String, cmp: CmpOp, lit: Double): SharedRelation = {
-    val c = rel.colIdx(col)
-    val litV = engine.constant(Fixed.encode(lit), rel.size)
-    engine.checkRelationMem("filter", rel.size.toLong, GcOpWidth.Projection)
-    filter(rel, cmpFlag(rel.cols(c), cmp, litV))
-  }
-
-  /** Oblivious filter comparing two columns. */
-  def filterCol(rel: SharedRelation, colA: String, cmp: CmpOp, colB: String): SharedRelation = {
-    val a = rel.colIdx(colA); val b = rel.colIdx(colB)
-    engine.checkRelationMem("filter", rel.size.toLong, GcOpWidth.Projection)
-    filter(rel, cmpFlag(rel.cols(a), cmp, rel.cols(b)))
-  }
-
   // ------------------------------------------------------------ compaction
 
-  /** The rows of `cols` whose 0/1 `flags` are 1, in the order of the secret
-    * permutation `perm`: the flags are opened in that order (one round), so
-    * the opening discloses only how many rows are kept.
-    */
-  private def openFlagged(perm: Array[Int], schema: Vector[String], cols: Vector[SharedCol],
-      flags: SharedCol): SharedRelation = {
-    val opened = engine.open(flags.gather(perm))
-    val kept = new ArrayBuilder.ofInt
-    var t = 0
-    while (t < perm.length) { if (opened(t) == 1L) kept += perm(t); t += 1 }
-    val idx = kept.result()
-    SharedRelation(schema, cols.map(_.gather(idx)))
-  }
-
-  /** Shuffle `cols` together with their 0/1 `keep` flags, open the flags and
-    * keep the flagged rows. Callers record the kept count.
-    */
-  private def shuffleKeep(schema: Vector[String], cols: Vector[SharedCol],
-      keep: SharedCol): SharedRelation = {
-    val tagged = SharedRelation(schema :+ "__keep", cols :+ keep)
-    openFlagged(Oblivious.shufflePermutation(engine, tagged), schema, cols, keep)
-  }
-
-  /** `rel` without its invalid rows: shuffle, open the validity flags, drop.
-    * Callers record the surviving count, or reveal the rows themselves.
+  /** `rel` without its invalid rows. The rows are shuffled with their
+    * validity flags, and the flags are opened in that order (one round),
+    * which discloses only how many rows are kept. Callers record that count,
+    * or reveal the rows themselves.
     */
   private def compacted(rel: SharedRelation): SharedRelation = rel.validity match {
-    case None    => rel
-    case Some(v) => openFlagged(Oblivious.shufflePermutation(engine, rel), rel.schema, rel.cols, v)
+    case None => rel
+    case Some(v) =>
+      val perm = Oblivious.shufflePermutation(engine, rel)
+      val opened = engine.open(v.gather(perm))
+      val kept = new ArrayBuilder.ofInt
+      var t = 0
+      while (t < perm.length) { if (opened(t) == 1L) kept += perm(t); t += 1 }
+      val idx = kept.result()
+      SharedRelation(rel.schema, rel.cols.map(_.gather(idx)))
   }
 
   /** Compact away invalid rows; reveals the surviving count to all parties. */
@@ -155,16 +130,6 @@ final class MpcBackend(
     same
   }
 
-  /** Flags marking the last row of each run: `not(same(i + 1))`, and 1 for
-    * the last row.
-    */
-  private def lastOfRun(same: SharedCol): SharedCol = {
-    val n = same.length
-    val last = engine.constant(1L, n)
-    engine.not(same, last, n - 1, ai = 1)
-    last
-  }
-
   /** The start of an `fn` fold, which a row whose validity flag is 0 adds. */
   private def start(fn: AggFn): Long = fn match {
     case AggFn.Min => Fixed.Big
@@ -182,6 +147,29 @@ final class MpcBackend(
       case _           => engine.mux(valid, values, engine.constant(start(fn), valid.length))
     }
 
+  /** One step of an `fn` fold: fold `x(xi)` into the accumulator `acc(ai)`
+    * through the scratch cell `t(0)`. A 0/1 `gate` (null for none) lets the
+    * step through only where `gate(gi)` is 1:
+    *   - SUM and COUNT: `[t = gate·x]; acc += t`;
+    *   - MIN and MAX: `t = lt(x, acc)` (`lt(acc, x)`), `[t *= gate]`,
+    *     `acc = mux(t, x, acc)`.
+    * The one step of both folds, [[foldRuns]] and [[globalAggregate]].
+    */
+  private def combine(fn: AggFn, x: SharedCol, xi: Int, acc: SharedCol, ai: Int,
+      gate: SharedCol, gi: Int, t: SharedCol): Unit = fn match {
+    case AggFn.Sum | AggFn.Count =>
+      if (gate == null) engine.add(acc, x, acc, 1, ai = ai, bi = xi, oi = ai)
+      else {
+        engine.mulFlag(gate, x, t, 1, ai = gi, bi = xi)
+        engine.add(acc, t, acc, 1, ai = ai, oi = ai)
+      }
+    case _ =>
+      if (fn == AggFn.Min) engine.lt(x, acc, t, 1, ai = xi, bi = ai)
+      else engine.lt(acc, x, t, 1, ai = ai, bi = xi)
+      if (gate != null) engine.mulFlag(gate, t, t, 1, ai = gi)
+      engine.mux(t, x, acc, acc, 1, ai = xi, bi = ai, oi = ai)
+  }
+
   /** Jónsson's linear scan: fold each run of rows into its last row, where
     * `same(i)` says row i continues row i-1's run. Sequential by nature, so
     * it runs one element at a time over `agg`, in place.
@@ -189,28 +177,26 @@ final class MpcBackend(
   private def foldRuns(fn: AggFn, same: SharedCol, agg: SharedCol): Unit = {
     val take = engine.alloc(1)
     var i = 1
-    while (i < agg.length) {
-      fn match {
-        case AggFn.Sum | AggFn.Count =>
-          engine.mulFlag(same, agg, take, 1, ai = i, bi = i - 1)
-          engine.add(agg, take, agg, 1, ai = i, oi = i)
-        case AggFn.Min =>
-          engine.lt(agg, agg, take, 1, ai = i - 1, bi = i)
-          engine.mulFlag(same, take, take, 1, ai = i)
-          engine.mux(take, agg, agg, agg, 1, ai = i - 1, bi = i, oi = i)
-        case AggFn.Max =>
-          engine.lt(agg, agg, take, 1, ai = i, bi = i - 1)
-          engine.mulFlag(same, take, take, 1, ai = i)
-          engine.mux(take, agg, agg, agg, 1, ai = i - 1, bi = i, oi = i)
-      }
-      i += 1
-    }
+    while (i < agg.length) { combine(fn, agg, i - 1, agg, i, same, i, take); i += 1 }
+  }
+
+  /** The last row of each run of `same` in `cols`, where the 0/1 `valid`
+    * flags, if given, are 1, compacted: all parties learn the number of
+    * groups, the output size (the paper's protocols do not pad, §7.4
+    * comorbidity).
+    */
+  private def lastOfRuns(relName: String, schema: Vector[String], cols: Vector[SharedCol],
+      same: SharedCol, valid: Option[SharedCol]): SharedRelation = {
+    val n = same.length
+    val keep = engine.constant(1L, n)
+    engine.not(same, keep, n - 1, ai = 1)
+    valid.foreach(engine.mulFlag(keep, _, keep, n))
+    leakSize(relName)(compacted(SharedRelation(schema, cols, Some(keep))))
   }
 
   /** Grouped aggregation per Jónsson et al. [39]: sort by group key,
     * obliviously fold each group into its last row, shuffle, open the keep
-    * flags, discard. Reveals the number of groups to all parties (the output
-    * size — the paper's protocols do not pad, §7.4 comorbidity), 0 for an
+    * flags, discard. Reveals the number of groups to all parties, 0 for an
     * empty input. Output schema: group columns ++ [outName]; no validity.
     */
   def aggregate(
@@ -227,33 +213,26 @@ final class MpcBackend(
     val aggIdx = aggCol.map(rel.colIdx)
     require(groupIdxs.nonEmpty, "use globalAggregate for group-less aggregation")
     val outSchema = group.toVector :+ outName
-    leakSize(relName) {
-      if (rel.size == 0) SharedRelation(outSchema, outSchema.map(_ => engine.alloc(0)))
-      else {
-        // The sorting network may be skipped when the input is already
-        // grouped (sort elimination, §5.4) — but only if no validity column
-        // could interleave invalid rows into a group run.
-        val sorted =
-          if (preSorted && rel.validity.isEmpty) rel
-          else Oblivious.sortBy(engine, rel, groupIdxs.map(Oblivious.SortKey(_)))
-        val n = sorted.size
-        val valid = sorted.validity.getOrElse(engine.constant(1L, n))
-        val groups = groupIdxs.map(sorted.cols)
-        val agg = contribution(fn, valid, sorted.cols(aggIdx.get))
+    if (rel.size == 0)
+      return leakSize(relName)(SharedRelation(outSchema, outSchema.map(_ => engine.alloc(0))))
+    // The sorting network may be skipped when the input is already grouped
+    // (sort elimination, §5.4) — but only if no validity column could
+    // interleave invalid rows into a group run.
+    val sorted =
+      if (preSorted && rel.validity.isEmpty) rel
+      else Oblivious.sortBy(engine, rel, groupIdxs.map(Oblivious.SortKey(_)))
+    val n = sorted.size
+    val valid = sorted.validity.getOrElse(engine.constant(1L, n))
+    val groups = groupIdxs.map(sorted.cols)
+    val agg = contribution(fn, valid, sorted.cols(aggIdx.get))
 
-        // same(i): row i continues row i-1's group. Gated by row i's
-        // validity so an invalid row with an equal key can never absorb (and
-        // then drop) a group's accumulated aggregate.
-        val same = continues(groups, n)
-        engine.mulFlag(same, valid, same, n - 1, ai = 1, bi = 1, oi = 1)
-        foldRuns(fn, same, agg)
-
-        // Keep the last row of each (valid) group.
-        val keep = lastOfRun(same)
-        engine.mulFlag(keep, valid, keep, n)
-        shuffleKeep(outSchema, groups :+ agg, keep)
-      }
-    }
+    // same(i): row i continues row i-1's group. Gated by row i's validity so
+    // an invalid row with an equal key can never absorb (and then drop) a
+    // group's accumulated aggregate.
+    val same = continues(groups, n)
+    engine.mulFlag(same, valid, same, n - 1, ai = 1, bi = 1, oi = 1)
+    foldRuns(fn, same, agg)
+    lastOfRuns(relName, outSchema, groups :+ agg, same, Some(valid))
   }
 
   /** Group-less aggregation to a single row; reveals nothing. */
@@ -272,18 +251,7 @@ final class MpcBackend(
     val acc = engine.constant(start(fn), 1)
     val better = engine.alloc(1)
     var i = 0
-    while (i < n) {
-      fn match {
-        case AggFn.Sum | AggFn.Count => engine.add(acc, xs, acc, 1, bi = i)
-        case AggFn.Min =>
-          engine.lt(xs, acc, better, 1, ai = i)
-          engine.mux(better, xs, acc, acc, 1, ai = i)
-        case AggFn.Max =>
-          engine.lt(acc, xs, better, 1, bi = i)
-          engine.mux(better, xs, acc, acc, 1, ai = i)
-      }
-      i += 1
-    }
+    while (i < n) { combine(fn, xs, i, acc, 0, null, 0, better); i += 1 }
     SharedRelation(Vector(outName), Vector(acc))
   }
 
@@ -570,11 +538,10 @@ final class MpcBackend(
       case _           => sorted.col(aggCol.get).slice(0, n) // folded in place
     }
     foldRuns(fn, same, agg)
-    val keep = lastOfRun(same)
 
     // 8. Shuffle, open keep flags, discard: all parties learn the number of
     //    groups (the output size).
-    leakSize(relName)(shuffleKeep(outSchema, groupIdxs.map(sorted.cols) :+ agg, keep))
+    lastOfRuns(relName, outSchema, groupIdxs.map(sorted.cols) :+ agg, same, None)
   }
 }
 

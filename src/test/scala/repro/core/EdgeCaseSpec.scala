@@ -18,9 +18,9 @@ class EdgeCaseSpec extends SparkSpec {
       spark.sparkContext.parallelize(rows.map(r => org.apache.spark.sql.Row(r._1, r._2))), st)
   }
 
-  private def run(dag: Dag, inputs: Map[String, DataFrame]): ExecResult =
-    new Executor(spark, MpcBackend.sharemind(Set(pA, pB)))
-      .run(Compiler.compile(dag, CompileConfig.default), inputs)
+  private def run(dag: Dag, inputs: Map[String, DataFrame],
+      config: CompileConfig = CompileConfig.default): ExecResult =
+    new Executor(spark, MpcBackend.sharemind(Set(pA, pB))).run(Compiler.compile(dag, config), inputs)
 
   private def aggDag(): Dag = {
     val dag = new Dag
@@ -106,5 +106,24 @@ class EdgeCaseSpec extends SparkSpec {
     val inputs = Map("t" -> df(Seq((1.0, 5.0), (2.0, 6.0))), "u" -> df(Seq((3.0, 7.0))))
     val res = run(dag, inputs)
     assert(res.outputs("out").count() == 3)
+  }
+
+  test("a split group-less SUM whose one partial is over no rows") {
+    // The filter runs below the concat, so u's partial sum is over no rows.
+    def dag(): Dag = {
+      val dag = new Dag
+      val q = new Dsl(dag)
+      import q._
+      concat(table("t", pA, col("k"), col("v")), table("u", pB, col("k"), col("v")))
+        .filter("v", CmpOp.Gt, 0)
+        .aggregate(Seq.empty, AggFn.Sum, Some("v"), "s").writeTo("out", pA)
+      dag
+    }
+    val inputs = Map("t" -> df(Seq((1.0, 5.0), (2.0, 6.0))), "u" -> df(Seq((1.0, -3.0), (3.0, -1.0))))
+    for (config <- Seq(CompileConfig.default, CompileConfig.mpcOnly))
+      Oracle.assertEquivalent(run(dag(), inputs, config).outputs("out"),
+        "SELECT SUM(CAST(v AS DOUBLE)) AS s FROM (SELECT * FROM t UNION ALL SELECT * FROM u) " +
+          "WHERE CAST(v AS DOUBLE) > 0",
+        "t" -> inputs("t"), "u" -> inputs("u"))
   }
 }

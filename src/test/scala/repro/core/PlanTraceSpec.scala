@@ -74,6 +74,21 @@ class PlanTraceSpec extends SparkSpec {
     // and peak memory.
     TraceRun("comorbidity-oblivm", () => Comorbidity.build(), CompileConfig.default,
       Set(Comorbidity.pH1, Comorbidity.pH2), () => comorbidityInputs(60), MpcBackend.oblivm(_)),
+    // A public join and a preSorted distinct.
+    TraceRun("aspirin-default", () => AspirinCount.build(), CompileConfig.default,
+      Set(AspirinCount.pH1, AspirinCount.pH2), () => aspirinInputs(200)),
+    TraceRun("credit-smcqlCompat", () => CreditRegulation.build(trustRegulator = true),
+      CompileConfig.smcqlCompat, creditParties, () => creditInputs(120, 80)),
+    // No trust annotation: a Cartesian join and the grouped SUM and COUNT
+    // folds under MPC.
+    TraceRun("credit-untrusted", () => CreditRegulation.build(trustRegulator = false),
+      CompileConfig.default, creditParties, () => creditInputs(60, 40)),
+    TraceRun("hhi-revenue", () => MarketConcentration.buildRevenueOnly(), CompileConfig.default,
+      hhiParties, () => taxiInputs(300)),
+    TraceRun("comorbidity-smcqlCompat", () => Comorbidity.build(), CompileConfig.smcqlCompat,
+      Set(Comorbidity.pH1, Comorbidity.pH2), () => comorbidityInputs(200)),
+    TraceRun("comorbidity-counts", () => Comorbidity.buildCountsOnly(), CompileConfig.default,
+      Set(Comorbidity.pH1, Comorbidity.pH2), () => comorbidityInputs(200)),
   )
 
   private def parties(to: Set[Party]): String = to.map(_.name).toSeq.sorted.mkString("{", ",", "}")

@@ -100,7 +100,7 @@ class SecuritySpec extends SparkSpec {
     def trace(filterVal: Double): Seq[Long] = {
       val b = MpcBackend.sharemind(Set(Party("a"), Party("b")))
       val rows = (1 to 12).map(i => Seq((i % 3).toDouble, i.toDouble))
-      val f = b.filterLit(b.closeRows("in", Seq("k", "v"), rows), "v", CmpOp.Neq, filterVal)
+      val f = b.filter(b.closeRows("in", Seq("k", "v"), rows), "v", CmpOp.Neq, Right(filterVal))
       b.aggregate("agg", f, Seq("k"), Some("v"), AggFn.Sum, "s")
       b.leakage.cardinalities.map(_.rows)
     }
@@ -143,7 +143,7 @@ class SecuritySpec extends SparkSpec {
   test("reveal of a filtered relation discloses only the surviving rows") {
     val b = MpcBackend.sharemind(Set(Party("a"), Party("b")))
     val rows = (1 to 10).map(i => Seq(i.toDouble))
-    val f = b.filterLit(b.closeRows("in", Seq("v"), rows), "v", CmpOp.Leq, 4.0)
+    val f = b.filter(b.closeRows("in", Seq("v"), rows), "v", CmpOp.Leq, Right(4.0))
     val out = b.reveal("out", f, Set(Party("a")))
     assert(out.map(_.head).sorted == Seq(1.0, 2.0, 3.0, 4.0))
     // The relation leak targets only the recipient.

@@ -23,7 +23,7 @@ class GoldenCountersSpec extends SparkSpec {
 
   /** A relation `(k, v)` with no rows, behind a literal filter. */
   private def empty(b: MpcBackend): SharedRelation =
-    b.filterLit(rel(b, Seq("k", "v"), Seq.empty), "v", CmpOp.Gt, 0.0)
+    b.filter(rel(b, Seq("k", "v"), Seq.empty), "v", CmpOp.Gt, Right(0.0))
 
   /** Counters and leakage of `op` alone (setup costs are cleared first). */
   private def capture(b: MpcBackend)(op: => Any): Golden = {
@@ -52,27 +52,27 @@ class GoldenCountersSpec extends SparkSpec {
       capture(b)(b.sort(r, Seq("k" -> true)))
     },
     op("sortBy n=13 with validity, two keys") { b =>
-      val f = b.filterLit(rel(b, Seq("k", "v"), rows(13, 3, 5, 99)), "k", CmpOp.Neq, 3.0)
+      val f = b.filter(rel(b, Seq("k", "v"), rows(13, 3, 5, 99)), "k", CmpOp.Neq, Right(3.0))
       capture(b)(Oblivious.sortBy(b.engine, f,
         Seq(Oblivious.SortKey(0), Oblivious.SortKey(1, ascending = false))))
     },
     op("filter literal and column") { b =>
       val r = rel(b, Seq("a", "b2"), rows(11, 4, 9, 9))
-      capture(b)(b.filterCol(b.filterLit(r, "a", CmpOp.Geq, 4.0), "a", CmpOp.Lt, "b2"))
+      capture(b)(b.filter(b.filter(r, "a", CmpOp.Geq, Right(4.0)), "a", CmpOp.Lt, Left("b2")))
     },
   ) ++ Seq(AggFn.Sum, AggFn.Count, AggFn.Min, AggFn.Max).flatMap { fn =>
     val aggCol = if (fn == AggFn.Count) None else Some("v")
     Seq(
       op(s"aggregate $fn with validity") { b =>
-        val f = b.filterLit(rel(b, Seq("k", "v"), rows(20, 5, 4, 50)), "v", CmpOp.Gt, 10.0)
+        val f = b.filter(rel(b, Seq("k", "v"), rows(20, 5, 4, 50)), "v", CmpOp.Gt, Right(10.0))
         capture(b)(b.aggregate("agg", f, Seq("k"), aggCol, fn, "out"))
       },
       op(s"globalAggregate $fn with validity") { b =>
-        val f = b.filterLit(rel(b, Seq("v"), rows(15, 6, 50)), "v", CmpOp.Leq, 30.0)
+        val f = b.filter(rel(b, Seq("v"), rows(15, 6, 50)), "v", CmpOp.Leq, Right(30.0))
         capture(b)(b.globalAggregate(f, aggCol, fn, "out"))
       },
       op(s"hybridAggregate $fn with validity") { b =>
-        val f = b.filterLit(rel(b, Seq("k", "v"), rows(20, 7, 4, 50)), "v", CmpOp.Gt, 10.0)
+        val f = b.filter(rel(b, Seq("k", "v"), rows(20, 7, 4, 50)), "v", CmpOp.Gt, Right(10.0))
         capture(b)(b.hybridAggregate("hagg", f, Seq("k"), aggCol, fn, "out", pC))
       },
     )
@@ -82,7 +82,7 @@ class GoldenCountersSpec extends SparkSpec {
       capture(b)(b.aggregate("agg", r, Seq("k"), Some("v"), AggFn.Sum, "out", preSorted = true))
     },
     op("distinct with validity") { b =>
-      val f = b.filterLit(rel(b, Seq("k", "v"), rows(14, 9, 3, 2)), "v", CmpOp.Neq, 1.0)
+      val f = b.filter(rel(b, Seq("k", "v"), rows(14, 9, 3, 2)), "v", CmpOp.Neq, Right(1.0))
       capture(b)(b.distinct(f, preSorted = false))
     },
     op("distinct preSorted") { b =>
@@ -90,7 +90,7 @@ class GoldenCountersSpec extends SparkSpec {
       capture(b)(b.distinct(r, preSorted = true))
     },
     op("cartesianJoin with validity") { b =>
-      val l = b.filterLit(rel(b, Seq("k", "x"), rows(8, 11, 4, 9)), "x", CmpOp.Gt, 2.0)
+      val l = b.filter(rel(b, Seq("k", "x"), rows(8, 11, 4, 9)), "x", CmpOp.Gt, Right(2.0))
       val r = rel(b, Seq("k", "y"), rows(9, 12, 4, 9))
       capture(b)(b.join("cj", l, r, Seq("k"), Seq("k")))
     },
@@ -99,7 +99,7 @@ class GoldenCountersSpec extends SparkSpec {
       capture(b)(Oblivious.select(b.engine, r, b.engine.input(Array(3L, 7L, 0L, 7L))))
     },
     op("hybridJoin with validity") { b =>
-      val l = b.filterLit(rel(b, Seq("k", "x"), rows(12, 14, 6, 9)), "x", CmpOp.Neq, 5.0)
+      val l = b.filter(rel(b, Seq("k", "x"), rows(12, 14, 6, 9)), "x", CmpOp.Neq, Right(5.0))
       val r = rel(b, Seq("k", "y"), rows(10, 15, 6, 9))
       capture(b)(b.hybridJoin("hj", l, r, Seq("k"), Seq("k"), pC))
     },
@@ -109,7 +109,7 @@ class GoldenCountersSpec extends SparkSpec {
       capture(b)(b.publicJoin("pj", l, r, Seq("k"), Seq("k")))
     },
     op("reveal with validity") { b =>
-      val f = b.filterLit(rel(b, Seq("a", "b2"), rows(9, 18, 9, 9)), "a", CmpOp.Lt, 5.0)
+      val f = b.filter(rel(b, Seq("a", "b2"), rows(9, 18, 9, 9)), "a", CmpOp.Lt, Right(5.0))
       capture(b)(b.reveal("rv", f, Set(pA)))
     },
   ) ++ Seq(
@@ -169,8 +169,8 @@ class GoldenCountersSpec extends SparkSpec {
 
   test("sharemind: sortBy 9999 x 2 with validity (the hhi-mpc sort)") {
     val b = sharemind()
-    val f = b.filterLit(rel(b, Seq("companyID", "price"), rows(9999, 19, 4, 4000)),
-      "price", CmpOp.Gt, 0.0)
+    val f = b.filter(rel(b, Seq("companyID", "price"), rows(9999, 19, 4, 4000)),
+      "price", CmpOp.Gt, Right(0.0))
     val got = capture(b)(b.sort(f, Seq("companyID" -> true)))
     check("sharemind: sortBy 9999 x 2", got)
     assert((got.cost.rowsTouched, got.cost.eqs, got.cost.cmps, got.cost.muls) ==

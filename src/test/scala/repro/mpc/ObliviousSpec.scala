@@ -81,7 +81,7 @@ class ObliviousSpec extends AnyFunSuite {
     val b = sharemind()
     val rows = Seq(Seq(5.0), Seq(1.0), Seq(3.0), Seq(2.0))
     // filter out value 3, then sort: the valid prefix must be 1,2,5.
-    val filtered = b.filterLit(rel(b, Seq("k"), rows), "k", CmpOp.Neq, 3.0)
+    val filtered = b.filter(rel(b, Seq("k"), rows), "k", CmpOp.Neq, Right(3.0))
     val sorted = Oblivious.sortBy(b.engine, filtered, Seq(Oblivious.SortKey(0)))
     assert(sorted.size == 4, "size-hiding: row count unchanged")
     // By position (a reveal would shuffle): valid rows 1,2,5 first, then the
@@ -178,7 +178,7 @@ class ObliviousSpec extends AnyFunSuite {
   test("filter is size-hiding and order-preserving; compact reveals") {
     val b = sharemind()
     val rows = Seq(Seq(1.0, 10.0), Seq(2.0, 20.0), Seq(3.0, 30.0), Seq(2.0, 40.0))
-    val f = b.filterLit(rel(b, Seq("k", "v"), rows), "k", CmpOp.Eq, 2.0)
+    val f = b.filter(rel(b, Seq("k", "v"), rows), "k", CmpOp.Eq, Right(2.0))
     assert(f.size == 4 && f.validity.isDefined)
     assertSameRows(open(b, f), Seq(Seq(2.0, 20.0), Seq(2.0, 40.0)))
   }
@@ -190,7 +190,7 @@ class ObliviousSpec extends AnyFunSuite {
       (CmpOp.Leq, _ <= 5.0), (CmpOp.Gt, _ > 5.0), (CmpOp.Geq, _ >= 5.0))
     cases.foreach { case (cmp, pred) =>
       val b = sharemind()
-      val f = b.filterLit(rel(b, Seq("k"), rows), "k", cmp, 5.0)
+      val f = b.filter(rel(b, Seq("k"), rows), "k", cmp, Right(5.0))
       assertSameRows(open(b, f), rows.filter(r => pred(r.head)))
     }
   }
@@ -198,15 +198,15 @@ class ObliviousSpec extends AnyFunSuite {
   test("column-vs-column filter works") {
     val b = sharemind()
     val rows = Seq(Seq(1.0, 2.0), Seq(3.0, 3.0), Seq(5.0, 4.0))
-    val f = b.filterCol(rel(b, Seq("a", "b2"), rows), "b2", CmpOp.Geq, "a")
+    val f = b.filter(rel(b, Seq("a", "b2"), rows), "b2", CmpOp.Geq, Left("a"))
     assertSameRows(open(b, f), Seq(Seq(1.0, 2.0), Seq(3.0, 3.0)))
   }
 
   test("stacked filters AND their predicates") {
     val b = sharemind()
     val rows = (1 to 10).map(i => Seq(i.toDouble, (i % 3).toDouble))
-    val f1 = b.filterLit(rel(b, Seq("k", "m"), rows), "k", CmpOp.Gt, 3.0)
-    val f2 = b.filterLit(f1, "m", CmpOp.Eq, 1.0)
+    val f1 = b.filter(rel(b, Seq("k", "m"), rows), "k", CmpOp.Gt, Right(3.0))
+    val f2 = b.filter(f1, "m", CmpOp.Eq, Right(1.0))
     assertSameRows(open(b, f2), rows.filter(r => r.head > 3 && r(1) == 1.0))
   }
 
@@ -237,7 +237,7 @@ class ObliviousSpec extends AnyFunSuite {
   test("aggregation after filter ignores invalid rows") {
     val b = sharemind()
     val rows = Seq(Seq(1.0, 10.0), Seq(1.0, 20.0), Seq(2.0, 30.0), Seq(2.0, 40.0))
-    val f = b.filterLit(rel(b, Seq("k", "v"), rows), "v", CmpOp.Neq, 30.0)
+    val f = b.filter(rel(b, Seq("k", "v"), rows), "v", CmpOp.Neq, Right(30.0))
     val out = b.aggregate("t", f, Seq("k"), Some("v"), AggFn.Sum, "s")
     assertSameRows(open(b, out), Seq(Seq(1.0, 30.0), Seq(2.0, 40.0)))
   }
@@ -245,7 +245,7 @@ class ObliviousSpec extends AnyFunSuite {
   test("aggregation drops groups whose rows are all invalid") {
     val b = sharemind()
     val rows = Seq(Seq(1.0, 10.0), Seq(2.0, 30.0))
-    val f = b.filterLit(rel(b, Seq("k", "v"), rows), "k", CmpOp.Eq, 1.0)
+    val f = b.filter(rel(b, Seq("k", "v"), rows), "k", CmpOp.Eq, Right(1.0))
     val out = b.aggregate("t", f, Seq("k"), Some("v"), AggFn.Sum, "s")
     assertSameRows(open(b, out), Seq(Seq(1.0, 10.0)))
   }
@@ -281,7 +281,7 @@ class ObliviousSpec extends AnyFunSuite {
 
   test("global count respects validity") {
     val b = sharemind()
-    val r = b.filterLit(rel(b, Seq("v"), (1 to 6).map(i => Seq(i.toDouble))), "v", CmpOp.Gt, 2.0)
+    val r = b.filter(rel(b, Seq("v"), (1 to 6).map(i => Seq(i.toDouble))), "v", CmpOp.Gt, Right(2.0))
     assert(open(b, b.globalAggregate(r, None, AggFn.Count, "c")) == Seq(Seq(4.0)))
   }
 
@@ -317,7 +317,7 @@ class ObliviousSpec extends AnyFunSuite {
   test("distinct respects validity from a prior filter") {
     val b = sharemind()
     val rows = Seq(Seq(1.0), Seq(1.0), Seq(2.0), Seq(3.0), Seq(3.0))
-    val f = b.filterLit(rel(b, Seq("k"), rows), "k", CmpOp.Neq, 2.0)
+    val f = b.filter(rel(b, Seq("k"), rows), "k", CmpOp.Neq, Right(2.0))
     val out = b.distinct(f, preSorted = false)
     assertSameRows(open(b, out), Seq(Seq(1.0), Seq(3.0)))
   }
@@ -325,7 +325,7 @@ class ObliviousSpec extends AnyFunSuite {
   test("distinct after filter then count (the aspirin tail) is exact") {
     val b = sharemind()
     val rows = Seq(Seq(1.0), Seq(1.0), Seq(2.0), Seq(5.0), Seq(5.0), Seq(9.0))
-    val f = b.filterLit(rel(b, Seq("k"), rows), "k", CmpOp.Lt, 6.0)
+    val f = b.filter(rel(b, Seq("k"), rows), "k", CmpOp.Lt, Right(6.0))
     val d = b.distinct(f, preSorted = true) // input sorted by k
     val c = b.globalAggregate(d, None, AggFn.Count, "rc")
     assert(open(b, c) == Seq(Seq(3.0)))
@@ -350,7 +350,7 @@ class ObliviousSpec extends AnyFunSuite {
     val b = sharemind()
     val l = Seq(Seq(1.0, 10.0), Seq(2.0, 20.0))
     val r = Seq(Seq(1.0, 30.0), Seq(2.0, 40.0))
-    val lf = b.filterLit(rel(b, Seq("k", "x"), l), "k", CmpOp.Eq, 1.0)
+    val lf = b.filter(rel(b, Seq("k", "x"), l), "k", CmpOp.Eq, Right(1.0))
     val rr = rel(b, Seq("k", "y"), r)
     assertSameRows(open(b, b.join("j", lf, rr, Seq("k"), Seq("k"))), Seq(Seq(1.0, 10.0, 30.0)))
   }
@@ -412,7 +412,7 @@ class ObliviousSpec extends AnyFunSuite {
       val kept = if (validity) rows.filter(_(2) > 10.0) else rows
       val run = sameOnBothPools(kernelRun { b =>
         val r = rel(b, Seq("a", "b2", "v"), rows)
-        if (validity) b.filterLit(r, "v", CmpOp.Gt, 10.0) else r
+        if (validity) b.filter(r, "v", CmpOp.Gt, Right(10.0)) else r
       } { (b, in) =>
         val sorted = Oblivious.sortBy(b.engine, in, keys)
         // By position (a reveal shuffles): the valid rows come first, by keys.
@@ -437,7 +437,7 @@ class ObliviousSpec extends AnyFunSuite {
     val l = Seq.fill(3 * Oblivious.JoinBlock + 5)(Seq(rnd.nextInt(30), rnd.nextInt(9)).map(_.toDouble))
     val r = Seq.fill(40)(Seq(rnd.nextInt(30), rnd.nextInt(9)).map(_.toDouble))
     val run = sameOnBothPools(kernelRun { b =>
-      b.filterLit(rel(b, Seq("k", "x"), l), "x", CmpOp.Neq, 4.0)
+      b.filter(rel(b, Seq("k", "x"), l), "x", CmpOp.Neq, Right(4.0))
     } { (b, in) =>
       b.join("j", in, rel(b, Seq("k", "y"), r), Seq("k"), Seq("k"))
     })
@@ -473,7 +473,7 @@ class ObliviousSpec extends AnyFunSuite {
   test("limit after an oblivious sort keeps the sorted order of the valid rows") {
     val b = sharemind()
     val rows = Seq(9.0, 4.0, 1.0, 7.0, 3.0, 8.0, 2.0).map(Seq(_))
-    val sorted = b.sort(b.filterLit(rel(b, Seq("k"), rows), "k", CmpOp.Gt, 2.0), Seq("k" -> true))
+    val sorted = b.sort(b.filter(rel(b, Seq("k"), rows), "k", CmpOp.Gt, Right(2.0)), Seq("k" -> true))
     b.leakage.clear()
     assert(open(b, b.limit("l", sorted, 3, sorted = true)) == Seq(Seq(3.0), Seq(4.0), Seq(7.0)))
     assert(open(b, b.limit("l", sorted, 9, sorted = true)).map(_.head) == Seq(3.0, 4.0, 7.0, 8.0, 9.0))
@@ -520,7 +520,7 @@ class ObliviousSpec extends AnyFunSuite {
 
   test("concat appends relations and harmonizes validity") {
     val b = sharemind()
-    val r1 = b.filterLit(rel(b, Seq("a"), Seq(Seq(1.0), Seq(2.0))), "a", CmpOp.Eq, 1.0)
+    val r1 = b.filter(rel(b, Seq("a"), Seq(Seq(1.0), Seq(2.0))), "a", CmpOp.Eq, Right(1.0))
     val r2 = rel(b, Seq("a"), Seq(Seq(3.0)))
     val out = b.concat(Seq(r1, r2))
     assert(out.size == 3)

@@ -215,7 +215,7 @@ class ProtocolsSpec extends AnyFunSuite {
     // Filtered (validity-carrying) inputs are compacted first, which logs
     // the surviving cardinality — verify the compact leak is recorded.
     val b = sharemind()
-    val l = b.filterLit(rel(b, Seq("k", "x"), Seq(Seq(1.0, 1.0), Seq(2.0, 2.0))), "k", CmpOp.Eq, 1.0)
+    val l = b.filter(rel(b, Seq("k", "x"), Seq(Seq(1.0, 1.0), Seq(2.0, 2.0))), "k", CmpOp.Eq, Right(1.0))
     val r = rel(b, Seq("k", "y"), Seq(Seq(1.0, 3.0)))
     val out = b.hybridJoin("hj", l, r, Seq("k"), Seq("k"), pA)
     assertSameRows(open(b, out), Seq(Seq(1.0, 1.0, 3.0)))
@@ -225,7 +225,7 @@ class ProtocolsSpec extends AnyFunSuite {
   test("hybrid aggregation on a filtered relation compacts then aggregates") {
     val b = sharemind()
     val rows = Seq(Seq(1.0, 5.0), Seq(1.0, 6.0), Seq(2.0, 100.0))
-    val f = b.filterLit(rel(b, Seq("k", "v"), rows), "v", CmpOp.Lt, 50.0)
+    val f = b.filter(rel(b, Seq("k", "v"), rows), "v", CmpOp.Lt, Right(50.0))
     val out = b.hybridAggregate("ha", f, Seq("k"), Some("v"), AggFn.Sum, "s", pA)
     assertSameRows(open(b, out), Seq(Seq(1.0, 11.0)))
   }

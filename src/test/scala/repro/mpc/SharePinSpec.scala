@@ -4,7 +4,7 @@ import java.nio.ByteBuffer
 import java.security.MessageDigest
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.AggFn
+import repro.core.{AggFn, CmpOp}
 import MpcTestKit._
 
 /** Pins the exact shares and counters of both engines on a fixed script:
@@ -14,7 +14,12 @@ import MpcTestKit._
   *     300 × 60 rows,
   *     both of several blocks;
   *   - a hybrid join, a hybrid aggregation and a public join on seeded
-  *     backends.
+  *     backends;
+  *   - every other relational operator on a seeded backend: the
+  *     aggregations' folds (sorted, preSorted, global and hybrid, each
+  *     function), both paths of distinct and of limit, the six comparisons
+  *     against a literal and against a column, and compaction; with the
+  *     leakage events they record.
   *
   * Each section gives one line: a digest of every share array it produced,
   * in order, and the meter's `CostSnapshot`. A change to an engine that moves
@@ -90,12 +95,43 @@ class SharePinSpec extends AnyFunSuite {
   private def protocols(b: MpcBackend, d: Digest): Unit = {
     def rows(n: Int, keys: Int, seed: Int) =
       (0 until n).map(i => Seq(((i * seed) % keys).toDouble, (i + seed).toDouble))
-    val l = b.filterLit(rel(b, Seq("k", "x"), rows(40, 9, 7)), "x", repro.core.CmpOp.Gt, 15.0)
+    val l = b.filter(rel(b, Seq("k", "x"), rows(40, 9, 7)), "x", CmpOp.Gt, Right(15.0))
     val r = rel(b, Seq("k", "y"), rows(30, 9, 5))
     val hj = b.hybridJoin("hj", l, r, Seq("k"), Seq("k"), stp = pA)
     val ha = b.hybridAggregate("ha", hj, Seq("k"), Some("y"), AggFn.Max, "m", stp = pA)
     val pj = b.publicJoin("pj", rel(b, Seq("k", "x"), rows(25, 6, 3)), r, Seq("k"), Seq("k"))
     Seq(hj, ha, pj).foreach(o => (o.cols ++ o.validity).foreach(d.add))
+  }
+
+  /** Every relational operator not pinned by [[protocols]], on inputs
+    * with and without a validity column.
+    */
+  private def operators(b: MpcBackend, d: Digest): Unit = {
+    def rows(n: Int, keys: Int, seed: Int) =
+      (0 until n).map(i => Seq(((i * seed) % keys).toDouble, ((i * 13 + seed) % 29).toDouble))
+    val r = rel(b, Seq("k", "v"), rows(24, 5, 7))
+    val f = b.filter(r, "v", CmpOp.Gt, Right(6.0))
+    val byKey = b.sort(rel(b, Seq("k", "v"), rows(20, 4, 3)), Seq("k" -> true))
+    val outs = Seq.newBuilder[SharedRelation]
+    for (fn <- Seq(AggFn.Sum, AggFn.Count, AggFn.Min, AggFn.Max)) {
+      val col = if (fn == AggFn.Count) None else Some("v")
+      outs += b.aggregate("agg", f, Seq("k"), col, fn, "out")
+      outs += b.aggregate("agg", f, Seq("k"), col, fn, "out", preSorted = true)
+      outs += b.aggregate("agg", byKey, Seq("k"), col, fn, "out", preSorted = true)
+      outs += b.globalAggregate(f, col, fn, "out")
+      outs += b.hybridAggregate("ha", f, Seq("k"), col, fn, "out", stp = pA)
+    }
+    outs += b.distinct(b.project(f, Seq("k")), preSorted = false)
+    outs += b.distinct(b.project(byKey, Seq("k")), preSorted = true)
+    for (cmp <- Seq(CmpOp.Eq, CmpOp.Neq, CmpOp.Lt, CmpOp.Leq, CmpOp.Gt, CmpOp.Geq)) {
+      outs += b.filter(f, "v", cmp, Right(13.0))
+      outs += b.filter(r, "v", cmp, Left("k"))
+    }
+    outs += b.limit("lim", b.sort(f, Seq("v" -> false)), 5, sorted = true)
+    outs += b.limit("lim", f, 5, sorted = false)
+    outs += b.compact("cmp", f)
+    outs.result().foreach(o => (o.cols ++ o.validity).foreach(d.add))
+    b.leakage.events.foreach(e => d.addAll(e.toString.map(_.toLong).toArray))
   }
 
   private def line(name: String, meter: CostMeter)(body: Digest => Unit): String = {
@@ -111,7 +147,9 @@ class SharePinSpec extends AnyFunSuite {
         { val e = fresh(); line(s"$tag ops", e.meter)(ops(e, _)) },
         { val e = fresh(); line(s"$tag sort", e.meter)(sort(e, _)) },
         { val e = fresh(); line(s"$tag join", e.meter)(join(e, _)) },
-        line(s"$tag protocols", backend.meter)(protocols(backend, _)))
+        line(s"$tag protocols", backend.meter)(protocols(backend, _)),
+        { val b = if (tag == "ss") sharemind(seed = 13L) else oblivc()
+          line(s"$tag relational operators", b.meter)(operators(b, _)) })
     }
     assert(got == Pinned, s"got:\n${got.mkString("\n")}")
   }
@@ -138,8 +176,10 @@ object SharePinSpec {
     "ss sort shares=f0709a830c26016a cost=CostSnapshot(3000,100602,201204,704214,0,0,0,0,0,63.778056)",
     "ss join shares=7f4a7d0809adcd76 cost=CostSnapshot(696,18000,0,18000,7,11610,0,0,0,0.52708)",
     "ss protocols shares=17d4ad85c12591f7 cost=CostSnapshot(1024,0,143,4510,41,7882,0,0,0,0.360776)",
+    "ss relational operators shares=3468cc5c9741fcbb cost=CostSnapshot(1026,398,1851,8594,105,8040,0,0,0,0.9525799999999999)",
     "gc ops shares=48fe2bf634109a9d cost=CostSnapshot(0,0,0,0,1,0,384064,0,0,0.38406399999999996)",
     "gc sort shares=d538da3f5119a486 cost=CostSnapshot(3000,0,0,0,0,0,167401728,0,0,167.551728)",
     "gc join shares=0b9b96f43aec0463 cost=CostSnapshot(696,0,0,0,1,0,3047040,0,0,3.08184)",
-    "gc protocols shares=b6011197423bea8a cost=CostSnapshot(1024,0,0,0,23,0,822016,0,532480,0.873216)")
+    "gc protocols shares=b6011197423bea8a cost=CostSnapshot(1024,0,0,0,23,0,822016,0,532480,0.873216)",
+    "gc relational operators shares=2042e2ac746d9671 cost=CostSnapshot(1026,0,0,0,27,0,2777920,0,786432,2.82922)")
 }
