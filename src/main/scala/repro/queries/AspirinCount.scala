@@ -1,8 +1,8 @@
 package repro.queries
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.{col => column}
 import repro.core._
+import repro.mpc.MpcBackend
 import repro.smcql.Slicing
 
 /** Aspirin-count query from the SMCQL paper, evaluated in §7.4 (Fig. 7a).
@@ -22,6 +22,8 @@ import repro.smcql.Slicing
 object AspirinCount {
 
   val pH1: Party = Party("h1"); val pH2: Party = Party("h2")
+  /** Hospital `h` is party `h<h>` and holds `diag<h>` and `med<h>`. */
+  val Hospitals: Seq[Int] = Seq(1, 2)
   val InputNames: Seq[String] = Seq("diag1", "diag2", "med1", "med2")
   val OutputName = "aspirin_count"
 
@@ -29,17 +31,21 @@ object AspirinCount {
   val TargetDiag = 1.0
   val TargetMed = 1.0
 
-  def build(): Dag = {
+  /** The query over the inputs of `hospitals`, by default both. Over one
+    * hospital, ownership places every operator at it, so the compiled plan
+    * runs there in the clear (§5.1).
+    */
+  def build(hospitals: Seq[Int] = Hospitals): Dag = {
     val dag = new Dag
     val q = new Dsl(dag)
     import q._
-    val d1 = table("diag1", pH1, publicCol("patient"), col("diag"), col("dtime"))
-    val d2 = table("diag2", pH2, publicCol("patient"), col("diag"), col("dtime"))
-    val m1 = table("med1", pH1, publicCol("patient"), col("med"), col("mtime"))
-    val m2 = table("med2", pH2, publicCol("patient"), col("med"), col("mtime"))
-    val d = concat(d1, d2)
-    val m = concat(m1, m2)
-    d.join(m, Seq("patient"), Seq("patient"))
+    def union(rels: Seq[Rel]) = if (rels.length == 1) rels.head else concat(rels: _*)
+    // Every input comes before the unions, so node ids follow the inputs.
+    val d = hospitals.map(h =>
+      table(s"diag$h", Party(s"h$h"), publicCol("patient"), col("diag"), col("dtime")))
+    val m = hospitals.map(h =>
+      table(s"med$h", Party(s"h$h"), publicCol("patient"), col("med"), col("mtime")))
+    union(d).join(union(m), Seq("patient"), Seq("patient"))
       .filter("diag", CmpOp.Eq, TargetDiag)
       .filter("med", CmpOp.Eq, TargetMed)
       .filterCol("mtime", CmpOp.Geq, "dtime")
@@ -50,32 +56,26 @@ object AspirinCount {
     dag
   }
 
-  /** The query over one party's own diagnoses `d` and medications `m`, in
-    * Spark: the local half of the sliced runs (§7.4), for patient slices
-    * held by a single party.
-    */
-  def localCount(d: DataFrame, m: DataFrame): Long = {
-    val dd = d.where(column("diag") === TargetDiag).alias("d")
-    val mm = m.where(column("med") === TargetMed).alias("m")
-    dd.join(mm, column("d.patient") === column("m.patient") && column("m.mtime") >= column("d.dtime"))
-      .select(column("d.patient")).distinct().count()
-  }
-
   /** The aspirin inputs sliced on the public patient ID (§7.4): the count
     * over the single-party slices, computed in the clear, and the shared
     * slices under the query's input names (`diag1` … `med2`).
     */
   final case class Split(localCount: Long, sharedKeys: Set[Double], shared: Map[String, DataFrame])
 
-  /** The front half of both sliced drivers, Conclave's and SMCQL's. */
+  /** The front half of both sliced drivers, Conclave's and SMCQL's. Each
+    * hospital's single-party slices run the query compiled over that
+    * hospital alone.
+    */
   def split(spark: SparkSession, inputs: Map[String, DataFrame]): Split = {
-    val hospitals = Seq("1", "2")
     val sliced = Slicing.slice(spark,
-      hospitals.map(h => Seq(s"diag$h", s"med$h").map(rel => rel -> inputs(rel)).toMap),
+      Hospitals.map(h => Seq(s"diag$h", s"med$h").map(rel => rel -> inputs(rel)).toMap),
       keyCol = "patient")
     Split(
-      hospitals.zip(sliced.localParts).map { case (h, rels) =>
-        localCount(rels(s"diag$h"), rels(s"med$h"))
+      Hospitals.zip(sliced.localParts).map { case (h, rels) =>
+        val plan = Compiler.compile(build(Seq(h)))
+        val out = new Executor(spark, MpcBackend.sharemind(Set(pH1, pH2))).run(plan, rels)
+          .outputs(OutputName)
+        try out.collect().head.getDouble(0).toLong finally out.unpersist()
       }.sum,
       sliced.sharedKeys,
       sliced.sharedParts.reduce(_ ++ _))

@@ -7,11 +7,11 @@ import repro.mpc.MpcBackend
 /** Conclave + slicing driver for aspirin count, mirroring §7.4: "we manually
   * implement SMCQL's slicing and combine it with Conclave's public join".
   *
-  * Single-party patient slices are processed entirely locally in Spark; the
-  * shared slices go through the compiled Conclave plan (public join over the
-  * overlap, order-preserving MPC filters, sort-free distinct, count), and
-  * the final count is the sum. Only rows for patient IDs present at both
-  * parties ever enter MPC.
+  * Single-party patient slices run the query compiled over their hospital
+  * alone, in Spark at that hospital; the shared slices go through the
+  * compiled Conclave plan (public join over the overlap, order-preserving
+  * MPC filters, sort-free distinct, count), and the final count is the
+  * sum. Only rows for patient IDs present at both parties ever enter MPC.
   */
 object AspirinSliced {
 

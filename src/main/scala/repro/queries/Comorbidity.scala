@@ -21,18 +21,22 @@ object Comorbidity {
   val TopK = 10
 
   def build(): Dag = {
-    val dag = new Dag
-    val q = new Dsl(dag)
+    val q = new Dsl(new Dag)
+    counts(q)
+      .sortBy("cnt", ascending = false)
+      .limit(TopK)
+      .writeTo(OutputName, pH1)
+    q.dag
+  }
+
+  /** The diagnosis counts over both hospitals' diagnoses. */
+  private def counts(q: Dsl): q.Rel = {
     import q._
     val d1 = table("cdiag1", pH1, col("patient"), col("diag"))
     val d2 = table("cdiag2", pH2, col("patient"), col("diag"))
     concat(d1, d2)
       .project("diag")
       .count(Seq("diag"), out = "cnt")
-      .sortBy("cnt", ascending = false)
-      .limit(TopK)
-      .writeTo(OutputName, pH1)
-    dag
   }
 
   /** Cleartext reference. Ties at the cut-off make a bare LIMIT ambiguous,
@@ -47,15 +51,8 @@ object Comorbidity {
 
   /** Variant without the order-by/limit, for bit-exact oracle checking. */
   def buildCountsOnly(): Dag = {
-    val dag = new Dag
-    val q = new Dsl(dag)
-    import q._
-    val d1 = table("cdiag1", pH1, col("patient"), col("diag"))
-    val d2 = table("cdiag2", pH2, col("patient"), col("diag"))
-    concat(d1, d2)
-      .project("diag")
-      .count(Seq("diag"), out = "cnt")
-      .writeTo("counts", pH1)
-    dag
+    val q = new Dsl(new Dag)
+    counts(q).writeTo("counts", pH1)
+    q.dag
   }
 }

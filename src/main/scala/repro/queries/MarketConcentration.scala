@@ -23,17 +23,8 @@ object MarketConcentration {
 
   /** Build the query DAG. */
   def build(): Dag = {
-    val dag = new Dag
-    val q = new Dsl(dag)
-    import q._
-    val inA = table("taxiA", pA, col("companyID"), col("price"))
-    val inB = table("taxiB", pB, col("companyID"), col("price"))
-    val inC = table("taxiC", pC, col("companyID"), col("price"))
-    val taxi = concat(inA, inB, inC)
-    val rev = taxi
-      .project("companyID", "price")
-      .filter("price", CmpOp.Gt, 0)
-      .sum(Seq("companyID"), over = "price", out = "local_rev")
+    val q = new Dsl(new Dag)
+    val rev = revenue(q)
     val market = rev.aggregate(Seq.empty, AggFn.Sum, Some("local_rev"), "total_rev")
     val share = rev.constCol("k", 1)
       .join(market.constCol("k", 1), Seq("k"), Seq("k"))
@@ -42,7 +33,21 @@ object MarketConcentration {
       .multiply("ms2", "m_share", "m_share")
       .aggregate(Seq.empty, AggFn.Sum, Some("ms2"), "hhi")
     hhi.writeTo(OutputName, pA)
-    dag
+    q.dag
+  }
+
+  /** The per-company revenue: the three trip books concatenated, zero fares
+    * filtered, and revenue summed per company.
+    */
+  private def revenue(q: Dsl): q.Rel = {
+    import q._
+    val inA = table("taxiA", pA, col("companyID"), col("price"))
+    val inB = table("taxiB", pB, col("companyID"), col("price"))
+    val inC = table("taxiC", pC, col("companyID"), col("price"))
+    concat(inA, inB, inC)
+      .project("companyID", "price")
+      .filter("price", CmpOp.Gt, 0)
+      .sum(Seq("companyID"), over = "price", out = "local_rev")
   }
 
   /** Cleartext reference SQL over the union of the three inputs (for the
@@ -74,17 +79,8 @@ object MarketConcentration {
     * bit-for-bit.
     */
   def buildRevenueOnly(): Dag = {
-    val dag = new Dag
-    val q = new Dsl(dag)
-    import q._
-    val inA = table("taxiA", pA, col("companyID"), col("price"))
-    val inB = table("taxiB", pB, col("companyID"), col("price"))
-    val inC = table("taxiC", pC, col("companyID"), col("price"))
-    concat(inA, inB, inC)
-      .project("companyID", "price")
-      .filter("price", CmpOp.Gt, 0)
-      .sum(Seq("companyID"), over = "price", out = "local_rev")
-      .writeTo("rev", pA)
-    dag
+    val q = new Dsl(new Dag)
+    revenue(q).writeTo("rev", pA)
+    q.dag
   }
 }

@@ -46,9 +46,10 @@ object Slicing {
     }
     val shared = keySets.reduce(_ intersect _)
     // Semi/anti joins against a shared-keys relation scale to large inputs
-    // (an `isin` literal list would blow up the expression tree).
+    // (an `isin` literal list would blow up the expression tree). It is a
+    // local relation, so it is not cached: a cache would outlive the slice.
     import spark.implicits._
-    val sharedDf = shared.toSeq.toDF("__sk").cache()
+    val sharedDf = shared.toSeq.toDF("__sk")
     def restrict(df: DataFrame, in: Boolean): DataFrame =
       df.join(sharedDf, col(keyCol).cast("double") === col("__sk"),
         if (in) "left_semi" else "left_anti")

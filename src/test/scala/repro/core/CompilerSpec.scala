@@ -278,6 +278,16 @@ class CompilerSpec extends AnyFunSuite {
     assert(dag.topo.count(_.kind.isInstanceOf[OpKind.PublicJoin]) == 1, dag.describe)
   }
 
+  test("aspirin over one hospital runs every operator in the clear at that hospital") {
+    for (h <- Seq(1, 2)) {
+      val dag = Compiler.compile(AspirinCount.build(Seq(h))).dag
+      assert(dag.inputs.map(_.kind.asInstanceOf[OpKind.Input].relName) == Seq(s"diag$h", s"med$h"))
+      assert(dag.topo.forall(n => !n.isMpc && n.owner.contains(Party(s"h$h"))), dag.describe)
+      assert(dag.outputs.map(_.kind) ==
+        Seq(OpKind.Output(AspirinCount.OutputName, Set(AspirinCount.pH1))))
+    }
+  }
+
   test("a single STP is chosen even when candidates disagree") {
     val dag = new Dag
     val q = new Dsl(dag)

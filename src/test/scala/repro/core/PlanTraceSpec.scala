@@ -9,6 +9,7 @@ import repro.SparkSpec
 import repro.data.Generators
 import repro.mpc._
 import repro.queries._
+import repro.smcql.SmcqlAspirin
 
 import scala.io.Source
 
@@ -17,6 +18,8 @@ import scala.io.Source
   * run's closed rows, its `CostSnapshot`, its ordered leakage events and a
   * digest of each output. A change that keeps results, counters and leakage
   * leaves every trace as it is; re-recording a trace is a reviewed change.
+  * The two hand-sliced T5 drivers (§7.4) return only a count, modeled MPC
+  * seconds and closed rows or slices, so their traces hold those.
   *
   * On a mismatch the spec prints a line diff and writes the trace it got to
   * `target/plan-traces/<run>.txt`.
@@ -91,6 +94,17 @@ class PlanTraceSpec extends SparkSpec {
       Set(Comorbidity.pH1, Comorbidity.pH2), () => comorbidityInputs(200)),
   )
 
+  private val driverRuns: Seq[(String, () => Seq[String])] = Seq(
+    "aspirin-sliced" -> { () =>
+      val r = AspirinSliced.run(spark, aspirinInputs(120))
+      Seq(s"count ${r.count}", s"closed_rows ${r.mpcClosedRows}", s"modeled_s ${r.mpcModeledSeconds}")
+    },
+    "aspirin-smcql" -> { () =>
+      val r = SmcqlAspirin.run(spark, aspirinInputs(120))
+      Seq(s"count ${r.count}", s"slices ${r.slices}", s"modeled_s ${r.mpcModeledSeconds}")
+    },
+  )
+
   private def parties(to: Set[Party]): String = to.map(_.name).toSeq.sorted.mkString("{", ",", "}")
 
   private def event(e: LeakageEvent): String = e match {
@@ -113,7 +127,6 @@ class PlanTraceSpec extends SparkSpec {
     val res = new Executor(spark, run.backend(run.parties)).run(plan, run.inputs())
     val cost = res.metrics.cost
     Seq(
-      s"run ${run.name}",
       s"closed_rows ${res.metrics.closedRows}",
       s"cost rowsTouched=${cost.rowsTouched} eqs=${cost.eqs} cmps=${cost.cmps} muls=${cost.muls} " +
         s"rounds=${cost.rounds} shuffledElems=${cost.shuffledElems} gates=${cost.gates} " +
@@ -123,18 +136,18 @@ class PlanTraceSpec extends SparkSpec {
       res.outputs.toSeq.sortBy(_._1).map { case (name, df) => s"output $name ${digest(df)}" }
   }
 
-  for (run <- runs)
-    test(s"${run.name} matches its committed trace") {
-      val got = trace(run).toIndexedSeq
-      val resource = Option(getClass.getResourceAsStream(s"/traces/${run.name}.txt"))
+  for ((name, lines) <- runs.map(run => run.name -> (() => trace(run))) ++ driverRuns)
+    test(s"$name matches its committed trace") {
+      val got = (s"run $name" +: lines()).toIndexedSeq
+      val resource = Option(getClass.getResourceAsStream(s"/traces/$name.txt"))
       val want = resource.map { s =>
         val src = Source.fromInputStream(s, "UTF-8")
         try src.getLines().toIndexedSeq finally src.close()
       }.getOrElse(IndexedSeq.empty)
       if (got != want) {
         val dir = Files.createDirectories(Paths.get("target", "plan-traces"))
-        Files.write(dir.resolve(s"${run.name}.txt"), got.mkString("", "\n", "\n").getBytes(UTF_8))
-        fail(s"${run.name} differs from traces/${run.name}.txt" +
+        Files.write(dir.resolve(s"$name.txt"), got.mkString("", "\n", "\n").getBytes(UTF_8))
+        fail(s"$name differs from traces/$name.txt" +
           (if (resource.isEmpty) " (no committed trace)" else "") +
           s"; got written to target/plan-traces:\n${PlanTraceSpec.lineDiff(want, got).mkString("\n")}")
       }

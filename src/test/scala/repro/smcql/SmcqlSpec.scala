@@ -1,6 +1,7 @@
 package repro.smcql
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.columnar.InMemoryRelation
 import org.apache.spark.sql.functions.lit
 import repro.SparkSpec
 import repro.core.CompileConfig
@@ -85,6 +86,20 @@ class SmcqlSpec extends SparkSpec {
     val split = sliced.localParts.map(_("diag").count()).sum +
       sliced.sharedParts.map(_("diag").count()).sum
     assert(split == total)
+  }
+
+  test("slicing leaves nothing cached once its parts are read") {
+    val inputs = aspirinInputs(100, overlap = 0.25)
+    val persisted = spark.sparkContext.getPersistentRDDs.keySet
+    val sliced = Slicing.slice(spark,
+      Seq(Map("diag" -> inputs("diag1")), Map("diag" -> inputs("diag2"))), "patient")
+    val parts = sliced.localParts ++ sliced.sharedParts
+    parts.foreach(_("diag").count())
+    val cached = parts.flatMap(_("diag").queryExecution.withCachedData.collect {
+      case r: InMemoryRelation => r
+    })
+    assert(cached.isEmpty, cached)
+    assert(spark.sparkContext.getPersistentRDDs.keySet == persisted)
   }
 
   test("SMCQL aspirin count matches the cleartext reference") {
