@@ -7,10 +7,13 @@ package repro.core
 object Compiler {
 
   /** A compiled plan. Its stages (stage 6) are computed only when read:
-    * the executor walks the DAG node by node and does not read them.
+    * the executor walks the DAG node by node and does not read them. Its
+    * live columns are computed under every configuration, because they say
+    * how the plan runs: an MPC operator moves only the columns read after it.
     */
   final case class Plan(dag: Dag) {
     lazy val stages: Seq[Partition.Stage] = Partition(dag)
+    lazy val live: Map[Int, Seq[String]] = Ir.liveColumns(dag)
     def describe: String = dag.describe
     def mpcNodes: Seq[Node] = dag.topo.filter(_.isMpc)
   }

@@ -40,6 +40,10 @@ final case class ExecResult(
   * once, as the parties' own clusters would run it; the closes then run on
   * the calling thread, in a fixed order, after every collect has finished.
   * Revealed rows stay on the driver as local DataFrames.
+  *
+  * MPC values carry only their plan node's live columns ([[Ir.liveColumns]]):
+  * a close shares only those, and an MPC operator reads only the columns
+  * it computes on and moves on only the live ones.
   */
 final class Executor(
     spark: SparkSession,
@@ -53,6 +57,8 @@ final class Executor(
   private var closedRows: Long = 0L
   /** Each cleartext value closed into MPC this run, by node id. */
   private val closed = scala.collection.mutable.HashMap.empty[Int, SharedRelation]
+  /** The live columns of this run's plan, by node id. */
+  private var live: Map[Int, Seq[String]] = Map.empty
 
   private def timedMpc[A](body: => A): A = {
     val t0 = System.nanoTime()
@@ -62,7 +68,7 @@ final class Executor(
 
   def run(plan: Compiler.Plan, inputs: Map[String, DataFrame]): ExecResult = {
     // Metrics and leakage describe this run only, also on a reused executor.
-    mpcRealNs = 0L; closedRows = 0L; closed.clear()
+    mpcRealNs = 0L; closedRows = 0L; closed.clear(); live = plan.live
     backend.meter.reset(); backend.leakage.clear()
     val t0 = System.nanoTime()
     val cache = scala.collection.mutable.HashMap.empty[Int, RelValue]
@@ -72,7 +78,7 @@ final class Executor(
       val childVals = n.children.map(c => cache(c.id)).toSeq
       n.kind match {
         case OpKind.Output(name, recipients) =>
-          outputs(name) = output(n, name, recipients, childVals.head)
+          outputs(name) = output(name, recipients, childVals.head)
         case _ => cache(n.id) = eval2(n, inputs, childVals)
       }
     }
@@ -156,14 +162,14 @@ final class Executor(
       s"safety cap: $closedRows rows crossed into the MPC simulator (max $maxCloseRows)")
   }
 
-  /** Collect every cleartext partition of the given children in one batch:
-    * one fresh thread per partition, so the parties' Spark jobs run at the
-    * same time. Fresh threads, unlike a pool's, inherit the calling thread's
-    * Spark local properties, so their jobs are attributed as its own. Once
-    * every thread has finished, the first failure in batch order is
-    * rethrown, and then every cell is checked. Per child, the result holds
-    * its partitions' columns in party order, each named `#<id>@<party>`; a
-    * shared child has none.
+  /** Collect the live columns of every cleartext partition of the given
+    * children in one batch: one fresh thread per partition, so the parties'
+    * Spark jobs run at the same time. Fresh threads, unlike a pool's,
+    * inherit the calling thread's Spark local properties, so their jobs are
+    * attributed as its own. Once every thread has finished, the first
+    * failure in batch order is rethrown, and then every cell is checked. Per
+    * child, the result holds its partitions' columns in party order, each
+    * named `#<id>@<party>`; a shared child has none.
     */
   private def collectClear(children: Seq[(Node, RelValue)]): Seq[Seq[(String, IndexedSeq[Array[Double]])]] = {
     val parts = children.map {
@@ -173,9 +179,11 @@ final class Executor(
     val batch = parts.flatten
     val rows = new Array[Array[Row]](batch.length)
     val errors = new Array[Throwable](batch.length)
-    val threads = batch.zipWithIndex.map { case ((_, p, partDf), i) =>
+    val threads = batch.zipWithIndex.map { case ((c, p, partDf), i) =>
+      val cols = live(c.id)
+      val liveDf = if (cols == c.schema) partDf else partDf.select(cols.map(col): _*)
       val t = new Thread(() =>
-        try rows(i) = partDf.collect()
+        try rows(i) = liveDf.collect()
         catch { case e: Throwable => errors(i) = e },
         s"conclave-collect-${p.name}")
       t.setDaemon(true)
@@ -187,16 +195,16 @@ final class Executor(
     val it = rows.iterator
     parts.map(_.map { case (c, p, _) =>
       val name = s"#${c.id}@${p.name}"
-      name -> columns(name, c.schema, it.next())
+      name -> columns(name, live(c.id), it.next())
     })
   }
 
   /** The children of MPC operator `n` as shared relations. A cleartext
-    * child is closed once per run, however many operators read it: its
-    * partitions are collected in one batch with the other children's, then
-    * closed on this thread in child order and party order, so dealer draws,
-    * share names and the leakage sequence do not depend on which collect
-    * finished first.
+    * child is closed once per run, however many operators read it, with its
+    * live columns: its partitions are collected in one batch with the other
+    * children's, then closed on this thread in child order and party order,
+    * so dealer draws, share names and the leakage sequence do not depend on
+    * which collect finished first.
     */
   private def asSecure(n: Node, childVals: Seq[RelValue]): Seq[SharedRelation] = {
     val toClose = n.children.zip(childVals).toSeq
@@ -205,7 +213,7 @@ final class Executor(
     val collected = collectClear(toClose)
     countClosed(collected.flatten.map(_._2.headOption.fold(0L)(_.length.toLong)).sum)
     toClose.zip(collected).foreach { case ((c, _), byParty) =>
-      val shared = byParty.map { case (name, cols) => timedMpc(backend.close(name, c.schema, cols)) }
+      val shared = byParty.map { case (name, cols) => timedMpc(backend.close(name, live(c.id), cols)) }
       closed(c.id) = if (shared.length == 1) shared.head else timedMpc(backend.concat(shared))
     }
     n.children.zip(childVals).map {
@@ -234,7 +242,7 @@ final class Executor(
       parts.values.reduce(_ unionAll _)
     case SecureRel(rel) =>
       val rows = timedMpc(backend.reveal(s"#${child.id}", rel, Set(party)))
-      localDf(child.schema, rows)
+      localDf(rel.schema, rows)
   }
 
   // -------------------------------------------------------------- evaluate
@@ -266,7 +274,7 @@ final class Executor(
 
       case _ =>
         val shared = asSecure(n, childVals)
-        SecureRel(timedMpc(mpcOp(backend, n, shared)))
+        SecureRel(timedMpc(mpcOp(backend, n, shared, live(n.id))))
     }
 
   /** The query output `name`, revealed to its recipients: MPC data through
@@ -275,34 +283,35 @@ final class Executor(
     * materialised inside the timed window; revealed rows are already on the
     * driver.
     */
-  private def output(n: Node, name: String, recipients: Set[Party], v: RelValue): DataFrame = v match {
+  private def output(name: String, recipients: Set[Party], v: RelValue): DataFrame = v match {
     case ClearRel(parts) =>
       backend.leakage.record(RelationLeak(name, recipients))
       val out = parts.toSeq.sortBy(_._1).map(_._2).reduce(_ unionAll _)
       out.cache().count()
       out
     case SecureRel(rel) =>
-      localDf(n.schema, timedMpc(backend.reveal(name, rel, recipients)))
+      localDf(rel.schema, timedMpc(backend.reveal(name, rel, recipients)))
   }
 
   /** Public join over still-cleartext inputs: the backend pairs the rows on
-    * their public keys, then closes *only the matched rows*. Every party's
-    * partition of both sides is collected in one batch (a partitioned
-    * concat defers here), and the safety cap is checked before any row is
-    * shared.
+    * their public keys, then closes *only the matched rows* of the live
+    * output columns. Every party's partition of both sides is collected in
+    * one batch (a partitioned concat defers here), and the safety cap is
+    * checked before any row is shared.
     */
   private def publicJoinFromClear(n: Node, lk: Seq[String], rk: Seq[String],
       childVals: Seq[RelValue]): SharedRelation = {
     val Seq((lSchema, lCols), (rSchema, rCols)) =
       n.children.zip(collectClear(n.children.zip(childVals).toSeq)).map { case (c, byParty) =>
-        c.schema -> c.schema.indices.map(i => Array.concat(byParty.map(_._2(i)): _*))
+        live(c.id) -> live(c.id).indices.map(i => Array.concat(byParty.map(_._2(i)): _*))
       }.toSeq
     def keys(schema: Seq[String], cols: IndexedSeq[Array[Double]], names: Seq[String]) =
       names.map(k => Fixed.encodeColumn(cols(schema.indexOf(k))))
     val name = s"#${n.id}"
     val pairs = backend.publicJoinPairs(name, lk, rk, keys(lSchema, lCols, lk), keys(rSchema, rCols, rk))
     countClosed(2L * pairs._1.length)
-    timedMpc(backend.publicJoinClose(name, lSchema, rSchema, lk, rk, lCols, rCols, pairs))
+    timedMpc(backend.publicJoinClose(name, lSchema, rSchema, lk, rk, lCols, rCols, pairs,
+      live(n.id).contains))
   }
 }
 
@@ -344,31 +353,41 @@ object Executor {
 
   /** Evaluate MPC operator `n` over its `shared` inputs (in child order) on
     * `backend`: the one mapping from plan operators to backend operations.
-    * Leakage is recorded under the name `#<node id>`.
+    * Leakage is recorded under the name `#<node id>`. The operator gets
+    * only the columns it reads of each input (one, for its row count, if it
+    * reads none), and returns only the `live` columns of its output: the
+    * joins and aggregations move only those in their last step, and the
+    * parties drop the others' shares.
     */
-  def mpcOp(backend: MpcBackend, n: Node, shared: Seq[SharedRelation]): SharedRelation = {
+  def mpcOp(backend: MpcBackend, n: Node, shared: Seq[SharedRelation],
+      live: Seq[String]): SharedRelation = {
     val name = s"#${n.id}"
-    n.kind match {
-      case OpKind.Concat              => backend.concat(shared)
-      case OpKind.Project(cols)       => backend.project(shared.head, cols)
-      case OpKind.Filter(c, cmp, rhs) => backend.filter(shared.head, c, cmp, rhs)
+    val keep: String => Boolean = live.contains
+    val in = shared.zip(Ir.reads(n.kind, live, shared.map(_.schema))).map { case (rel, cols) =>
+      rel.only(if (cols.isEmpty) rel.schema.take(1) else cols)
+    }
+    val out = n.kind match {
+      case OpKind.Concat              => backend.concat(in)
+      case OpKind.Project(cols)       => backend.project(in.head, cols.filter(keep))
+      case OpKind.Filter(c, cmp, rhs) => backend.filter(in.head, c, cmp, rhs)
       case OpKind.Agg(group, fn, aggCol, out, _) =>
-        if (group.isEmpty) backend.globalAggregate(shared.head, aggCol, fn, out)
-        else backend.aggregate(name, shared.head, group, aggCol, fn, out, n.preSorted)
+        if (group.isEmpty) backend.globalAggregate(in.head, aggCol, fn, out)
+        else backend.aggregate(name, in.head, group, aggCol, fn, out, n.preSorted, keep)
       case OpKind.HybridAgg(group, fn, aggCol, out, stp) =>
-        backend.hybridAggregate(name, shared.head, group, aggCol, fn, out, stp)
-      case OpKind.Join(lk, rk)       => backend.join(name, shared(0), shared(1), lk, rk)
+        backend.hybridAggregate(name, in.head, group, aggCol, fn, out, stp, keep)
+      case OpKind.Join(lk, rk)       => backend.join(name, in(0), in(1), lk, rk, keep)
       case OpKind.HybridJoin(lk, rk, stp) =>
-        backend.hybridJoin(name, shared(0), shared(1), lk, rk, stp)
-      case OpKind.PublicJoin(lk, rk) => backend.publicJoin(name, shared(0), shared(1), lk, rk)
-      case OpKind.Arith(fn, out, lhs, rhs) => backend.arith(shared.head, fn, out, lhs, rhs)
-      case OpKind.ConstCol(cn, v)    => backend.constCol(shared.head, cn, v)
-      case OpKind.Sort(c, asc)       => backend.sort(shared.head, Seq((c, asc)))
+        backend.hybridJoin(name, in(0), in(1), lk, rk, stp, keep)
+      case OpKind.PublicJoin(lk, rk) => backend.publicJoin(name, in(0), in(1), lk, rk, keep)
+      case OpKind.Arith(fn, out, lhs, rhs) => backend.arith(in.head, fn, out, lhs, rhs)
+      case OpKind.ConstCol(cn, v)    => backend.constCol(in.head, cn, v)
+      case OpKind.Sort(c, asc)       => backend.sort(in.head, Seq((c, asc)))
       case OpKind.Limit(k)           =>
-        backend.limit(name, shared.head, k, sorted = n.isSortedLimit)
-      case OpKind.Distinct(_)        => backend.distinct(shared.head, n.preSorted)
+        backend.limit(name, in.head, k, sorted = n.isSortedLimit)
+      case OpKind.Distinct(_)        => backend.distinct(in.head, n.preSorted)
       case other                     => sys.error(s"MPC executor cannot evaluate ${other.label}")
     }
+    out.only(live)
   }
 
   private sealed trait RelValue

@@ -192,6 +192,66 @@ object Ir {
     */
   def joinColumns[A](l: Seq[A], r: Seq[A], lKeys: Seq[A], rKeys: Seq[A]): (Seq[A], Seq[A]) =
     (lKeys ++ l.filterNot(lKeys.contains), r.filterNot(rKeys.contains))
+
+  /** The columns an equi-join of `l` and `r` reads from each side, in its
+    * schema order, when only the output columns `keep` are read: the side's
+    * keys and its kept output columns.
+    */
+  def joinReads(l: Seq[String], r: Seq[String], lKeys: Seq[String], rKeys: Seq[String],
+      keep: String => Boolean): (Seq[String], Seq[String]) = {
+    val (lOut, rOut) = joinColumns(l, r, lKeys, rKeys)
+    def side(s: Seq[String], keys: Seq[String], out: Seq[String]) =
+      s.filter(c => keys.contains(c) || (out.contains(c) && keep(c)))
+    (side(l, lKeys, lOut), side(r, rKeys, rOut))
+  }
+
+  /** The columns `kind` reads from each child, in the child's schema order,
+    * when its consumers read only the columns `live` of its output. A
+    * distinct compares whole rows and an output keeps every column; every
+    * other operator reads the columns it computes on and those it passes on
+    * to be read. A group-less COUNT(*) reads none: only its child's row
+    * count.
+    */
+  def reads(kind: OpKind, live: Seq[String], childSchemas: Seq[Seq[String]]): Seq[Seq[String]] = {
+    lazy val in = childSchemas.head
+    def of(cols: Seq[String]) = Seq(in.filter(cols.contains))
+    kind match {
+      case _: OpKind.Input                          => Seq.empty
+      case _: OpKind.Output | _: OpKind.Distinct    => childSchemas
+      case OpKind.Concat                            => childSchemas.map(_.filter(live.contains))
+      case _: OpKind.Project | _: OpKind.Limit      => of(live)
+      case OpKind.Filter(col, _, rhs)               => of(live ++ (col +: rhs.left.toSeq))
+      case a: OpKind.AggKind                        => of(a.group ++ a.aggCol)
+      case j: OpKind.JoinKind =>
+        val (l, r) = joinReads(childSchemas(0), childSchemas(1), j.lKeys, j.rKeys, live.contains)
+        Seq(l, r)
+      case OpKind.Arith(_, out, lhs, rhs) => of(live.filterNot(_ == out) ++ (lhs +: rhs.left.toSeq))
+      case OpKind.ConstCol(name, _)       => of(live.filterNot(_ == name))
+      case OpKind.Sort(col, _)            => of(live :+ col)
+    }
+  }
+
+  /** Each node's live columns, by node id: the columns of its output that a
+    * consumer reads, in schema order, by one walk from the outputs down. A
+    * node no consumer reads keeps all its columns (an output does), and a
+    * node whose consumers read none of them keeps its first column, which
+    * carries its row count.
+    */
+  def liveColumns(dag: Dag): Map[Int, Seq[String]] = {
+    val read = mutable.HashMap.empty[Int, Set[String]].withDefaultValue(Set.empty)
+    val schemas = mutable.HashMap.empty[Int, Seq[String]]
+    val order = dag.topo
+    order.foreach(n => schemas(n.id) = schemaOf(n.kind, n.children.map(c => schemas(c.id)).toSeq))
+    order.reverseIterator.map { n =>
+      val schema = schemas(n.id)
+      val live =
+        if (n.parents.isEmpty) schema
+        else schema.filter(read(n.id)) match { case Seq() => schema.take(1); case cols => cols }
+      n.children.zip(reads(n.kind, live, n.children.map(c => schemas(c.id)).toSeq))
+        .foreach { case (c, cols) => read(c.id) ++= cols }
+      n.id -> live
+    }.toMap
+  }
 }
 
 /** The operator DAG plus structural edit helpers used by rewrite passes. */

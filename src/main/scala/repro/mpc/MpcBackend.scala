@@ -1,6 +1,6 @@
 package repro.mpc
 
-import repro.core.{AggFn, ArithFn, CmpOp, Party}
+import repro.core.{AggFn, ArithFn, CmpOp, Ir, Party}
 
 import scala.collection.mutable.ArrayBuilder
 
@@ -15,6 +15,12 @@ import scala.collection.mutable.ArrayBuilder
   * [[Oblivious]]) and its leak record. Inherently sequential scans (the
   * group fold, distinct's seen-chain, the global folds) run element by
   * element over the shared arrays.
+  *
+  * An aggregation sorts, shuffles and compacts only its group and
+  * aggregate columns, and a join shuffles, selects and gathers only its
+  * keys and output columns. The joins and aggregations take `live`, the
+  * output columns a consumer reads (all by default), and their last step
+  * moves only those.
   *
   * It is the only recorder of [[ColumnLeak]]s and [[CardinalityLeak]]s, and
   * every value it opens is opened beside the record of what that discloses,
@@ -180,24 +186,35 @@ final class MpcBackend(
     while (i < agg.length) { combine(fn, agg, i - 1, agg, i, same, i, take); i += 1 }
   }
 
-  /** The last row of each run of `same` in `cols`, where the 0/1 `valid`
-    * flags, if given, are 1, compacted: all parties learn the number of
-    * groups, the output size (the paper's protocols do not pad, §7.4
-    * comorbidity).
+  /** The last row of each run of `same` in the `live` columns of `cols`,
+    * where the 0/1 `valid` flags, if given, are 1, compacted: all parties
+    * learn the number of groups, the output size (the paper's protocols do
+    * not pad, §7.4 comorbidity).
     */
   private def lastOfRuns(relName: String, schema: Vector[String], cols: Vector[SharedCol],
-      same: SharedCol, valid: Option[SharedCol]): SharedRelation = {
+      same: SharedCol, valid: Option[SharedCol], live: String => Boolean): SharedRelation = {
     val n = same.length
     val keep = engine.constant(1L, n)
     engine.not(same, keep, n - 1, ai = 1)
     valid.foreach(engine.mulFlag(keep, _, keep, n))
-    leakSize(relName)(compacted(SharedRelation(schema, cols, Some(keep))))
+    leakSize(relName)(compacted(SharedRelation(schema, cols, Some(keep)).only(schema.filter(live))))
   }
+
+  /** The columns of `rel` an aggregation reads: its group and aggregate
+    * columns.
+    */
+  private def aggInput(rel: SharedRelation, group: Seq[String], aggCol: Option[String]): SharedRelation =
+    rel.only(rel.schema.filter(c => group.contains(c) || aggCol.contains(c)))
+
+  /** An aggregation's output over no rows: its `live` columns, empty. */
+  private def noGroups(schema: Vector[String], live: String => Boolean): SharedRelation =
+    SharedRelation(schema, schema.map(_ => engine.alloc(0))).only(schema.filter(live))
 
   /** Grouped aggregation per Jónsson et al. [39]: sort by group key,
     * obliviously fold each group into its last row, shuffle, open the keep
     * flags, discard. Reveals the number of groups to all parties, 0 for an
-    * empty input. Output schema: group columns ++ [outName]; no validity.
+    * empty input. Output schema: the `live` columns of group columns ++
+    * [outName]; no validity.
     */
   def aggregate(
       relName: String,
@@ -207,20 +224,21 @@ final class MpcBackend(
       fn: AggFn,
       outName: String,
       preSorted: Boolean = false,
+      live: String => Boolean = _ => true,
   ): SharedRelation = {
     engine.checkRelationMem("aggregate", rel.size.toLong, GcOpWidth.Aggregation)
-    val groupIdxs = rel.colIdxs(group)
-    val aggIdx = aggCol.map(rel.colIdx)
+    val in = aggInput(rel, group, aggCol)
+    val groupIdxs = in.colIdxs(group)
+    val aggIdx = aggCol.map(in.colIdx)
     require(groupIdxs.nonEmpty, "use globalAggregate for group-less aggregation")
     val outSchema = group.toVector :+ outName
-    if (rel.size == 0)
-      return leakSize(relName)(SharedRelation(outSchema, outSchema.map(_ => engine.alloc(0))))
+    if (in.size == 0) return leakSize(relName)(noGroups(outSchema, live))
     // The sorting network may be skipped when the input is already grouped
     // (sort elimination, §5.4) — but only if no validity column could
     // interleave invalid rows into a group run.
     val sorted =
-      if (preSorted && rel.validity.isEmpty) rel
-      else Oblivious.sortBy(engine, rel, groupIdxs.map(Oblivious.SortKey(_)))
+      if (preSorted && in.validity.isEmpty) in
+      else Oblivious.sortBy(engine, in, groupIdxs.map(Oblivious.SortKey(_)))
     val n = sorted.size
     val valid = sorted.validity.getOrElse(engine.constant(1L, n))
     val groups = groupIdxs.map(sorted.cols)
@@ -232,7 +250,7 @@ final class MpcBackend(
     val same = continues(groups, n)
     engine.mulFlag(same, valid, same, n - 1, ai = 1, bi = 1, oi = 1)
     foldRuns(fn, same, agg)
-    lastOfRuns(relName, outSchema, groups :+ agg, same, Some(valid))
+    lastOfRuns(relName, outSchema, groups :+ agg, same, Some(valid), live)
   }
 
   /** Group-less aggregation to a single row; reveals nothing. */
@@ -255,17 +273,20 @@ final class MpcBackend(
     SharedRelation(Vector(outName), Vector(acc))
   }
 
-  /** Standard MPC join (Cartesian approach, §6); leaks the output size. */
+  /** Standard MPC join (Cartesian approach, §6); leaks the output size.
+    * Its output has only the `live` columns.
+    */
   def join(
       relName: String,
       left: SharedRelation,
       right: SharedRelation,
       lKeys: Seq[String],
       rKeys: Seq[String],
+      live: String => Boolean = _ => true,
   ): SharedRelation = {
     engine.checkRelationMem("join", left.size.toLong + right.size.toLong, GcOpWidth.Join)
-    leakSize(relName)(
-      Oblivious.cartesianJoin(engine, left, right, left.colIdxs(lKeys), right.colIdxs(rKeys)))
+    leakSize(relName)(Oblivious.cartesianJoin(engine, left, right, left.colIdxs(lKeys),
+      right.colIdxs(rKeys), live))
   }
 
   /** Oblivious duplicate elimination over all columns: marks all but the
@@ -389,6 +410,16 @@ final class MpcBackend(
   private def joinKeyLabels(lKeys: Seq[String], rKeys: Seq[String]): Seq[String] =
     lKeys.map("left:" + _) ++ rKeys.map("right:" + _)
 
+  /** The inputs of a join with output columns `live`, each with only the
+    * columns the join reads (its keys and its live output columns), then
+    * compacted.
+    */
+  private def joinInputs(relName: String, left: SharedRelation, right: SharedRelation,
+      lKeys: Seq[String], rKeys: Seq[String], live: String => Boolean): (SharedRelation, SharedRelation) = {
+    val (lReads, rReads) = Ir.joinReads(left.schema, right.schema, lKeys, rKeys, live)
+    (compact(relName + ":left", left.only(lReads)), compact(relName + ":right", right.only(rReads)))
+  }
+
   /** Open the key columns `keys` of `rel` in one round (none for an empty
     * relation), as fixed-point columns; the caller logs to whom they leak.
     */
@@ -403,12 +434,14 @@ final class MpcBackend(
     * reconstruct the joined rows under MPC. O((n+m) log(n+m)) non-linear
     * MPC operations instead of the Cartesian join's O(n·m). The STP sees
     * only the shuffled keys; all parties learn the output cardinality.
+    * Each side shuffles its keys and its `live` output columns, and selects
+    * and reshuffles only the latter.
     */
   def hybridJoin(relName: String, left: SharedRelation, right: SharedRelation,
-      lKeys: Seq[String], rKeys: Seq[String], stp: Party): SharedRelation = {
+      lKeys: Seq[String], rKeys: Seq[String], stp: Party,
+      live: String => Boolean = _ => true): SharedRelation = {
     require(lKeys.length == rKeys.length && lKeys.nonEmpty, "bad join keys")
-    val l = compact(relName + ":left", left)
-    val r = compact(relName + ":right", right)
+    val (l, r) = joinInputs(relName, left, right, lKeys, rKeys, live)
     val lk = l.colIdxs(lKeys); val rk = r.colIdxs(rKeys)
 
     // 1. Obliviously shuffle both inputs so revealed keys are unlinkable to
@@ -429,13 +462,14 @@ final class MpcBackend(
     val rIdx = engine.input(longs(rj))
     engine.chargeRows(li.length.toLong)
 
-    // 6. Oblivious indexing recovers the joined rows under MPC.
-    val lRows = Oblivious.select(engine, lS, lIdx)
-    val rRows = Oblivious.select(engine, rS, rIdx)
+    // 6. Oblivious indexing recovers the joined rows' output columns under
+    //    MPC; a side with none selects nothing.
+    def select(rel: SharedRelation, idx: SharedCol)(cs: Seq[Int]): Seq[SharedCol] =
+      if (cs.isEmpty) Seq.empty else Oblivious.select(engine, rel.only(cs.map(rel.schema)), idx).cols
 
     // 7. Concatenate column-wise and reshuffle.
-    Oblivious.shuffle(engine, Oblivious.joinOutput(l.schema, r.schema, lk, rk)(
-      _.map(lRows.cols), _.map(rRows.cols)))
+    Oblivious.shuffle(engine, Oblivious.joinOutput(l.schema, r.schema, lk, rk, live)(
+      select(lS, lIdx), select(rS, rIdx)))
   }
 
   /** Public join over shared inputs: both key columns are public, so the
@@ -443,16 +477,15 @@ final class MpcBackend(
     * and the joined result is assembled from the shared rows by *public*
     * indexes — no oblivious shuffle or indexing at all (paper §5.3). The
     * output rows are ordered by join key, which downstream sort elimination
-    * exploits (§7.4).
+    * exploits (§7.4). Only the `live` output columns are gathered.
     */
   def publicJoin(relName: String, left: SharedRelation, right: SharedRelation,
-      lKeys: Seq[String], rKeys: Seq[String]): SharedRelation = {
-    val l = compact(relName + ":left", left)
-    val r = compact(relName + ":right", right)
+      lKeys: Seq[String], rKeys: Seq[String], live: String => Boolean = _ => true): SharedRelation = {
+    val (l, r) = joinInputs(relName, left, right, lKeys, rKeys, live)
     val lk = l.colIdxs(lKeys); val rk = r.colIdxs(rKeys)
     val (li, rj) = publicJoinPairs(relName, lKeys, rKeys, openKeys(l, lk), openKeys(r, rk))
     engine.chargeRows(li.length.toLong)
-    Oblivious.joinOutput(l.schema, r.schema, lk, rk)(
+    Oblivious.joinOutput(l.schema, r.schema, lk, rk, live)(
       _.map(l.cols(_).gather(li)), _.map(r.cols(_).gather(rj)))
   }
 
@@ -478,20 +511,23 @@ final class MpcBackend(
   }
 
   /** Public join over cleartext inputs, second step: each side secret-shares
-    * *only its rows in `pairs`*, in pair order, so unmatched rows never
-    * enter MPC — this is what lets Conclave + slicing send just the
-    * overlapping patient IDs into MPC (§7.4). Columns are given per side as
-    * in [[close]]; the output is laid out as [[publicJoin]]'s.
+    * *only its rows in `pairs`*, in pair order, and only its `live` output
+    * columns, so unmatched rows never enter MPC — this is what lets
+    * Conclave + slicing send just the overlapping patient IDs into MPC
+    * (§7.4). A side with no live output column shares nothing. Columns are
+    * given per side as in [[close]]; the output is laid out as
+    * [[publicJoin]]'s.
     */
   def publicJoinClose(relName: String, lSchema: Seq[String], rSchema: Seq[String],
       lKeys: Seq[String], rKeys: Seq[String], lCols: Seq[Array[Double]], rCols: Seq[Array[Double]],
-      pairs: (Array[Int], Array[Int])): SharedRelation = {
+      pairs: (Array[Int], Array[Int]), live: String => Boolean = _ => true): SharedRelation = {
     val (li, rj) = pairs
     def matched(cols: Seq[Array[Double]], idx: Array[Int], names: Seq[String], side: String)(
         cs: Seq[Int]): Seq[SharedCol] =
-      close(s"$relName:$side", cs.map(names), cs.map(c => gather(cols(c), idx))).cols
-    Oblivious.joinOutput(lSchema, rSchema, lKeys.map(lSchema.indexOf), rKeys.map(rSchema.indexOf))(
-      matched(lCols, li, lSchema, "left"), matched(rCols, rj, rSchema, "right"))
+      if (cs.isEmpty) Seq.empty
+      else close(s"$relName:$side", cs.map(names), cs.map(c => gather(cols(c), idx))).cols
+    Oblivious.joinOutput(lSchema, rSchema, lKeys.map(lSchema.indexOf), rKeys.map(rSchema.indexOf),
+      live)(matched(lCols, li, lSchema, "left"), matched(rCols, rj, rSchema, "right"))
   }
 
   /** Hybrid aggregation (§5.3): oblivious shuffle, group-by columns revealed
@@ -499,14 +535,17 @@ final class MpcBackend(
     * then a linear oblivious accumulation scan. Replaces the O(n log^2 n)
     * sorting network with an O(n log n) shuffle and avoids all oblivious
     * comparisons (for sum/count). All parties learn the number of groups.
+    * It compacts and shuffles only its group and aggregate columns, and its
+    * output has only the `live` columns.
     */
   def hybridAggregate(relName: String, rel: SharedRelation, group: Seq[String],
-      aggCol: Option[String], fn: AggFn, outName: String, stp: Party): SharedRelation = {
+      aggCol: Option[String], fn: AggFn, outName: String, stp: Party,
+      live: String => Boolean = _ => true): SharedRelation = {
     require(group.nonEmpty, "hybrid aggregation needs group-by columns")
-    val in = compact(relName + ":in", rel)
+    val in = compact(relName + ":in", aggInput(rel, group, aggCol))
     val groupIdxs = in.colIdxs(group)
     val outSchema = group.toVector :+ outName
-    if (in.size == 0) return SharedRelation(outSchema, outSchema.map(_ => engine.alloc(0)))
+    if (in.size == 0) return noGroups(outSchema, live)
 
     // 1. Oblivious shuffle, then reveal the (shuffled) group-by columns to
     //    the STP.
@@ -541,7 +580,7 @@ final class MpcBackend(
 
     // 8. Shuffle, open keep flags, discard: all parties learn the number of
     //    groups (the output size).
-    lastOfRuns(relName, outSchema, groupIdxs.map(sorted.cols) :+ agg, same, None)
+    lastOfRuns(relName, outSchema, groupIdxs.map(sorted.cols) :+ agg, same, None, live)
   }
 }
 

@@ -206,7 +206,8 @@ object Oblivious {
     * in both Sharemind and Obliv-C (§6): O(n·m) oblivious equality tests,
     * then an oblivious shuffle of the candidates and an opening of the match
     * flags. Leaks the output size (as the paper's Sharemind baseline does,
-    * §7.3). The output is laid out as [[joinOutput]]'s.
+    * §7.3). The output is laid out as [[joinOutput]]'s, with only the
+    * `live` columns gathered and shuffled.
     */
   def cartesianJoin(
       e: MpcEngine,
@@ -214,6 +215,7 @@ object Oblivious {
       right: SharedRelation,
       lKeys: Seq[Int],
       rKeys: Seq[Int],
+      live: String => Boolean = _ => true,
   ): SharedRelation = {
     require(lKeys.length == rKeys.length && lKeys.nonEmpty, "bad join keys")
     val n = left.size.toLong; val m = right.size.toLong
@@ -264,20 +266,22 @@ object Oblivious {
     e.meter.addRound(1) // one opening round for the flag vector
     val perm = e.secretPermutation(ls.length)
     val lIdx = perm.map(ls(_)); val rIdx = perm.map(rs(_))
-    val out = joinOutput(left.schema, right.schema, lKeys, rKeys)(
+    val out = joinOutput(left.schema, right.schema, lKeys, rKeys, live)(
       _.map(left.cols(_).gather(lIdx)), _.map(right.cols(_).gather(rIdx)))
     e.chargeShuffle(matches, out.width.toLong)
     out
   }
 
-  /** The output of an equi-join, laid out by `Ir.joinColumns`. `lCols` and
-    * `rCols` give each side's matched rows, row-aligned, for the column
-    * indexes asked; the left side is asked first.
+  /** The `live` output columns of an equi-join, laid out by
+    * `Ir.joinColumns`. `lCols` and `rCols` give each side's matched rows,
+    * row-aligned, for the column indexes asked; the left side is asked
+    * first.
     */
   private[mpc] def joinOutput(lSchema: Seq[String], rSchema: Seq[String], lKeys: Seq[Int],
-      rKeys: Seq[Int])(lCols: Seq[Int] => Seq[SharedCol],
+      rKeys: Seq[Int], live: String => Boolean)(lCols: Seq[Int] => Seq[SharedCol],
       rCols: Seq[Int] => Seq[SharedCol]): SharedRelation = {
-    val (lOut, rOut) = repro.core.Ir.joinColumns(lSchema.indices, rSchema.indices, lKeys, rKeys)
+    val (lAll, rAll) = repro.core.Ir.joinColumns(lSchema.indices, rSchema.indices, lKeys, rKeys)
+    val lOut = lAll.filter(i => live(lSchema(i))); val rOut = rAll.filter(i => live(rSchema(i)))
     val l = lCols(lOut)
     SharedRelation((lOut.map(lSchema) ++ rOut.map(rSchema)).toVector, (l ++ rCols(rOut)).toVector)
   }

@@ -32,6 +32,12 @@ final case class SharedRelation(
 
   def col(name: String): SharedCol = cols(colIdx(name))
 
+  /** The columns `names`, in that order, validity included. The parties
+    * drop the other columns' shares, which costs nothing.
+    */
+  def only(names: Seq[String]): SharedRelation =
+    if (names == schema) this else SharedRelation(names.toVector, colIdxs(names).map(cols), validity)
+
   /** The rows at public positions `idx`, validity included. */
   def gather(idx: Array[Int]): SharedRelation =
     SharedRelation(schema, cols.map(_.gather(idx)), validity.map(_.gather(idx)))

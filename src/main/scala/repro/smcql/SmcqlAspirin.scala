@@ -60,7 +60,7 @@ object SmcqlAspirin {
           vals(n.id) = backend.closeRows(s"slice:$patient:$rel", n.schema, slice(rel))
         }
         inner.foreach { n =>
-          vals(n.id) = Executor.mpcOp(backend, n, n.children.map(c => vals(c.id)).toSeq)
+          vals(n.id) = Executor.mpcOp(backend, n, n.children.map(c => vals(c.id)).toSeq, n.schema)
         }
         mpcCount += backend.reveal(output.relName, vals(out.children.head.id), output.recipients)
           .head.head.toLong

@@ -64,6 +64,25 @@ class ExecutorSpec extends SparkSpec {
     assert(full.metrics.mpcModeledSeconds < mpc.metrics.mpcModeledSeconds)
   }
 
+  test("a group-less COUNT(*) over columns nothing reads keeps its count and close sizes") {
+    // Under mpcOnly nothing reads the concat's columns: it keeps its first,
+    // which carries the row counts, and the closes share only that one.
+    val dag = new Dag
+    val q = new Dsl(dag)
+    import q._
+    concat(table("t", pA, col("k"), col("v")), table("u", pB, col("k"), col("v")))
+      .count(Seq.empty, "n").writeTo("out", pA)
+    val plan = Compiler.compile(dag, CompileConfig.mpcOnly)
+    val cat = plan.dag.topo.find(_.kind == OpKind.Concat).get
+    assert(plan.live(cat.id) == Seq("k"))
+    val inputs = Map("t" -> Generators.keyed(spark, 30, 10, seed = 1),
+      "u" -> Generators.keyed(spark, 17, 10, seed = 2))
+    val res = new Executor(spark, MpcBackend.sharemind(Set(pA, pB))).run(plan, inputs)
+    assert(firstDouble(res.outputs("out")) == 47.0)
+    assert(res.leakage.cardinalities.map(c => c.relation -> c.rows) ==
+      Seq(s"#${cat.id}@a" -> 30L, s"#${cat.id}@b" -> 17L))
+  }
+
   test("cross-party join matches DuckDB") {
     val inputs = twoPartyKeyed(40)
     val dag = new Dag

@@ -151,4 +151,20 @@ class PlanShapeSpec extends AnyFunSuite {
           s"; got written to target/plan-shapes:\n${PlanTraceSpec.lineDiff(want, got).mkString("\n")}")
       }
     }
+
+  test("every plan's live columns cover what its consumers read") {
+    for ((name, build) <- queries; (config, cc) <- configs) {
+      val plan = Compiler.compile(build(), cc)
+      val live = plan.live
+      for (n <- plan.dag.topo) {
+        val at = s"$name/$config #${n.id}"
+        assert(live(n.id).nonEmpty && live(n.id).forall(n.schema.contains), s"$at: ${live(n.id)}")
+        val reads = Ir.reads(n.kind, live(n.id), n.children.map(_.schema).toSeq)
+        for ((c, cols) <- n.children.zip(reads))
+          assert(cols.forall(live(c.id).contains), s"$at reads $cols of #${c.id}, live ${live(c.id)}")
+        if (n.kind.isInstanceOf[OpKind.Output])
+          assert(live(n.children.head.id) == n.children.head.schema, s"$at: an output keeps every column")
+      }
+    }
+  }
 }

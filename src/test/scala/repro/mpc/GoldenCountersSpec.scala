@@ -269,13 +269,13 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(48L, 0L, 0L, 15L, 12L, 620L, 0L, 0L, 0L, 0.026590000000000003),
         Map("card(hagg,5)->a+b+c" -> 1, "card(hagg:in,16)->a+b+c" -> 1, "column(hagg,k)->c" -> 1)),
     "sharemind: aggregate Count with validity" ->
-      Golden(CostSnapshot(20L, 19L, 103L, 592L, 4L, 300L, 0L, 0L, 0L, 0.042749999999999996),
+      Golden(CostSnapshot(20L, 19L, 103L, 489L, 4L, 300L, 0L, 0L, 0L, 0.042544),
         Map("card(agg,5)->a+b+c" -> 1)),
     "sharemind: globalAggregate Count with validity" ->
       Golden(CostSnapshot(15L, 0L, 0L, 0L, 0L, 0L, 0L, 0L, 0L, 0.003),
         Map()),
     "sharemind: hybridAggregate Count with validity" ->
-      Golden(CostSnapshot(48L, 0L, 0L, 15L, 12L, 620L, 0L, 0L, 0L, 0.026590000000000003),
+      Golden(CostSnapshot(48L, 0L, 0L, 15L, 12L, 456L, 0L, 0L, 0L, 0.025278000000000002),
         Map("card(hagg,5)->a+b+c" -> 1, "card(hagg:in,16)->a+b+c" -> 1, "column(hagg,k)->c" -> 1)),
     "sharemind: aggregate Min with validity" ->
       Golden(CostSnapshot(20L, 19L, 122L, 631L, 4L, 300L, 0L, 0L, 0L, 0.04852799999999999),
@@ -311,7 +311,7 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(14L, 0L, 0L, 112L, 4L, 0L, 0L, 0L, 0L, 0.007024),
         Map()),
     "sharemind: hybridJoin with validity" ->
-      Golden(CostSnapshot(102L, 0L, 0L, 610L, 25L, 612L, 0L, 0L, 0L, 0.051516),
+      Golden(CostSnapshot(102L, 0L, 0L, 460L, 25L, 612L, 0L, 0L, 0L, 0.051216),
         Map("card(hj,20)->a+b+c" -> 1, "card(hj:left,11)->a+b+c" -> 1, "column(hj,left:k)->c" -> 1,
           "column(hj,right:k)->c" -> 1)),
     "sharemind: publicJoin" ->
@@ -349,7 +349,7 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(0L, 0L, 0L, 0L, 4L, 0L, 0L, 0L, 0L, 0.004),
         Map("card(hagg:in,0)->a+b+c" -> 1)),
     "sharemind: hybridJoin on 0 rows" ->
-      Golden(CostSnapshot(12L, 0L, 0L, 36L, 18L, 36L, 0L, 0L, 0L, 0.020760000000000004),
+      Golden(CostSnapshot(12L, 0L, 0L, 18L, 18L, 36L, 0L, 0L, 0L, 0.020724000000000003),
         Map("card(hj,0)->a+b+c" -> 1, "card(hj:left,0)->a+b+c" -> 1, "column(hj,left:k)->c" -> 1,
           "column(hj,right:k)->c" -> 1)),
     "sharemind: publicJoin on 0 rows" ->
@@ -378,13 +378,13 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(48L, 0L, 0L, 0L, 3L, 0L, 42560L, 0L, 0L, 0.04496),
         Map("card(hagg,5)->a+b" -> 1, "card(hagg:in,16)->a+b" -> 1, "column(hagg,k)->c" -> 1)),
     "obliv-c: aggregate Count with validity" ->
-      Golden(CostSnapshot(20L, 0L, 0L, 0L, 1L, 0L, 206528L, 0L, 655360L, 0.207528),
+      Golden(CostSnapshot(20L, 0L, 0L, 0L, 1L, 0L, 180160L, 0L, 655360L, 0.18116),
         Map("card(agg,5)->a+b" -> 1)),
     "obliv-c: globalAggregate Count with validity" ->
       Golden(CostSnapshot(15L, 0L, 0L, 0L, 0L, 0L, 31200L, 0L, 491520L, 0.03195),
         Map()),
     "obliv-c: hybridAggregate Count with validity" ->
-      Golden(CostSnapshot(48L, 0L, 0L, 0L, 3L, 0L, 42560L, 0L, 0L, 0.04496),
+      Golden(CostSnapshot(48L, 0L, 0L, 0L, 3L, 0L, 32064L, 0L, 0L, 0.034463999999999995),
         Map("card(hagg,5)->a+b" -> 1, "card(hagg:in,16)->a+b" -> 1, "column(hagg,k)->c" -> 1)),
     "obliv-c: aggregate Min with validity" ->
       Golden(CostSnapshot(20L, 0L, 0L, 0L, 1L, 0L, 173696L, 0L, 655360L, 0.174696),
@@ -420,7 +420,7 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(14L, 0L, 0L, 0L, 4L, 0L, 7168L, 0L, 0L, 0.007868),
         Map()),
     "obliv-c: hybridJoin with validity" ->
-      Golden(CostSnapshot(102L, 0L, 0L, 0L, 13L, 0L, 78208L, 0L, 0L, 0.083308),
+      Golden(CostSnapshot(102L, 0L, 0L, 0L, 13L, 0L, 68608L, 0L, 0L, 0.073708),
         Map("card(hj,20)->a+b" -> 1, "card(hj:left,11)->a+b" -> 1, "column(hj,left:k)->c" -> 1,
           "column(hj,right:k)->c" -> 1)),
     "obliv-c: publicJoin" ->
@@ -457,7 +457,7 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(0L, 0L, 0L, 0L, 1L, 0L, 0L, 0L, 0L, 0.0),
         Map("card(hagg:in,0)->a+b" -> 1)),
     "obliv-c: hybridJoin on 0 rows" ->
-      Golden(CostSnapshot(12L, 0L, 0L, 0L, 6L, 0L, 4608L, 0L, 0L, 0.005208),
+      Golden(CostSnapshot(12L, 0L, 0L, 0L, 6L, 0L, 3456L, 0L, 0L, 0.004056),
         Map("card(hj,0)->a+b" -> 1, "card(hj:left,0)->a+b" -> 1, "column(hj,left:k)->c" -> 1,
           "column(hj,right:k)->c" -> 1)),
     "obliv-c: publicJoin on 0 rows" ->
@@ -468,11 +468,11 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(9999L, 0L, 456195L, 2280975L, 0L, 0L, 0L, 0L, 0L, 143.42024999999998),
         Map()),
     "hhi-mpc" ->
-      Golden(CostSnapshot(1238L, 304L, 5722L, 28602L, 12L, 8161L, 0L, 0L, 0L, 2.1029479999999996),
+      Golden(CostSnapshot(1238L, 304L, 5722L, 28602L, 12L, 5431L, 0L, 0L, 0L, 2.081108),
         Map("card(#10,5)->a+b+c" -> 1, "card(#3@a,100)->a+b+c" -> 1, "card(#3@b,100)->a+b+c" -> 1,
           "card(#3@c,100)->a+b+c" -> 1, "card(#6,5)->a+b+c" -> 1, "relation(hhi)->a" -> 1)),
     "credit-hybrid" ->
-      Golden(CostSnapshot(4932L, 0L, 48L, 27286L, 73L, 53316L, 0L, 0L, 0L, 1.5549000000000002),
+      Golden(CostSnapshot(4932L, 0L, 48L, 14614L, 73L, 42516L, 0L, 0L, 0L, 1.443156),
         Map("card(#0@a,300)->a+b+c" -> 1, "card(#3@b,150)->a+b+c" -> 1,
           "card(#3@c,150)->a+b+c" -> 1, "card(#4,300)->a+b+c" -> 1, "card(#5,48)->a+b+c" -> 1,
           "card(#6,48)->a+b+c" -> 1, "card(#7,48)->a+b+c" -> 1, "column(#4,left:ssn)->a" -> 1,
