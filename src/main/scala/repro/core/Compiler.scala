@@ -22,9 +22,11 @@ object Compiler {
     // Stage 1: propagate input/output locations; derive the initial frontier.
     if (config.rewrites) {
       Ownership.annotate(dag)
-      // Stage 2: rewrite to shrink the MPC — frontier push-down and push-up.
+      // Stage 2: rewrite to shrink the MPC — frontier push-down and push-up,
+      // then one aggregation for sibling aggregations joined on their groups.
       PushDown(dag, config)
       PushUp(dag)
+      FuseAggs(dag)
       // Stage 3: propagate trust annotations.
       Trust.annotate(dag)
       // Stage 4: insert hybrid protocol operators where authorized.

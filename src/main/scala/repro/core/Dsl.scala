@@ -45,7 +45,7 @@ final class Dsl(val dag: Dag) {
       mk(OpKind.Filter(col, cmp, Left(other)))
 
     def aggregate(group: Seq[String], fn: AggFn, aggCol: Option[String], out: String): Rel =
-      mk(OpKind.Agg(group, fn, aggCol, out))
+      mk(OpKind.Agg(group, Seq(AggSpec(fn, aggCol, out))))
 
     def sum(group: Seq[String], over: String, out: String): Rel =
       aggregate(group, AggFn.Sum, Some(over), out)

@@ -118,18 +118,19 @@ final class Executor(
   private def clearOp(n: Node, dfs: Seq[DataFrame]): DataFrame = n.kind match {
     case OpKind.Project(cols) => dfs.head.select(cols.map(col): _*)
     case OpKind.Filter(c, cmp, rhs) => dfs.head.where(cmpColumn(c, cmp, rhs))
-    case OpKind.Agg(group, fn, aggCol, out, _) =>
-      val aggExpr = (fn match {
+    case OpKind.Agg(group, aggs, _) =>
+      lazy val partial = isPartial(n)
+      val exprs = aggs.map(a => (a.fn match {
         // Over no rows Spark's sum is NULL; a split's partial gives 0, the
         // identity of the upper SUM.
-        case AggFn.Sum if isSumPartial(n) => coalesce(sum(col(aggCol.get)), lit(0.0))
-        case AggFn.Sum   => sum(col(aggCol.get))
+        case AggFn.Sum if partial => coalesce(sum(col(a.aggCol.get)), lit(0.0))
+        case AggFn.Sum   => sum(col(a.aggCol.get))
         case AggFn.Count => count(lit(1))
-        case AggFn.Min   => min(col(aggCol.get))
-        case AggFn.Max   => max(col(aggCol.get))
-      }).cast(DoubleType).as(out)
-      if (group.isEmpty) dfs.head.agg(aggExpr)
-      else dfs.head.groupBy(group.map(col): _*).agg(aggExpr)
+        case AggFn.Min   => min(col(a.aggCol.get))
+        case AggFn.Max   => max(col(a.aggCol.get))
+      }).cast(DoubleType).as(a.out))
+      if (group.isEmpty) dfs.head.agg(exprs.head, exprs.tail: _*)
+      else dfs.head.groupBy(group.map(col): _*).agg(exprs.head, exprs.tail: _*)
     case OpKind.Join(lk, rk) =>
       val l = dfs(0).alias("l"); val r = dfs(1).alias("r")
       val cond = lk.zip(rk).map { case (a, b) => col(s"l.$a") === col(s"r.$b") }.reduce(_ && _)
@@ -339,13 +340,14 @@ object Executor {
       out
     }
 
-  /** `n` is a local partial of a split group-less SUM (`PushDown`): it feeds
-    * only concats, each of which feeds only the split's upper SUM under MPC.
+  /** `n` is a local partial of a split group-less aggregation (`PushDown`):
+    * it feeds only concats, each of which feeds only the split's upper half
+    * under MPC, which sums a SUM's partials.
     */
-  private def isSumPartial(n: Node): Boolean = {
+  private def isPartial(n: Node): Boolean = {
     def upper(u: Node) = u.isMpc && (u.kind match {
-      case OpKind.Agg(Seq(), AggFn.Sum, _, _, true) => true
-      case _                                        => false
+      case OpKind.Agg(Seq(), _, true) => true
+      case _                          => false
     })
     n.parents.nonEmpty && n.parents.forall(c =>
       c.kind == OpKind.Concat && c.parents.nonEmpty && c.parents.forall(upper))
@@ -370,11 +372,11 @@ object Executor {
       case OpKind.Concat              => backend.concat(in)
       case OpKind.Project(cols)       => backend.project(in.head, cols.filter(keep))
       case OpKind.Filter(c, cmp, rhs) => backend.filter(in.head, c, cmp, rhs)
-      case OpKind.Agg(group, fn, aggCol, out, _) =>
-        if (group.isEmpty) backend.globalAggregate(in.head, aggCol, fn, out)
-        else backend.aggregate(name, in.head, group, aggCol, fn, out, n.preSorted, keep)
-      case OpKind.HybridAgg(group, fn, aggCol, out, stp) =>
-        backend.hybridAggregate(name, in.head, group, aggCol, fn, out, stp, keep)
+      case OpKind.Agg(group, aggs, _) =>
+        if (group.isEmpty) backend.globalAggregate(in.head, aggs)
+        else backend.aggregate(name, in.head, group, aggs, n.preSorted, keep)
+      case OpKind.HybridAgg(group, aggs, stp) =>
+        backend.hybridAggregate(name, in.head, group, aggs, stp, keep)
       case OpKind.Join(lk, rk)       => backend.join(name, in(0), in(1), lk, rk, keep)
       case OpKind.HybridJoin(lk, rk, stp) =>
         backend.hybridJoin(name, in(0), in(1), lk, rk, stp, keep)

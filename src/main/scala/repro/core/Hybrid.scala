@@ -31,9 +31,9 @@ object Hybrid {
     val candidates = dag.topo.flatMap { n =>
       if (!n.isMpc) None
       else n.kind match {
-        case OpKind.Join(lk, rk)           => Some(Candidate(n, Trust.joinKeyTrust(n, lk, rk)))
-        case OpKind.Agg(group, _, _, _, _) => Some(Candidate(n, Trust.groupKeyTrust(n, group)))
-        case _                             => None
+        case OpKind.Join(lk, rk)     => Some(Candidate(n, Trust.joinKeyTrust(n, lk, rk)))
+        case OpKind.Agg(group, _, _) => Some(Candidate(n, Trust.groupKeyTrust(n, group)))
+        case _                       => None
       }
     }.filter(_.stps.nonEmpty)
 
@@ -55,9 +55,9 @@ object Hybrid {
 
     remaining.filter(_.stps.contains(stp)).foreach { c =>
       c.node.kind = c.node.kind match {
-        case OpKind.Join(lk, rk)                       => OpKind.HybridJoin(lk, rk, stp)
-        case OpKind.Agg(group, fn, aggCol, out, _)     => OpKind.HybridAgg(group, fn, aggCol, out, stp)
-        case other                                     => other
+        case OpKind.Join(lk, rk)        => OpKind.HybridJoin(lk, rk, stp)
+        case OpKind.Agg(group, aggs, _) => OpKind.HybridAgg(group, aggs, stp)
+        case other                      => other
       }
     }
   }

@@ -23,6 +23,11 @@ object AggFn {
   case object Max extends AggFn
 }
 
+/** One output of an aggregation: `fn` over `aggCol` (none for COUNT(*)),
+  * named `out`.
+  */
+final case class AggSpec(fn: AggFn, aggCol: Option[String], out: String)
+
 /** Row-wise arithmetic functions. */
 sealed trait ArithFn
 object ArithFn {
@@ -53,13 +58,18 @@ object OpKind {
     protected def keys: String = s"${lKeys.mkString(",")}=${rKeys.mkString(",")}"
   }
 
-  /** The aggregation family: the MPC aggregation and its hybrid rewrite. */
+  /** The aggregation family: the MPC aggregation and its hybrid rewrite.
+    * One aggregation groups once and computes every output in `aggs`; its
+    * schema is the group columns, then the outputs in order.
+    */
   sealed trait AggKind extends OpKind {
     def group: Seq[String]
-    def fn: AggFn
-    def aggCol: Option[String]
-    def out: String
-    protected def spec: String = s"$fn ${aggCol.getOrElse("*")} by ${group.mkString(",")} as $out"
+    def aggs: Seq[AggSpec]
+    /** The columns its outputs fold. */
+    def aggCols: Seq[String] = aggs.flatMap(_.aggCol)
+    protected def spec: String =
+      s"${aggs.map(a => s"${a.fn} ${a.aggCol.getOrElse("*")}").mkString(", ")} " +
+        s"by ${group.mkString(",")} as ${aggs.map(_.out).mkString(",")}"
   }
 
   final case class Input(relName: String, cols: Seq[InCol], owner: Party) extends OpKind {
@@ -78,8 +88,8 @@ object OpKind {
   /** `secondary` marks the upper half of a split aggregation so the
     * push-down pass does not split it again.
     */
-  final case class Agg(group: Seq[String], fn: AggFn, aggCol: Option[String], out: String,
-      secondary: Boolean = false) extends AggKind {
+  final case class Agg(group: Seq[String], aggs: Seq[AggSpec], secondary: Boolean = false)
+      extends AggKind {
     def label = s"agg($spec)"
   }
   final case class Join(lKeys: Seq[String], rKeys: Seq[String]) extends JoinKind {
@@ -105,8 +115,7 @@ object OpKind {
   final case class PublicJoin(lKeys: Seq[String], rKeys: Seq[String]) extends JoinKind {
     def label = s"publicJoin($keys)"
   }
-  final case class HybridAgg(group: Seq[String], fn: AggFn, aggCol: Option[String], out: String,
-      stp: Party) extends AggKind {
+  final case class HybridAgg(group: Seq[String], aggs: Seq[AggSpec], stp: Party) extends AggKind {
     def label = s"hybridAgg($spec stp=$stp)"
   }
 }
@@ -165,7 +174,10 @@ object Ir {
         in
       case OpKind.Project(cols)       => need("project:", cols); cols
       case OpKind.Filter(col, _, rhs) => need("filter:", col +: rhs.left.toSeq); in
-      case a: OpKind.AggKind          => need("agg:", a.group ++ a.aggCol); a.group :+ a.out
+      case a: OpKind.AggKind =>
+        require(a.aggs.nonEmpty, "agg: no output")
+        need("agg:", a.group ++ a.aggCols)
+        a.group ++ a.aggs.map(_.out)
       case j: OpKind.JoinKind =>
         require(childSchemas.length == 2, "join needs two inputs")
         val Seq(l, r) = childSchemas
@@ -221,7 +233,7 @@ object Ir {
       case OpKind.Concat                            => childSchemas.map(_.filter(live.contains))
       case _: OpKind.Project | _: OpKind.Limit      => of(live)
       case OpKind.Filter(col, _, rhs)               => of(live ++ (col +: rhs.left.toSeq))
-      case a: OpKind.AggKind                        => of(a.group ++ a.aggCol)
+      case a: OpKind.AggKind                        => of(a.group ++ a.aggCols)
       case j: OpKind.JoinKind =>
         val (l, r) = joinReads(childSchemas(0), childSchemas(1), j.lKeys, j.rKeys, live.contains)
         Seq(l, r)

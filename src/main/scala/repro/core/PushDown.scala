@@ -43,10 +43,11 @@ object PushDown {
       case _: OpKind.Project | _: OpKind.ConstCol | _: OpKind.Arith => push(None)
       case _: OpKind.Filter if config.pushFiltersDown               => push(None)
       // A group-less aggregation gives one row per party, whatever the data.
-      case OpKind.Agg(group, fn, _, out, false) if group.isEmpty || config.allowCardinalityLeak =>
+      case OpKind.Agg(group, aggs, false) if group.isEmpty || config.allowCardinalityLeak =>
         // Partial counts are combined by summing; other functions self-combine.
-        val fn2 = if (fn == AggFn.Count) AggFn.Sum else fn
-        push(Some(OpKind.Agg(group, fn2, Some(out), out, secondary = true)))
+        val upper = aggs.map(a =>
+          AggSpec(if (a.fn == AggFn.Count) AggFn.Sum else a.fn, Some(a.out), a.out))
+        push(Some(OpKind.Agg(group, upper, secondary = true)))
       case OpKind.Distinct(false) if config.allowCardinalityLeak =>
         push(Some(OpKind.Distinct(secondary = true)))
       case _ => false

@@ -57,13 +57,13 @@ object PushUp {
   }
 
   private def isLeafCount(n: Node): Boolean = n.kind match {
-    case OpKind.Agg(group, AggFn.Count, _, _, _) => group.nonEmpty
-    case _                                       => false
+    case OpKind.Agg(group, Seq(AggSpec(AggFn.Count, _, _)), _) => group.nonEmpty
+    case _                                                     => false
   }
 
   /** count-by-key at the frontier → MPC projection + cleartext count. */
   private def rewriteLeafCount(dag: Dag, agg: Node, recipient: Party): Unit = {
-    val OpKind.Agg(group, _, _, _, _) = (agg.kind: @unchecked)
+    val OpKind.Agg(group, _, _) = (agg.kind: @unchecked)
     val child = agg.children.head
     val proj = dag.newNode(OpKind.Project(group), Seq(child))
     // The rewrite only fires on an MPC aggregation, whose input is

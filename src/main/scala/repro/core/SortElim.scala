@@ -37,7 +37,7 @@ object SortElim {
     val in = n.children.headOption.flatMap(_.sortedBy)
     // preSorted consumers: skip the internal oblivious sort.
     n.preSorted = n.kind match {
-      case OpKind.Agg(Seq(g), _, _, _, _) => in.contains((g, true))
+      case OpKind.Agg(Seq(g), _, _) => in.contains((g, true))
       // Safe when equal rows are guaranteed adjacent: the relation has
       // exactly one column and is sorted by it.
       case _: OpKind.Distinct =>

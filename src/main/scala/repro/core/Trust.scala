@@ -44,13 +44,13 @@ object Trust {
         case a: OpKind.AggKind =>
           val ct = n.children.head.trust
           val groupTrust = groupKeyTrust(n, a.group)
-          val outT = a.aggCol match {
+          def outT(aggCol: Option[String]) = aggCol match {
             case Some(c) if a.group.nonEmpty => ct(c) intersect groupTrust
             case Some(c)                     => ct(c) // global fold over one column
             case None if a.group.nonEmpty    => groupTrust // count depends on keys only
             case None                        => Set.empty[Party] // global count: conservative
           }
-          a.group.map(g => g -> groupTrust).toMap + (a.out -> outT)
+          a.group.map(g => g -> groupTrust).toMap ++ a.aggs.map(s => s.out -> outT(s.aggCol))
 
         case j: OpKind.JoinKind =>
           // The keys decide which rows pair up, so they gate every column.

@@ -2,7 +2,7 @@ package repro.eval
 
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
-import repro.core.{AggFn, Party}
+import repro.core.{AggFn, AggSpec, Party}
 import repro.data.Generators
 import repro.mpc._
 
@@ -52,7 +52,7 @@ object Fig1Microbench {
       op match {
         case AggOp =>
           b.aggregate("agg", b.closeRows("in", Seq("k", "v"), rows(n, math.max(1, n / 10))),
-            Seq("k"), Some("v"), AggFn.Sum, "s")
+            Seq("k"), Seq(AggSpec(AggFn.Sum, Some("v"), "s")))
         case JoinOp =>
           val l = rows(n / 2, math.max(1, n / 2))
           val r = rows(n - n / 2, math.max(1, n / 2))

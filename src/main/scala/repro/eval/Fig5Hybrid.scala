@@ -1,6 +1,6 @@
 package repro.eval
 
-import repro.core.{AggFn, Party}
+import repro.core.{AggFn, AggSpec, Party}
 import repro.mpc._
 
 /** Table T3 (paper Fig. 5): hybrid operator microbenchmarks.
@@ -44,10 +44,11 @@ object Fig5Hybrid {
       }
       Seq(
         Bench.capped("mpc-agg", n, mpcAggPredicted(n)) {
-          agg(_.aggregate("a", _, Seq("k"), Some("v"), AggFn.Sum, "s"))
+          agg(_.aggregate("a", _, Seq("k"), Seq(AggSpec(AggFn.Sum, Some("v"), "s"))))
         },
         BenchPoint("hybrid-agg", n,
-          Some(agg(_.hybridAggregate("a", _, Seq("k"), Some("v"), AggFn.Sum, "s", stp = pC)))))
+          Some(agg(_.hybridAggregate("a", _, Seq("k"), Seq(AggSpec(AggFn.Sum, Some("v"), "s")),
+            stp = pC)))))
     }
 
   /** A lower bound on the MPC join's modeled seconds: its n·n equality tests. */

@@ -1,6 +1,6 @@
 package repro.mpc
 
-import repro.core.{AggFn, ArithFn, CmpOp, Ir, Party}
+import repro.core.{AggFn, AggSpec, ArithFn, CmpOp, Ir, Party}
 
 import scala.collection.mutable.ArrayBuilder
 
@@ -200,38 +200,37 @@ final class MpcBackend(
     leakSize(relName)(compacted(SharedRelation(schema, cols, Some(keep)).only(schema.filter(live))))
   }
 
-  /** The columns of `rel` an aggregation reads: its group and aggregate
-    * columns.
+  /** The columns of `rel` an aggregation reads: its group columns and the
+    * columns its outputs fold.
     */
-  private def aggInput(rel: SharedRelation, group: Seq[String], aggCol: Option[String]): SharedRelation =
-    rel.only(rel.schema.filter(c => group.contains(c) || aggCol.contains(c)))
+  private def aggInput(rel: SharedRelation, group: Seq[String], aggs: Seq[AggSpec]): SharedRelation =
+    rel.only(rel.schema.filter(c => group.contains(c) || aggs.exists(_.aggCol.contains(c))))
 
   /** An aggregation's output over no rows: its `live` columns, empty. */
   private def noGroups(schema: Vector[String], live: String => Boolean): SharedRelation =
     SharedRelation(schema, schema.map(_ => engine.alloc(0))).only(schema.filter(live))
 
   /** Grouped aggregation per Jónsson et al. [39]: sort by group key,
-    * obliviously fold each group into its last row, shuffle, open the keep
-    * flags, discard. Reveals the number of groups to all parties, 0 for an
-    * empty input. Output schema: the `live` columns of group columns ++
-    * [outName]; no validity.
+    * obliviously fold each group into its last row, once per output of
+    * `aggs`, shuffle, open the keep flags, discard. The sort, the run flags
+    * and the compaction run once for every output. Reveals the number of
+    * groups to all parties, 0 for an empty input. Output schema: the `live`
+    * columns of group columns ++ the outputs' names; no validity.
     */
   def aggregate(
       relName: String,
       rel: SharedRelation,
       group: Seq[String],
-      aggCol: Option[String],
-      fn: AggFn,
-      outName: String,
+      aggs: Seq[AggSpec],
       preSorted: Boolean = false,
       live: String => Boolean = _ => true,
   ): SharedRelation = {
     engine.checkRelationMem("aggregate", rel.size.toLong, GcOpWidth.Aggregation)
-    val in = aggInput(rel, group, aggCol)
+    val in = aggInput(rel, group, aggs)
     val groupIdxs = in.colIdxs(group)
-    val aggIdx = aggCol.map(in.colIdx)
+    val aggIdxs = aggs.map(_.aggCol.map(in.colIdx))
     require(groupIdxs.nonEmpty, "use globalAggregate for group-less aggregation")
-    val outSchema = group.toVector :+ outName
+    val outSchema = group.toVector ++ aggs.map(_.out)
     if (in.size == 0) return leakSize(relName)(noGroups(outSchema, live))
     // The sorting network may be skipped when the input is already grouped
     // (sort elimination, §5.4) — but only if no validity column could
@@ -242,35 +241,35 @@ final class MpcBackend(
     val n = sorted.size
     val valid = sorted.validity.getOrElse(engine.constant(1L, n))
     val groups = groupIdxs.map(sorted.cols)
-    val agg = contribution(fn, valid, sorted.cols(aggIdx.get))
+    val outs = aggs.zip(aggIdxs).map { case (a, i) => contribution(a.fn, valid, sorted.cols(i.get)) }
 
     // same(i): row i continues row i-1's group. Gated by row i's validity so
     // an invalid row with an equal key can never absorb (and then drop) a
     // group's accumulated aggregate.
     val same = continues(groups, n)
     engine.mulFlag(same, valid, same, n - 1, ai = 1, bi = 1, oi = 1)
-    foldRuns(fn, same, agg)
-    lastOfRuns(relName, outSchema, groups :+ agg, same, Some(valid), live)
+    aggs.zip(outs).foreach { case (a, agg) => foldRuns(a.fn, same, agg) }
+    lastOfRuns(relName, outSchema, groups ++ outs, same, Some(valid), live)
   }
 
-  /** Group-less aggregation to a single row; reveals nothing. */
-  def globalAggregate(
-      rel: SharedRelation,
-      aggCol: Option[String],
-      fn: AggFn,
-      outName: String,
-  ): SharedRelation = {
+  /** Group-less aggregation to a single row, one fold per output of
+    * `aggs`; reveals nothing.
+    */
+  def globalAggregate(rel: SharedRelation, aggs: Seq[AggSpec]): SharedRelation = {
     engine.checkRelationMem("aggregate", rel.size.toLong, GcOpWidth.Aggregation)
-    val values = aggCol.map(rel.col)
+    val values = aggs.map(_.aggCol.map(rel.col))
     val n = rel.size
     engine.chargeRows(n.toLong)
     val valid = rel.validity.getOrElse(engine.constant(1L, n))
-    val xs = contribution(fn, valid, values.get)
-    val acc = engine.constant(start(fn), 1)
-    val better = engine.alloc(1)
-    var i = 0
-    while (i < n) { combine(fn, xs, i, acc, 0, null, 0, better); i += 1 }
-    SharedRelation(Vector(outName), Vector(acc))
+    val accs = aggs.zip(values).map { case (a, v) =>
+      val xs = contribution(a.fn, valid, v.get)
+      val acc = engine.constant(start(a.fn), 1)
+      val better = engine.alloc(1)
+      var i = 0
+      while (i < n) { combine(a.fn, xs, i, acc, 0, null, 0, better); i += 1 }
+      acc
+    }
+    SharedRelation(aggs.map(_.out).toVector, accs.toVector)
   }
 
   /** Standard MPC join (Cartesian approach, §6); leaks the output size.
@@ -435,7 +434,9 @@ final class MpcBackend(
     * MPC operations instead of the Cartesian join's O(n·m). The STP sees
     * only the shuffled keys; all parties learn the output cardinality.
     * Each side shuffles its keys and its `live` output columns, and selects
-    * and reshuffles only the latter.
+    * and reshuffles only the latter. If a side has no rows, the output is
+    * empty: every party knows that side's size already, so the other side
+    * is neither shuffled nor opened to the STP.
     */
   def hybridJoin(relName: String, left: SharedRelation, right: SharedRelation,
       lKeys: Seq[String], rKeys: Seq[String], stp: Party,
@@ -443,6 +444,10 @@ final class MpcBackend(
     require(lKeys.length == rKeys.length && lKeys.nonEmpty, "bad join keys")
     val (l, r) = joinInputs(relName, left, right, lKeys, rKeys, live)
     val lk = l.colIdxs(lKeys); val rk = r.colIdxs(rKeys)
+    if (l.size == 0 || r.size == 0) {
+      def none(cs: Seq[Int]) = cs.map(_ => engine.alloc(0))
+      return leakSize(relName)(Oblivious.joinOutput(l.schema, r.schema, lk, rk, live)(none, none))
+    }
 
     // 1. Obliviously shuffle both inputs so revealed keys are unlinkable to
     //    input positions.
@@ -532,19 +537,20 @@ final class MpcBackend(
 
   /** Hybrid aggregation (§5.3): oblivious shuffle, group-by columns revealed
     * to the STP, cleartext sort + equality flags at the STP, public reorder,
-    * then a linear oblivious accumulation scan. Replaces the O(n log^2 n)
-    * sorting network with an O(n log n) shuffle and avoids all oblivious
-    * comparisons (for sum/count). All parties learn the number of groups.
-    * It compacts and shuffles only its group and aggregate columns, and its
-    * output has only the `live` columns.
+    * then a linear oblivious accumulation scan per output of `aggs`.
+    * Replaces the O(n log^2 n) sorting network with an O(n log n) shuffle
+    * and avoids all oblivious comparisons (for sum/count). The shuffle, the
+    * opening, the STP's ordering and the compaction run once for every
+    * output. All parties learn the number of groups. It compacts and
+    * shuffles only its group and aggregate columns, and its output has only
+    * the `live` columns.
     */
   def hybridAggregate(relName: String, rel: SharedRelation, group: Seq[String],
-      aggCol: Option[String], fn: AggFn, outName: String, stp: Party,
-      live: String => Boolean = _ => true): SharedRelation = {
+      aggs: Seq[AggSpec], stp: Party, live: String => Boolean = _ => true): SharedRelation = {
     require(group.nonEmpty, "hybrid aggregation needs group-by columns")
-    val in = compact(relName + ":in", aggInput(rel, group, aggCol))
+    val in = compact(relName + ":in", aggInput(rel, group, aggs))
     val groupIdxs = in.colIdxs(group)
-    val outSchema = group.toVector :+ outName
+    val outSchema = group.toVector ++ aggs.map(_.out)
     if (in.size == 0) return noGroups(outSchema, live)
 
     // 1. Oblivious shuffle, then reveal the (shuffled) group-by columns to
@@ -571,16 +577,20 @@ final class MpcBackend(
     engine.chargeRows(n.toLong)
     val sorted = shuffled.gather(order)
 
-    // 7. Linear oblivious accumulation into each group's last row.
-    val agg = fn match {
-      case AggFn.Count => engine.constant(Fixed.Scale, n)
-      case _           => sorted.col(aggCol.get).slice(0, n) // folded in place
+    // 7. Linear oblivious accumulation into each group's last row, one per
+    //    output.
+    val outs = aggs.map { a =>
+      val agg = a.fn match {
+        case AggFn.Count => engine.constant(Fixed.Scale, n)
+        case _           => sorted.col(a.aggCol.get).slice(0, n) // a copy, folded in place
+      }
+      foldRuns(a.fn, same, agg)
+      agg
     }
-    foldRuns(fn, same, agg)
 
     // 8. Shuffle, open keep flags, discard: all parties learn the number of
     //    groups (the output size).
-    lastOfRuns(relName, outSchema, groupIdxs.map(sorted.cols) :+ agg, same, None, live)
+    lastOfRuns(relName, outSchema, groupIdxs.map(sorted.cols) ++ outs, same, None, live)
   }
 }
 

@@ -103,7 +103,7 @@ class CompilerSpec extends AnyFunSuite {
       case _             => false
     }).get
     assert(sec.isMpc, "secondary aggregation stays under MPC")
-    assert(sec.kind.asInstanceOf[OpKind.Agg].fn == AggFn.Sum)
+    assert(sec.kind.asInstanceOf[OpKind.Agg].aggs.map(_.fn) == Seq(AggFn.Sum))
     // Projections and filters run locally at each party.
     dag.topo.filter(_.kind.isInstanceOf[OpKind.Project]).foreach(n => assert(!n.isMpc, n.toString))
     dag.topo.filter(_.kind.isInstanceOf[OpKind.Filter]).foreach(n => assert(!n.isMpc, n.toString))
@@ -124,13 +124,13 @@ class CompilerSpec extends AnyFunSuite {
     val dag = Comorbidity.build()
     Compiler.compile(dag)
     val localCounts = dag.topo.filter(n => n.kind match {
-      case OpKind.Agg(Seq("diag"), AggFn.Count, _, _, false) => !n.isMpc
-      case _                                                 => false
+      case OpKind.Agg(Seq("diag"), Seq(AggSpec(AggFn.Count, _, _)), false) => !n.isMpc
+      case _                                                                => false
     })
     assert(localCounts.length == 2, dag.describe)
     assert(dag.topo.exists(n => n.kind match {
-      case OpKind.Agg(Seq("diag"), AggFn.Sum, Some("cnt"), "cnt", true) => n.isMpc
-      case _                                                            => false
+      case OpKind.Agg(Seq("diag"), Seq(AggSpec(AggFn.Sum, Some("cnt"), "cnt")), true) => n.isMpc
+      case _                                                                           => false
     }), dag.describe)
   }
 
@@ -258,10 +258,12 @@ class CompilerSpec extends AnyFunSuite {
     Compiler.compile(dag)
     val hj = dag.topo.collect { case n if n.kind.isInstanceOf[OpKind.HybridJoin] => n.kind }
     val ha = dag.topo.collect { case n if n.kind.isInstanceOf[OpKind.HybridAgg] => n.kind }
-    assert(hj.size == 2, s"both the ssn join and the zip join become hybrid:\n${dag.describe}")
+    assert(hj.size == 1, s"the ssn join becomes hybrid:\n${dag.describe}")
     assert(hj.forall(_.asInstanceOf[OpKind.HybridJoin].stp == pA))
-    assert(ha.size == 2, s"count-by-zip and sum-by-zip become hybrid:\n${dag.describe}")
-    assert(ha.forall(_.asInstanceOf[OpKind.HybridAgg].stp == pA))
+    // Sum-by-zip and count-by-zip, joined on zip, fuse into one aggregation.
+    assert(ha == Seq(OpKind.HybridAgg(Seq("zip"),
+      Seq(AggSpec(AggFn.Sum, Some("score"), "total"), AggSpec(AggFn.Count, None, "cnt")), pA)),
+      s"count-by-zip and sum-by-zip become one hybrid aggregation:\n${dag.describe}")
   }
 
   test("credit query without annotations stays fully MPC") {
@@ -333,6 +335,110 @@ class CompilerSpec extends AnyFunSuite {
     Compiler.compile(dag)
     val sorts = dag.topo.filter(_.kind.isInstanceOf[OpKind.Sort])
     assert(sorts.length == 1 && sorts.head.isMpc, dag.describe)
+  }
+
+  // ------------------------------------------------ sibling-aggregation fusion
+
+  private def compiled(config: CompileConfig = CompileConfig.default)(body: Dsl => Unit): Dag = {
+    val dag = new Dag
+    body(new Dsl(dag))
+    Compiler.compile(dag, config)
+    dag
+  }
+
+  /** An MPC relation (k, g, h, v, w): t at A joined with u at B on k. */
+  private def tu(q: Dsl): q.Rel =
+    q.table("t", pA, q.col("k"), q.col("g"), q.col("h"), q.col("v"))
+      .join(q.table("u", pB, q.col("k"), q.col("w")), Seq("k"), Seq("k"))
+
+  private def aggNodes(dag: Dag): Seq[Node] = dag.topo.filter(_.kind.isInstanceOf[OpKind.AggKind])
+
+  test("fusion: credit's SUM and COUNT by zip become one aggregation at the join's node") {
+    val configs = Seq(CompileConfig.default, CompileConfig.smcqlCompat,
+      CompileConfig.default.copy(allowCardinalityLeak = false))
+    for (config <- configs; trusted <- Seq(true, false)) {
+      val dag = CreditRegulation.build(trustRegulator = trusted)
+      Compiler.compile(dag, config)
+      val Seq(agg) = aggNodes(dag)
+      assert(agg.id == 7 && agg.isMpc && agg.children.map(_.id) == Seq(4), s"$config\n${dag.describe}")
+      assert(agg.kind.asInstanceOf[OpKind.AggKind].aggs ==
+        Seq(AggSpec(AggFn.Sum, Some("score"), "total"), AggSpec(AggFn.Count, None, "cnt")))
+      assert(agg.schema == Seq("zip", "total", "cnt"))
+      assert(dag.topo.map(_.id) == Seq(0, 1, 2, 3, 4, 7, 8, 9), dag.describe)
+    }
+    // mpcOnly applies no rewrite: both aggregations and their join stay.
+    val dag = CreditRegulation.build()
+    Compiler.compile(dag, CompileConfig.mpcOnly)
+    assert(aggNodes(dag).map(_.id) == Seq(6, 5), dag.describe)
+    assert(dag.topo.exists(n => n.id == 7 && n.kind == OpKind.Join(Seq("zip"), Seq("zip"))))
+  }
+
+  test("fusion: the join stays unless both group lists are the join keys, in order") {
+    // A strict subset: the right side also groups by h.
+    val subset = compiled() { q =>
+      val j = tu(q)
+      j.sum(Seq("g"), "v", "s").join(j.count(Seq("g", "h"), "c"), Seq("g"), Seq("g"))
+        .writeTo("out", pA)
+    }
+    // Another order: the right side groups by (h, g).
+    val order = compiled() { q =>
+      val j = tu(q)
+      j.sum(Seq("g", "h"), "v", "s").join(j.count(Seq("h", "g"), "c"), Seq("g", "h"), Seq("g", "h"))
+        .writeTo("out", pA)
+    }
+    for (dag <- Seq(subset, order)) {
+      assert(aggNodes(dag).length == 2, dag.describe)
+      assert(aggNodes(dag).forall(_.kind.asInstanceOf[OpKind.AggKind].aggs.length == 1))
+    }
+  }
+
+  test("fusion: not over different children, a shared aggregation, or cleartext nodes") {
+    val children = compiled() { q =>
+      val j = tu(q)
+      j.sum(Seq("g"), "v", "s").join(j.filter("v", CmpOp.Gt, 1).count(Seq("g"), "c"), Seq("g"), Seq("g"))
+        .writeTo("out", pA)
+    }
+    val shared = compiled() { q =>
+      val j = tu(q)
+      val c = j.count(Seq("g"), "c")
+      j.sum(Seq("g"), "v", "s").join(c, Seq("g"), Seq("g")).writeTo("out", pA)
+      c.writeTo("counts", pA)
+    }
+    // Spark's join drops a NULL key's group, which a fused groupBy keeps.
+    val clear = compiled() { q =>
+      import q._
+      val t = table("t", pA, col("g"), col("v"))
+      t.sum(Seq("g"), "v", "s").join(t.count(Seq("g"), "c"), Seq("g"), Seq("g")).writeTo("out", pA)
+    }
+    for (dag <- Seq(children, shared, clear)) {
+      assert(aggNodes(dag).length == 2, dag.describe)
+      assert(dag.topo.exists(_.kind == OpKind.Join(Seq("g"), Seq("g"))), dag.describe)
+    }
+    assert(!clear.topo.exists(_.isMpc))
+  }
+
+  test("fusion: three aggregations joined pairwise fuse into one, nested either way") {
+    val specs = Seq(AggSpec(AggFn.Sum, Some("v"), "s"), AggSpec(AggFn.Count, None, "c"),
+      AggSpec(AggFn.Max, Some("w"), "m"))
+    val left = compiled() { q =>
+      val j = tu(q)
+      j.sum(Seq("g"), "v", "s").join(j.count(Seq("g"), "c"), Seq("g"), Seq("g"))
+        .join(j.aggregate(Seq("g"), AggFn.Max, Some("w"), "m"), Seq("g"), Seq("g")).writeTo("out", pA)
+    }
+    val right = compiled() { q =>
+      val j = tu(q)
+      j.sum(Seq("g"), "v", "s").join(
+        j.count(Seq("g"), "c").join(j.aggregate(Seq("g"), AggFn.Max, Some("w"), "m"), Seq("g"), Seq("g")),
+        Seq("g"), Seq("g")).writeTo("out", pA)
+    }
+    for (dag <- Seq(left, right)) {
+      val Seq(agg) = aggNodes(dag)
+      assert(agg.kind == OpKind.Agg(Seq("g"), specs), dag.describe)
+      assert(agg.schema == Seq("g", "s", "c", "m"))
+      assert(agg.children.head.kind == OpKind.Join(Seq("k"), Seq("k")))
+      assert(!dag.topo.exists(_.kind == OpKind.Join(Seq("g"), Seq("g"))), dag.describe)
+      assert(agg.parents.map(_.kind).toSeq == Seq(OpKind.Output("out", Set(pA))))
+    }
   }
 
   // --------------------------------------------------------------- partition

@@ -4,7 +4,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.{lit, udf}
 import repro.{Oracle, SparkSpec}
 import repro.data.Generators
-import repro.mpc.MpcBackend
+import repro.mpc.{MpcBackend, Oblivious}
 import repro.queries._
 
 /** End-to-end execution of compiled plans: results are diffed against DuckDB
@@ -406,6 +406,82 @@ class ExecutorSpec extends SparkSpec {
     val res2 = run(CreditRegulation.build(trustRegulator = false, withAvg = false),
       CompileConfig.default, creditInputs(60, 40), Set(pA, pB, pC))
     assert(res2.leakage.columns.isEmpty)
+  }
+
+  // ---------------------------------------- fused sibling aggregations
+
+  /** t(k, g1, g2) at A, 40 rows; u(k, v) at B, 50 rows; keys 1..45. */
+  private def fusedInputs: Map[String, DataFrame] = {
+    import spark.implicits._
+    val rnd = new scala.util.Random(71L)
+    Map(
+      "t" -> (1 to 40).map(k =>
+        (k.toDouble, (rnd.nextInt(2) + 1).toDouble, (rnd.nextInt(3) + 1).toDouble)).toDF("k", "g1", "g2"),
+      "u" -> Seq.fill(50)(((rnd.nextInt(45) + 1).toDouble, rnd.nextInt(100).toDouble)).toDF("k", "v"))
+  }
+
+  /** SUM, COUNT, MIN and MAX of v by (g1, g2) over t ⋈ u, one aggregation
+    * each, joined pairwise on (g1, g2); `keepNone` filters every row out
+    * first. With `trusted`, A may see u's k and hosts the hybrid operators.
+    */
+  private def fourAggs(trusted: Boolean, keepNone: Boolean): Dag = {
+    val dag = new Dag
+    val q = new Dsl(dag)
+    import q._
+    val g = Seq("g1", "g2")
+    val joined = table("t", pA, col("k"), col("g1"), col("g2"))
+      .join(table("u", pB, col("k", trust = if (trusted) Set(pA) else Set.empty), col("v")),
+        Seq("k"), Seq("k"))
+    val rows = if (keepNone) joined.filter("v", CmpOp.Gt, 1000) else joined
+    rows.sum(g, "v", "s").join(rows.count(g, "c"), g, g)
+      .join(rows.aggregate(g, AggFn.Min, Some("v"), "lo"), g, g)
+      .join(rows.aggregate(g, AggFn.Max, Some("v"), "hi"), g, g)
+      .writeTo("out", pA)
+    dag
+  }
+
+  private def fourAggsSql(keepNone: Boolean): String =
+    s"""SELECT t.g1 AS g1, t.g2 AS g2, SUM(CAST(u.v AS DOUBLE)) AS s, CAST(COUNT(*) AS DOUBLE) AS c,
+       |  MIN(CAST(u.v AS DOUBLE)) AS lo, MAX(CAST(u.v AS DOUBLE)) AS hi
+       |FROM t JOIN u ON CAST(t.k AS DOUBLE) = CAST(u.k AS DOUBLE)
+       |${if (keepNone) "WHERE CAST(u.v AS DOUBLE) > 1000" else ""}
+       |GROUP BY t.g1, t.g2""".stripMargin
+
+  private val allConfigs = Seq(
+    "default" -> CompileConfig.default,
+    "mpcOnly" -> CompileConfig.mpcOnly,
+    "smcqlCompat" -> CompileConfig.smcqlCompat,
+    "default-noLeak" -> CompileConfig.default.copy(allowCardinalityLeak = false))
+
+  for ((engine, backend) <- Seq[(String, () => MpcBackend)](
+         "sharemind" -> (() => MpcBackend.sharemind(Set(pA, pB))),
+         "obliv-c" -> (() => MpcBackend.oblivc(Set(pA, pB))));
+       trusted <- Seq(true, false))
+    test(s"$engine: fused SUM, COUNT, MIN and MAX by two keys match DuckDB under every config" +
+        (if (trusted) " (hybrid)" else " (no trust)")) {
+      val inputs = fusedInputs
+      for ((name, config) <- allConfigs; keepNone <- Seq(false, true)) {
+        val plan = Compiler.compile(fourAggs(trusted, keepNone), config)
+        val aggs = plan.mpcNodes.filter(_.kind.isInstanceOf[OpKind.AggKind])
+        assert(aggs.length == (if (name == "mpcOnly") 4 else 1), s"$name\n${plan.describe}")
+        val res = new Executor(spark, backend()).run(plan, inputs)
+        Oracle.assertEquivalent(res.outputs("out"), fourAggsSql(keepNone), inputs.toSeq: _*)
+        assert((res.outputs("out").count() == 0) == keepNone, s"$name keepNone=$keepNone")
+      }
+    }
+
+  test("credit without trust: the fused Jónsson aggregation sorts once, not twice") {
+    val inputs = creditInputs(60, 40)
+    def cmps(config: CompileConfig): (Long, Long) = {
+      val res = run(CreditRegulation.build(trustRegulator = false, withAvg = false), config, inputs,
+        Set(pA, pB, pC))
+      val joined = res.leakage.cardinalities.find(_.relation == "#4").get.rows
+      (res.metrics.cost.cmps, Oblivious.sortPairs(joined))
+    }
+    val (fused, sort) = cmps(CompileConfig.default)
+    assert(sort > 0 && fused == sort)
+    val (apart, sort2) = cmps(CompileConfig.mpcOnly)
+    assert(apart == 2 * sort2)
   }
 
   // --------------------------------------------------------------- aspirin

@@ -101,7 +101,7 @@ class SecuritySpec extends SparkSpec {
       val b = MpcBackend.sharemind(Set(Party("a"), Party("b")))
       val rows = (1 to 12).map(i => Seq((i % 3).toDouble, i.toDouble))
       val f = b.filter(b.closeRows("in", Seq("k", "v"), rows), "v", CmpOp.Neq, Right(filterVal))
-      b.aggregate("agg", f, Seq("k"), Some("v"), AggFn.Sum, "s")
+      b.aggregate("agg", f, Seq("k"), Seq(AggSpec(AggFn.Sum, Some("v"), "s")))
       b.leakage.cardinalities.map(_.rows)
     }
     assert(trace(5.0) == trace(8.0), "leakage must be independent of which rows matched")

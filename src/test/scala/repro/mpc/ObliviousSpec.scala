@@ -5,7 +5,7 @@ import java.util.concurrent.{Callable, ForkJoinPool}
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 import repro.Props
-import repro.core.{AggFn, ArithFn, CmpOp}
+import repro.core.{AggFn, AggSpec, ArithFn, CmpOp}
 import MpcTestKit._
 
 /** Relation-level correctness of the oblivious algorithms, checked against
@@ -227,7 +227,7 @@ class ObliviousSpec extends AnyFunSuite {
       Props.forAll(genRows(25, 2, 5), runs = 15) { rows =>
         val b = sharemind()
         val out = b.aggregate("t", rel(b, Seq("k", "v"), rows), Seq("k"),
-          if (fn == AggFn.Count) None else Some("v"), fn, "out")
+          Seq(AggSpec(fn, if (fn == AggFn.Count) None else Some("v"), "out")))
         val expected = refAgg(rows, fn).map { case (k, v) => Seq(k, v) }.toSeq
         assertSameRows(open(b, out), expected)
       }
@@ -238,7 +238,7 @@ class ObliviousSpec extends AnyFunSuite {
     val b = sharemind()
     val rows = Seq(Seq(1.0, 10.0), Seq(1.0, 20.0), Seq(2.0, 30.0), Seq(2.0, 40.0))
     val f = b.filter(rel(b, Seq("k", "v"), rows), "v", CmpOp.Neq, Right(30.0))
-    val out = b.aggregate("t", f, Seq("k"), Some("v"), AggFn.Sum, "s")
+    val out = b.aggregate("t", f, Seq("k"), Seq(AggSpec(AggFn.Sum, Some("v"), "s")))
     assertSameRows(open(b, out), Seq(Seq(1.0, 30.0), Seq(2.0, 40.0)))
   }
 
@@ -246,7 +246,7 @@ class ObliviousSpec extends AnyFunSuite {
     val b = sharemind()
     val rows = Seq(Seq(1.0, 10.0), Seq(2.0, 30.0))
     val f = b.filter(rel(b, Seq("k", "v"), rows), "k", CmpOp.Eq, Right(1.0))
-    val out = b.aggregate("t", f, Seq("k"), Some("v"), AggFn.Sum, "s")
+    val out = b.aggregate("t", f, Seq("k"), Seq(AggSpec(AggFn.Sum, Some("v"), "s")))
     assertSameRows(open(b, out), Seq(Seq(1.0, 10.0)))
   }
 
@@ -254,14 +254,14 @@ class ObliviousSpec extends AnyFunSuite {
     val b = sharemind()
     val rows = Seq(Seq(1.0, 1.0, 5.0), Seq(1.0, 2.0, 6.0), Seq(1.0, 1.0, 7.0))
     val out = b.aggregate("t", rel(b, Seq("g1", "g2", "v"), rows), Seq("g1", "g2"),
-      Some("v"), AggFn.Sum, "s")
+      Seq(AggSpec(AggFn.Sum, Some("v"), "s")))
     assertSameRows(open(b, out), Seq(Seq(1.0, 1.0, 12.0), Seq(1.0, 2.0, 6.0)))
   }
 
   test("aggregation reveals only the group count (leakage check)") {
     val b = sharemind()
     val rows = Seq(Seq(1.0, 1.0), Seq(2.0, 1.0), Seq(1.0, 1.0))
-    b.aggregate("aggrel", rel(b, Seq("k", "v"), rows), Seq("k"), Some("v"), AggFn.Sum, "s")
+    b.aggregate("aggrel", rel(b, Seq("k", "v"), rows), Seq("k"), Seq(AggSpec(AggFn.Sum, Some("v"), "s")))
     val cards = b.leakage.cardinalities.filter(_.relation == "aggrel")
     assert(cards.map(_.rows) == Seq(2L))
     assert(b.leakage.columns.isEmpty, "no column values may leak")
@@ -274,7 +274,7 @@ class ObliviousSpec extends AnyFunSuite {
     expect.foreach { case (fn, want) =>
       val b = sharemind()
       val out = b.globalAggregate(rel(b, Seq("v"), rows),
-        if (fn == AggFn.Count) None else Some("v"), fn, "out")
+        Seq(AggSpec(fn, if (fn == AggFn.Count) None else Some("v"), "out")))
       assert(open(b, out) == Seq(Seq(want)), fn.toString)
     }
   }
@@ -282,15 +282,15 @@ class ObliviousSpec extends AnyFunSuite {
   test("global count respects validity") {
     val b = sharemind()
     val r = b.filter(rel(b, Seq("v"), (1 to 6).map(i => Seq(i.toDouble))), "v", CmpOp.Gt, Right(2.0))
-    assert(open(b, b.globalAggregate(r, None, AggFn.Count, "c")) == Seq(Seq(4.0)))
+    assert(open(b, b.globalAggregate(r, Seq(AggSpec(AggFn.Count, None, "c")))) == Seq(Seq(4.0)))
   }
 
   test("preSorted aggregation over an already-grouped relation matches") {
     val b = sharemind()
     val rows = Seq(Seq(1.0, 5.0), Seq(1.0, 6.0), Seq(2.0, 7.0), Seq(3.0, 1.0), Seq(3.0, 1.0))
     val cmpsBefore = b.meter.cmps
-    val out = b.aggregate("t", rel(b, Seq("k", "v"), rows), Seq("k"), Some("v"),
-      AggFn.Sum, "s", preSorted = true)
+    val out = b.aggregate("t", rel(b, Seq("k", "v"), rows), Seq("k"),
+      Seq(AggSpec(AggFn.Sum, Some("v"), "s")), preSorted = true)
     assert(b.meter.cmps == cmpsBefore, "preSorted aggregation must skip the sorting network")
     assertSameRows(open(b, out), Seq(Seq(1.0, 11.0), Seq(2.0, 7.0), Seq(3.0, 2.0)))
   }
@@ -327,7 +327,7 @@ class ObliviousSpec extends AnyFunSuite {
     val rows = Seq(Seq(1.0), Seq(1.0), Seq(2.0), Seq(5.0), Seq(5.0), Seq(9.0))
     val f = b.filter(rel(b, Seq("k"), rows), "k", CmpOp.Lt, Right(6.0))
     val d = b.distinct(f, preSorted = true) // input sorted by k
-    val c = b.globalAggregate(d, None, AggFn.Count, "rc")
+    val c = b.globalAggregate(d, Seq(AggSpec(AggFn.Count, None, "rc")))
     assert(open(b, c) == Seq(Seq(3.0)))
   }
 
@@ -548,7 +548,8 @@ class ObliviousSpec extends AnyFunSuite {
   test("garbled-circuit backend runs the same relational ops") {
     val b = oblivc()
     val rows = Seq(Seq(1.0, 10.0), Seq(2.0, 20.0), Seq(1.0, 30.0))
-    val out = b.aggregate("t", rel(b, Seq("k", "v"), rows), Seq("k"), Some("v"), AggFn.Sum, "s")
+    val out = b.aggregate("t", rel(b, Seq("k", "v"), rows), Seq("k"),
+      Seq(AggSpec(AggFn.Sum, Some("v"), "s")))
     assertSameRows(open(b, out), Seq(Seq(1.0, 40.0), Seq(2.0, 20.0)))
     assert(b.meter.gates > 0)
   }

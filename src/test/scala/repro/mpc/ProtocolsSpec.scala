@@ -3,7 +3,7 @@ package repro.mpc
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 import repro.Props
-import repro.core.{AggFn, ArithFn, CmpOp}
+import repro.core.{AggFn, AggSpec, ArithFn, CmpOp}
 import MpcTestKit._
 
 /** Hybrid MPC–cleartext protocols (§5.3): correctness vs. cleartext
@@ -172,7 +172,7 @@ class ProtocolsSpec extends AnyFunSuite {
       Props.forAll(genRows(25, 5), runs = 15) { rows =>
         val b = sharemind()
         val out = b.hybridAggregate("ha", rel(b, Seq("k", "v"), rows), Seq("k"),
-          if (fn == AggFn.Count) None else Some("v"), fn, "out", stp = pA)
+          Seq(AggSpec(fn, if (fn == AggFn.Count) None else Some("v"), "out")), stp = pA)
         assertSameRows(open(b, out), refAgg(rows, fn))
       }
     }
@@ -181,8 +181,8 @@ class ProtocolsSpec extends AnyFunSuite {
   test("hybrid aggregation reveals the group column only to the STP") {
     val b = sharemind()
     val rows = Seq(Seq(1.0, 5.0), Seq(2.0, 6.0), Seq(1.0, 7.0))
-    b.hybridAggregate("ha", rel(b, Seq("k", "v"), rows), Seq("k"), Some("v"),
-      AggFn.Sum, "s", stp = pC)
+    b.hybridAggregate("ha", rel(b, Seq("k", "v"), rows), Seq("k"),
+      Seq(AggSpec(AggFn.Sum, Some("v"), "s")), stp = pC)
     val colLeaks = b.leakage.columns.filter(_.relation == "ha")
     assert(colLeaks.map(_.column) == Seq("k") && colLeaks.forall(_.to == Set(pC)))
     assert(b.leakage.cardinalities.exists(c => c.relation == "ha" && c.rows == 2L && c.to == parties3))
@@ -192,8 +192,8 @@ class ProtocolsSpec extends AnyFunSuite {
     val b = sharemind()
     val rows = (1 to 100).map(i => Seq((i % 10).toDouble, 1.0))
     val cmpsBefore = b.meter.cmps; val eqsBefore = b.meter.eqs
-    b.hybridAggregate("ha", rel(b, Seq("k", "v"), rows), Seq("k"), Some("v"),
-      AggFn.Sum, "s", stp = pA)
+    b.hybridAggregate("ha", rel(b, Seq("k", "v"), rows), Seq("k"),
+      Seq(AggSpec(AggFn.Sum, Some("v"), "s")), stp = pA)
     assert(b.meter.cmps == cmpsBefore && b.meter.eqs == eqsBefore,
       "sorting and equality happen in the clear at the STP")
   }
@@ -203,9 +203,10 @@ class ProtocolsSpec extends AnyFunSuite {
       val b = sharemind()
       val rows = (1 to 400).map(i => Seq((i % 20).toDouble, 1.0))
       if (hybrid)
-        b.hybridAggregate("a", rel(b, Seq("k", "v"), rows), Seq("k"), Some("v"), AggFn.Sum, "s", pA)
+        b.hybridAggregate("a", rel(b, Seq("k", "v"), rows), Seq("k"),
+          Seq(AggSpec(AggFn.Sum, Some("v"), "s")), pA)
       else
-        b.aggregate("a", rel(b, Seq("k", "v"), rows), Seq("k"), Some("v"), AggFn.Sum, "s")
+        b.aggregate("a", rel(b, Seq("k", "v"), rows), Seq("k"), Seq(AggSpec(AggFn.Sum, Some("v"), "s")))
       b.meter.modeledSeconds
     }
     assert(modeled(hybrid = true) * 3 < modeled(hybrid = false))
@@ -226,9 +227,57 @@ class ProtocolsSpec extends AnyFunSuite {
     val b = sharemind()
     val rows = Seq(Seq(1.0, 5.0), Seq(1.0, 6.0), Seq(2.0, 100.0))
     val f = b.filter(rel(b, Seq("k", "v"), rows), "v", CmpOp.Lt, Right(50.0))
-    val out = b.hybridAggregate("ha", f, Seq("k"), Some("v"), AggFn.Sum, "s", pA)
+    val out = b.hybridAggregate("ha", f, Seq("k"), Seq(AggSpec(AggFn.Sum, Some("v"), "s")), pA)
     assertSameRows(open(b, out), Seq(Seq(1.0, 11.0)))
   }
+
+  // --------------------------------------------- several outputs at once
+
+  /** An aggregation method called with the outputs `aggs` of a relation
+    * `(k, v)`, under the name `name`.
+    */
+  private type AggMethod = (MpcBackend, String, SharedRelation, Seq[AggSpec]) => SharedRelation
+
+  private val aggMethods: Seq[(String, Boolean, AggMethod)] = Seq(
+    ("hybridAggregate", true, (b, name, r, aggs) => b.hybridAggregate(name, r, Seq("k"), aggs, pC)),
+    ("aggregate", true, (b, name, r, aggs) => b.aggregate(name, r, Seq("k"), aggs)),
+    ("globalAggregate", false, (b, _, r, aggs) => b.globalAggregate(r, aggs)))
+
+  private val outputPairs = Seq(
+    (AggSpec(AggFn.Sum, Some("v"), "s"), AggSpec(AggFn.Count, None, "c")),
+    (AggSpec(AggFn.Min, Some("v"), "lo"), AggSpec(AggFn.Max, Some("v"), "hi")),
+    (AggSpec(AggFn.Max, Some("v"), "hi"), AggSpec(AggFn.Sum, Some("v"), "s")))
+
+  for ((engine, mk) <- Seq[(String, () => MpcBackend)]("sharemind" -> (() => sharemind(seed = 3L)),
+         "obliv-c" -> (() => oblivc()));
+       (method, grouped, call) <- aggMethods)
+    test(s"$engine: a two-output $method opens the rows of two one-output calls joined by key") {
+      val rows = (0 until 23).map(i => Seq((i * 5 % 4).toDouble, (i * 17 % 31).toDouble))
+      def input(b: MpcBackend) = b.filter(rel(b, Seq("k", "v"), rows), "v", CmpOp.Gt, Right(4.0))
+      for ((x, y) <- outputPairs) {
+        val both = mk()
+        val in = input(both)
+        both.leakage.clear()
+        val out = call(both, "agg", in, Seq(x, y))
+        assert(out.schema == (if (grouped) Vector("k") else Vector()) ++ Vector(x.out, y.out))
+        val got = open(both, out)
+
+        val apart = mk()
+        val inApart = input(apart)
+        def one(spec: AggSpec) = open(apart, call(apart, s"agg:${spec.out}", inApart, Seq(spec)))
+          .map(r => r.init -> r.last).toMap
+        val (xs, ys) = (one(x), one(y))
+        assert(xs.keySet == ys.keySet)
+        assertSameRows(got, xs.toSeq.map { case (key, v) => key ++ Seq(v, ys(key)) })
+
+        // The key opening and the group count are recorded once.
+        val events = both.leakage.events
+        assert(events.collect { case CardinalityLeak("agg", n, _) => n } ==
+          (if (grouped) Seq(got.length.toLong) else Seq()))
+        assert(events.collect { case ColumnLeak("agg", c, _) => c } ==
+          (if (method == "hybridAggregate") Seq("k") else Seq()))
+      }
+    }
 
   // ------------------------------------------------------ pinned STP order
 
@@ -266,26 +315,22 @@ class ProtocolsSpec extends AnyFunSuite {
     }
 
   pinnedCase("hybrid join", """
-    |CostSnapshot(69,0,0,319,33,333,0,0,0,0.050102)
-    |ColumnLeak(hj0,left:k1,Set(a))
-    |ColumnLeak(hj0,left:k2,Set(a))
-    |ColumnLeak(hj0,right:k1,Set(a))
-    |ColumnLeak(hj0,right:k2,Set(a))
+    |CostSnapshot(55,0,0,256,19,270,0,0,0,0.032672)
     |CardinalityLeak(hj0,0,Set(a, b, c))
     |ColumnLeak(hj,left:k1,Set(a))
     |ColumnLeak(hj,left:k2,Set(a))
     |ColumnLeak(hj,right:k1,Set(a))
     |ColumnLeak(hj,right:k2,Set(a))
     |CardinalityLeak(hj,9,Set(a, b, c))
-    |-1.5,2.0,3.0,14.0
-    |0.25,-3.0,5.0,10.0
-    |-1.5,2.0,1.0,11.0
-    |-1.5,2.0,3.0,11.0
     |0.25,-3.0,2.0,10.0
     |-1.5,2.0,1.0,14.0
     |0.25,-3.0,2.0,13.0
-    |0.25,-3.0,5.0,13.0
     |-1.5,0.5,6.0,15.0
+    |0.25,-3.0,5.0,10.0
+    |-1.5,2.0,1.0,11.0
+    |-1.5,2.0,3.0,14.0
+    |-1.5,2.0,3.0,11.0
+    |0.25,-3.0,5.0,13.0
     |""") { (b, l, r, empty) =>
     val none = b.hybridJoin("hj0", l, empty, keys2, keys2, pA)
     assert(none.size == 0)
@@ -303,9 +348,9 @@ class ProtocolsSpec extends AnyFunSuite {
     |-2.0,2.0,7.0
     |-1.5,0.5,6.0
     |""") { (b, l, _, empty) =>
-    val none = b.hybridAggregate("ha0", empty, keys2, Some("y"), AggFn.Sum, "s", pC)
+    val none = b.hybridAggregate("ha0", empty, keys2, Seq(AggSpec(AggFn.Sum, Some("y"), "s")), pC)
     assert(none.size == 0)
-    b.hybridAggregate("ha", l, keys2, Some("x"), AggFn.Sum, "s", pC)
+    b.hybridAggregate("ha", l, keys2, Seq(AggSpec(AggFn.Sum, Some("x"), "s")), pC)
   }
 
   pinnedCase("public join", """
@@ -365,13 +410,19 @@ class ProtocolsSpec extends AnyFunSuite {
     (cost, leaks, open(b, out))
   }
 
+  private val sumCount = Seq(AggSpec(AggFn.Sum, Some("v"), "s"), AggSpec(AggFn.Count, None, "c"))
+
   private val unreadCases: Seq[(String, Protocol)] =
     Seq(AggFn.Sum, AggFn.Count, AggFn.Min, AggFn.Max).flatMap { fn =>
       val aggCol = if (fn == AggFn.Count) None else Some("v")
       Seq[(String, Protocol)](
-        s"hybridAggregate $fn" -> ((b, l, _, _) => b.hybridAggregate("ha", l, Seq("k"), aggCol, fn, "o", pC)),
-        s"aggregate $fn" -> ((b, l, _, _) => b.aggregate("agg", l, Seq("k"), aggCol, fn, "o")))
+        s"hybridAggregate $fn" -> ((b, l, _, _) =>
+          b.hybridAggregate("ha", l, Seq("k"), Seq(AggSpec(fn, aggCol, "o")), pC)),
+        s"aggregate $fn" -> ((b, l, _, _) => b.aggregate("agg", l, Seq("k"), Seq(AggSpec(fn, aggCol, "o")))))
     } ++ Seq[(String, Protocol)](
+      "hybridAggregate Sum, Count" -> ((b, l, _, _) => b.hybridAggregate("ha", l, Seq("k"), sumCount, pC)),
+      "aggregate Sum, Count" -> ((b, l, _, _) => b.aggregate("agg", l, Seq("k"), sumCount)),
+      "globalAggregate Sum, Count" -> ((b, l, _, _) => b.globalAggregate(l, sumCount)),
       "hybridJoin" -> ((b, l, r, live) => b.hybridJoin("hj", l, r, Seq("k"), Seq("k"), pA, live)),
       "publicJoin" -> ((b, l, r, live) => b.publicJoin("pj", l, r, Seq("k"), Seq("k"), live)),
       "Cartesian join" -> ((b, l, r, live) => b.join("cj", l, r, Seq("k"), Seq("k"), live)))

@@ -4,7 +4,7 @@ import java.nio.ByteBuffer
 import java.security.MessageDigest
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{AggFn, CmpOp}
+import repro.core.{AggFn, AggSpec, CmpOp}
 import MpcTestKit._
 
 /** Pins the exact shares and counters of both engines on a fixed script:
@@ -98,7 +98,7 @@ class SharePinSpec extends AnyFunSuite {
     val l = b.filter(rel(b, Seq("k", "x"), rows(40, 9, 7)), "x", CmpOp.Gt, Right(15.0))
     val r = rel(b, Seq("k", "y"), rows(30, 9, 5))
     val hj = b.hybridJoin("hj", l, r, Seq("k"), Seq("k"), stp = pA)
-    val ha = b.hybridAggregate("ha", hj, Seq("k"), Some("y"), AggFn.Max, "m", stp = pA)
+    val ha = b.hybridAggregate("ha", hj, Seq("k"), Seq(AggSpec(AggFn.Max, Some("y"), "m")), stp = pA)
     val pj = b.publicJoin("pj", rel(b, Seq("k", "x"), rows(25, 6, 3)), r, Seq("k"), Seq("k"))
     Seq(hj, ha, pj).foreach(o => (o.cols ++ o.validity).foreach(d.add))
   }
@@ -115,11 +115,11 @@ class SharePinSpec extends AnyFunSuite {
     val outs = Seq.newBuilder[SharedRelation]
     for (fn <- Seq(AggFn.Sum, AggFn.Count, AggFn.Min, AggFn.Max)) {
       val col = if (fn == AggFn.Count) None else Some("v")
-      outs += b.aggregate("agg", f, Seq("k"), col, fn, "out")
-      outs += b.aggregate("agg", f, Seq("k"), col, fn, "out", preSorted = true)
-      outs += b.aggregate("agg", byKey, Seq("k"), col, fn, "out", preSorted = true)
-      outs += b.globalAggregate(f, col, fn, "out")
-      outs += b.hybridAggregate("ha", f, Seq("k"), col, fn, "out", stp = pA)
+      outs += b.aggregate("agg", f, Seq("k"), Seq(AggSpec(fn, col, "out")))
+      outs += b.aggregate("agg", f, Seq("k"), Seq(AggSpec(fn, col, "out")), preSorted = true)
+      outs += b.aggregate("agg", byKey, Seq("k"), Seq(AggSpec(fn, col, "out")), preSorted = true)
+      outs += b.globalAggregate(f, Seq(AggSpec(fn, col, "out")))
+      outs += b.hybridAggregate("ha", f, Seq("k"), Seq(AggSpec(fn, col, "out")), stp = pA)
     }
     outs += b.distinct(b.project(f, Seq("k")), preSorted = false)
     outs += b.distinct(b.project(byKey, Seq("k")), preSorted = true)
