@@ -17,10 +17,12 @@ import scala.jdk.CollectionConverters._
 final case class ExecMetrics(
     wallSeconds: Double,
     mpcRealSeconds: Double,
-    mpcModeledSeconds: Double,
     closedRows: Long,
     cost: CostSnapshot,
 ) {
+  /** Modeled MPC seconds, from the counters in `cost`. */
+  def mpcModeledSeconds: Double = cost.modeledSeconds
+
   /** Modeled end-to-end runtime: real cleartext time + modeled MPC time. */
   def reportedSeconds: Double = math.max(0.0, wallSeconds - mpcRealSeconds) + mpcModeledSeconds
 }
@@ -85,8 +87,7 @@ final class Executor(
     val wall = (System.nanoTime() - t0) / 1e9
     ExecResult(
       outputs.toMap,
-      ExecMetrics(wall, mpcRealNs / 1e9, backend.meter.modeledSeconds, closedRows,
-        backend.meter.snapshot),
+      ExecMetrics(wall, mpcRealNs / 1e9, closedRows, backend.meter.snapshot),
       backend.leakage.snapshot,
     )
   }
@@ -356,18 +357,15 @@ object Executor {
   /** Evaluate MPC operator `n` over its `shared` inputs (in child order) on
     * `backend`: the one mapping from plan operators to backend operations.
     * Leakage is recorded under the name `#<node id>`. The operator gets
-    * only the columns it reads of each input (one, for its row count, if it
-    * reads none), and returns only the `live` columns of its output: the
-    * joins and aggregations move only those in their last step, and the
-    * parties drop the others' shares.
+    * only the columns it reads of each input ([[Ir.reads]]), and returns
+    * only the `live` columns of its output: the joins and aggregations move
+    * only those in their last step, and the parties drop the others' shares.
     */
   def mpcOp(backend: MpcBackend, n: Node, shared: Seq[SharedRelation],
       live: Seq[String]): SharedRelation = {
     val name = s"#${n.id}"
     val keep: String => Boolean = live.contains
-    val in = shared.zip(Ir.reads(n.kind, live, shared.map(_.schema))).map { case (rel, cols) =>
-      rel.only(if (cols.isEmpty) rel.schema.take(1) else cols)
-    }
+    val in = shared.zip(Ir.reads(n.kind, live, shared.map(_.schema))).map { case (r, cols) => r.only(cols) }
     val out = n.kind match {
       case OpKind.Concat              => backend.concat(in)
       case OpKind.Project(cols)       => backend.project(in.head, cols.filter(keep))

@@ -221,13 +221,14 @@ object Ir {
     * when its consumers read only the columns `live` of its output. A
     * distinct compares whole rows and an output keeps every column; every
     * other operator reads the columns it computes on and those it passes on
-    * to be read. A group-less COUNT(*) reads none: only its child's row
-    * count.
+    * to be read. An operator that would read none of a child's columns (a
+    * group-less COUNT(*) needs only its row count) reads its first column,
+    * which carries the row count: the one statement of that rule.
     */
   def reads(kind: OpKind, live: Seq[String], childSchemas: Seq[Seq[String]]): Seq[Seq[String]] = {
     lazy val in = childSchemas.head
     def of(cols: Seq[String]) = Seq(in.filter(cols.contains))
-    kind match {
+    val cols = kind match {
       case _: OpKind.Input                          => Seq.empty
       case _: OpKind.Output | _: OpKind.Distinct    => childSchemas
       case OpKind.Concat                            => childSchemas.map(_.filter(live.contains))
@@ -241,13 +242,12 @@ object Ir {
       case OpKind.ConstCol(name, _)       => of(live.filterNot(_ == name))
       case OpKind.Sort(col, _)            => of(live :+ col)
     }
+    cols.zip(childSchemas).map { case (read, schema) => if (read.isEmpty) schema.take(1) else read }
   }
 
   /** Each node's live columns, by node id: the columns of its output that a
     * consumer reads, in schema order, by one walk from the outputs down. A
-    * node no consumer reads keeps all its columns (an output does), and a
-    * node whose consumers read none of them keeps its first column, which
-    * carries its row count.
+    * node no consumer reads keeps all its columns (an output does).
     */
   def liveColumns(dag: Dag): Map[Int, Seq[String]] = {
     val read = mutable.HashMap.empty[Int, Set[String]].withDefaultValue(Set.empty)
@@ -256,9 +256,7 @@ object Ir {
     order.foreach(n => schemas(n.id) = schemaOf(n.kind, n.children.map(c => schemas(c.id)).toSeq))
     order.reverseIterator.map { n =>
       val schema = schemas(n.id)
-      val live =
-        if (n.parents.isEmpty) schema
-        else schema.filter(read(n.id)) match { case Seq() => schema.take(1); case cols => cols }
+      val live = if (n.parents.isEmpty) schema else schema.filter(read(n.id))
       n.children.zip(reads(n.kind, live, n.children.map(c => schemas(c.id)).toSeq))
         .foreach { case (c, cols) => read(c.id) ++= cols }
       n.id -> live

@@ -66,25 +66,26 @@ object Generators {
     * diagnosis (heart disease / c. diff).
     */
   def diagnoses(spark: SparkSession, rows: Long, party: Int, overlap: Double = Overlap,
-      nCodes: Int = 25, seed: Long = 31): DataFrame = {
-    val offset = if (party == 0) 0L else rows - math.round(rows * overlap)
-    spark.range(0, rows, 1, Partitions).select(
-      ((rand(seed + party) * rows).cast(LongType) + 1 + offset).cast(DoubleType) as "patient",
-      (rand(seed + party + 2) * nCodes + 1).cast(IntegerType).cast(DoubleType) as "diag",
-      (rand(seed + party + 4) * 3650 + 1).cast(IntegerType).cast(DoubleType) as "dtime",
-    )
-  }
+      nCodes: Int = 25, seed: Long = 31): DataFrame =
+    patientEvents(spark, rows, party, overlap, nCodes, seed, "diag", "dtime")
 
   /** HealthLNK-like medications, same patient-ID scheme as [[diagnoses]].
     * Med code 1 plays the role of aspirin.
     */
   def medications(spark: SparkSession, rows: Long, party: Int, overlap: Double = Overlap,
-      nCodes: Int = 25, seed: Long = 41): DataFrame = {
+      nCodes: Int = 25, seed: Long = 41): DataFrame =
+    patientEvents(spark, rows, party, overlap, nCodes, seed, "med", "mtime")
+
+  /** Columns patient, `code` (1..nCodes) and `time` (1..3650), the shape of
+    * [[diagnoses]] and [[medications]].
+    */
+  private def patientEvents(spark: SparkSession, rows: Long, party: Int, overlap: Double,
+      nCodes: Int, seed: Long, code: String, time: String): DataFrame = {
     val offset = if (party == 0) 0L else rows - math.round(rows * overlap)
     spark.range(0, rows, 1, Partitions).select(
       ((rand(seed + party) * rows).cast(LongType) + 1 + offset).cast(DoubleType) as "patient",
-      (rand(seed + party + 2) * nCodes + 1).cast(IntegerType).cast(DoubleType) as "med",
-      (rand(seed + party + 4) * 3650 + 1).cast(IntegerType).cast(DoubleType) as "mtime",
+      (rand(seed + party + 2) * nCodes + 1).cast(IntegerType).cast(DoubleType) as code,
+      (rand(seed + party + 4) * 3650 + 1).cast(IntegerType).cast(DoubleType) as time,
     )
   }
 

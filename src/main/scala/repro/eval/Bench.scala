@@ -65,18 +65,18 @@ object Bench {
     (a, (System.nanoTime() - t0) / 1e9)
   }
 
-  /** Compile and execute a Conclave query, returning the reported runtime
-    * (real cleartext seconds + modeled MPC seconds).
+  /** Compile and execute a Conclave query on a backend over the query's
+    * parties, returning the reported runtime (real cleartext seconds +
+    * modeled MPC seconds).
     */
   def runConclave(
       spark: SparkSession,
       dag: Dag,
       config: CompileConfig,
       inputs: Map[String, DataFrame],
-      parties: Set[Party],
       backend: Set[Party] => MpcBackend = MpcBackend.sharemind(_),
   ): ExecResult = {
     val plan = Compiler.compile(dag, config)
-    new Executor(spark, backend(parties)).run(plan, inputs)
+    new Executor(spark, backend(plan.dag.parties)).run(plan, inputs)
   }
 }

@@ -34,8 +34,7 @@ object Fig4MarketConc {
   /** The HHI query over `in`, compiled under `config`. */
   private[eval] def runHhi(spark: SparkSession, in: Map[String, DataFrame],
       config: CompileConfig): ExecResult =
-    Bench.runConclave(spark, MarketConcentration.build(), config,
-      in, Set(MarketConcentration.pA, MarketConcentration.pB, MarketConcentration.pC))
+    Bench.runConclave(spark, MarketConcentration.build(), config, in)
 
   /** A lower bound on the Sharemind-only run's modeled seconds: the
     * sorting network of the revenue aggregation over all (companyID, price)

@@ -42,8 +42,7 @@ object Fig6Credit {
   private[eval] def runCredit(spark: SparkSession, in: Map[String, DataFrame],
       trustRegulator: Boolean): ExecResult =
     Bench.runConclave(spark, CreditRegulation.build(trustRegulator),
-      if (trustRegulator) CompileConfig.default else CompileConfig.mpcOnly, in,
-      Set(CreditRegulation.pA, CreditRegulation.pB, CreditRegulation.pC))
+      if (trustRegulator) CompileConfig.default else CompileConfig.mpcOnly, in)
 
   /** A lower bound on the Sharemind-only run's modeled seconds: the
     * equality tests of the Cartesian join of the demographics against both

@@ -62,8 +62,8 @@ object Fig7Smcql {
     sizes.flatMap { n =>
       val in = comorbidityInputs(spark, n)
       def run(backend: Set[Party] => MpcBackend): Double =
-        Bench.runConclave(spark, Comorbidity.build(), CompileConfig.default, in,
-          Set(Comorbidity.pH1, Comorbidity.pH2), backend).metrics.reportedSeconds
+        Bench.runConclave(spark, Comorbidity.build(), CompileConfig.default, in, backend)
+          .metrics.reportedSeconds
       Seq(
         BenchPoint("conclave", n, Some(run(MpcBackend.sharemind(_)))),
         Bench.capped("smcql", n, smcqlComorbidityPredicted(n))(run(MpcBackend.oblivm(_))))

@@ -143,15 +143,18 @@ final class MpcBackend(
     case _         => 0L
   }
 
-  /** Each row's contribution to an `fn` fold over `values`, gated by the
-    * rows' 0/1 `valid` flags.
+  /** Each row's contribution to an `fn` fold over the `n` rows of `values`:
+    * gated by the rows' 0/1 `valid` flags, or, over a compacted input with
+    * none, a copy of `values` to fold in place (fixed-point ones for COUNT).
     */
-  private def contribution(fn: AggFn, valid: SharedCol, values: => SharedCol): SharedCol =
-    fn match {
-      case AggFn.Count => engine.mulPub(valid, Fixed.Scale)
-      case AggFn.Sum   => engine.mulFlag(valid, values)
-      case _           => engine.mux(valid, values, engine.constant(start(fn), valid.length))
-    }
+  private def contribution(fn: AggFn, valid: Option[SharedCol], n: Int,
+      values: => SharedCol): SharedCol = (fn, valid) match {
+    case (AggFn.Count, None)    => engine.constant(Fixed.Scale, n)
+    case (_, None)              => values.slice(0, n)
+    case (AggFn.Count, Some(v)) => engine.mulPub(v, Fixed.Scale)
+    case (AggFn.Sum, Some(v))   => engine.mulFlag(v, values)
+    case (_, Some(v))           => engine.mux(v, values, engine.constant(start(fn), n))
+  }
 
   /** One step of an `fn` fold: fold `x(xi)` into the accumulator `acc(ai)`
     * through the scratch cell `t(0)`. A 0/1 `gate` (null for none) lets the
@@ -186,36 +189,39 @@ final class MpcBackend(
     while (i < agg.length) { combine(fn, agg, i - 1, agg, i, same, i, take); i += 1 }
   }
 
-  /** The last row of each run of `same` in the `live` columns of `cols`,
-    * where the 0/1 `valid` flags, if given, are 1, compacted: all parties
-    * learn the number of groups, the output size (the paper's protocols do
-    * not pad, §7.4 comorbidity).
+  /** Grouped aggregation, Jónsson's and the hybrid: take the group columns
+    * and the columns the outputs fold, `prepare` them, `order` them into
+    * runs of equal keys, fold each output of `aggs` into its run's last row
+    * (Jónsson's linear scan), and compact: shuffle, open the keep flags,
+    * discard. The ordering, the run flags and the compaction run once for
+    * every output. All parties learn the number of groups, the output size
+    * (the paper's protocols do not pad, §7.4 comorbidity), 0 for an empty
+    * input. Output schema: the `live` columns of group columns ++ the
+    * outputs' names; no validity.
     */
-  private def lastOfRuns(relName: String, schema: Vector[String], cols: Vector[SharedCol],
-      same: SharedCol, valid: Option[SharedCol], live: String => Boolean): SharedRelation = {
-    val n = same.length
+  private def groupedAggregate(relName: String, rel: SharedRelation, group: Seq[String],
+      aggs: Seq[AggSpec], live: String => Boolean, prepare: SharedRelation => SharedRelation)(
+      order: SharedRelation => Grouped): SharedRelation = {
+    require(group.nonEmpty, "use globalAggregate for group-less aggregation")
+    val reads = rel.schema.filter(c => group.contains(c) || aggs.exists(_.aggCol.contains(c)))
+    val in = prepare(rel.only(reads))
+    val outSchema = group.toVector ++ aggs.map(_.out)
+    val liveSchema = outSchema.filter(live)
+    if (in.size == 0) return leakSize(relName)(SharedRelation(liveSchema, liveSchema.map(_ => engine.alloc(0))))
+    val g = order(in)
+    val n = g.rows.size
+    val outs = aggs.map(a => contribution(a.fn, g.valid, n, g.rows.col(a.aggCol.get)))
+    val same = g.runs()
+    aggs.zip(outs).foreach { case (a, agg) => foldRuns(a.fn, same, agg) }
     val keep = engine.constant(1L, n)
     engine.not(same, keep, n - 1, ai = 1)
-    valid.foreach(engine.mulFlag(keep, _, keep, n))
-    leakSize(relName)(compacted(SharedRelation(schema, cols, Some(keep)).only(schema.filter(live))))
+    g.valid.foreach(engine.mulFlag(keep, _, keep, n))
+    leakSize(relName)(compacted(
+      SharedRelation(outSchema, group.map(g.rows.col).toVector ++ outs, Some(keep)).only(liveSchema)))
   }
 
-  /** The columns of `rel` an aggregation reads: its group columns and the
-    * columns its outputs fold.
-    */
-  private def aggInput(rel: SharedRelation, group: Seq[String], aggs: Seq[AggSpec]): SharedRelation =
-    rel.only(rel.schema.filter(c => group.contains(c) || aggs.exists(_.aggCol.contains(c))))
-
-  /** An aggregation's output over no rows: its `live` columns, empty. */
-  private def noGroups(schema: Vector[String], live: String => Boolean): SharedRelation =
-    SharedRelation(schema, schema.map(_ => engine.alloc(0))).only(schema.filter(live))
-
-  /** Grouped aggregation per Jónsson et al. [39]: sort by group key,
-    * obliviously fold each group into its last row, once per output of
-    * `aggs`, shuffle, open the keep flags, discard. The sort, the run flags
-    * and the compaction run once for every output. Reveals the number of
-    * groups to all parties, 0 for an empty input. Output schema: the `live`
-    * columns of group columns ++ the outputs' names; no validity.
+  /** Grouped aggregation per Jónsson et al. [39]: an oblivious sort by group
+    * key orders the rows, and [[groupedAggregate]] does the rest.
     */
   def aggregate(
       relName: String,
@@ -226,30 +232,23 @@ final class MpcBackend(
       live: String => Boolean = _ => true,
   ): SharedRelation = {
     engine.checkRelationMem("aggregate", rel.size.toLong, GcOpWidth.Aggregation)
-    val in = aggInput(rel, group, aggs)
-    val groupIdxs = in.colIdxs(group)
-    val aggIdxs = aggs.map(_.aggCol.map(in.colIdx))
-    require(groupIdxs.nonEmpty, "use globalAggregate for group-less aggregation")
-    val outSchema = group.toVector ++ aggs.map(_.out)
-    if (in.size == 0) return leakSize(relName)(noGroups(outSchema, live))
-    // The sorting network may be skipped when the input is already grouped
-    // (sort elimination, §5.4) — but only if no validity column could
-    // interleave invalid rows into a group run.
-    val sorted =
-      if (preSorted && in.validity.isEmpty) in
-      else Oblivious.sortBy(engine, in, groupIdxs.map(Oblivious.SortKey(_)))
-    val n = sorted.size
-    val valid = sorted.validity.getOrElse(engine.constant(1L, n))
-    val groups = groupIdxs.map(sorted.cols)
-    val outs = aggs.zip(aggIdxs).map { case (a, i) => contribution(a.fn, valid, sorted.cols(i.get)) }
-
-    // same(i): row i continues row i-1's group. Gated by row i's validity so
-    // an invalid row with an equal key can never absorb (and then drop) a
-    // group's accumulated aggregate.
-    val same = continues(groups, n)
-    engine.mulFlag(same, valid, same, n - 1, ai = 1, bi = 1, oi = 1)
-    aggs.zip(outs).foreach { case (a, agg) => foldRuns(a.fn, same, agg) }
-    lastOfRuns(relName, outSchema, groups ++ outs, same, Some(valid), live)
+    groupedAggregate(relName, rel, group, aggs, live, identity) { in =>
+      // The sorting network may be skipped when the input is already grouped
+      // (sort elimination, §5.4) — but only if no validity column could
+      // interleave invalid rows into a group run.
+      val sorted =
+        if (preSorted && in.validity.isEmpty) in
+        else Oblivious.sortBy(engine, in, in.colIdxs(group).map(Oblivious.SortKey(_)))
+      val n = sorted.size
+      val valid = sorted.validity.getOrElse(engine.constant(1L, n))
+      Grouped(sorted, Some(valid), () => {
+        // Gated by row i's validity so an invalid row with an equal key can
+        // never absorb (and then drop) a group's accumulated aggregate.
+        val same = continues(group.map(sorted.col), n)
+        engine.mulFlag(same, valid, same, n - 1, ai = 1, bi = 1, oi = 1)
+        same
+      })
+    }
   }
 
   /** Group-less aggregation to a single row, one fold per output of
@@ -257,12 +256,11 @@ final class MpcBackend(
     */
   def globalAggregate(rel: SharedRelation, aggs: Seq[AggSpec]): SharedRelation = {
     engine.checkRelationMem("aggregate", rel.size.toLong, GcOpWidth.Aggregation)
-    val values = aggs.map(_.aggCol.map(rel.col))
     val n = rel.size
     engine.chargeRows(n.toLong)
     val valid = rel.validity.getOrElse(engine.constant(1L, n))
-    val accs = aggs.zip(values).map { case (a, v) =>
-      val xs = contribution(a.fn, valid, v.get)
+    val accs = aggs.map { a =>
+      val xs = contribution(a.fn, Some(valid), n, rel.col(a.aggCol.get))
       val acc = engine.constant(start(a.fn), 1)
       val better = engine.alloc(1)
       var i = 0
@@ -535,66 +533,51 @@ final class MpcBackend(
       live)(matched(lCols, li, lSchema, "left"), matched(rCols, rj, rSchema, "right"))
   }
 
-  /** Hybrid aggregation (§5.3): oblivious shuffle, group-by columns revealed
-    * to the STP, cleartext sort + equality flags at the STP, public reorder,
-    * then a linear oblivious accumulation scan per output of `aggs`.
-    * Replaces the O(n log^2 n) sorting network with an O(n log n) shuffle
-    * and avoids all oblivious comparisons (for sum/count). The shuffle, the
-    * opening, the STP's ordering and the compaction run once for every
-    * output. All parties learn the number of groups. It compacts and
-    * shuffles only its group and aggregate columns, and its output has only
-    * the `live` columns.
+  /** Hybrid aggregation (§5.3): Jónsson's aggregation with the STP's
+    * ordering in place of the sorting network. The input is compacted, then
+    * obliviously shuffled; its group-by columns are revealed to the STP,
+    * which sorts them in the clear, publishes the ordering and
+    * secret-shares the equality flags of adjacent rows; [[groupedAggregate]]
+    * does the rest. Replaces the O(n log^2 n) sorting network with an
+    * O(n log n) shuffle and avoids all oblivious comparisons (for sum/count).
     */
   def hybridAggregate(relName: String, rel: SharedRelation, group: Seq[String],
-      aggs: Seq[AggSpec], stp: Party, live: String => Boolean = _ => true): SharedRelation = {
-    require(group.nonEmpty, "hybrid aggregation needs group-by columns")
-    val in = compact(relName + ":in", aggInput(rel, group, aggs))
-    val groupIdxs = in.colIdxs(group)
-    val outSchema = group.toVector ++ aggs.map(_.out)
-    if (in.size == 0) return noGroups(outSchema, live)
+      aggs: Seq[AggSpec], stp: Party, live: String => Boolean = _ => true): SharedRelation =
+    groupedAggregate(relName, rel, group, aggs, live, compact(relName + ":in", _)) { in =>
+      // 1. Oblivious shuffle, then reveal the (shuffled) group-by columns to
+      //    the STP.
+      val shuffled = Oblivious.shuffle(engine, in)
+      leakColumns(relName, group, Set(stp))
+      val keys = openKeys(shuffled, in.colIdxs(group)).toArray
 
-    // 1. Oblivious shuffle, then reveal the (shuffled) group-by columns to
-    //    the STP.
-    val shuffled = Oblivious.shuffle(engine, in)
-    leakColumns(relName, group, Set(stp))
-    val keys = openKeys(shuffled, groupIdxs).toArray
-
-    // 2-4. STP: enumerate, sort by key, compute equality flags, publish the
-    //      ordering (public) and secret-share the flags.
-    val order = keyOrder(keys)
-    val n = order.length
-    val eqFlags = new Array[Long](n)
-    var pos = 1
-    while (pos < n) {
-      if (compareKeys(keys, order(pos), keys, order(pos - 1)) == 0) eqFlags(pos) = 1L
-      pos += 1
-    }
-    val same = engine.input(eqFlags)
-    engine.chargeRows(n.toLong)
-
-    // 5-6. Parties reorder the shuffled relation by the public ordering (no
-    //      oblivious cost beyond I/O).
-    engine.chargeRows(n.toLong)
-    val sorted = shuffled.gather(order)
-
-    // 7. Linear oblivious accumulation into each group's last row, one per
-    //    output.
-    val outs = aggs.map { a =>
-      val agg = a.fn match {
-        case AggFn.Count => engine.constant(Fixed.Scale, n)
-        case _           => sorted.col(a.aggCol.get).slice(0, n) // a copy, folded in place
+      // 2-4. STP: enumerate, sort by key, compute equality flags, publish the
+      //      ordering (public) and secret-share the flags.
+      val order = keyOrder(keys)
+      val n = order.length
+      val eqFlags = new Array[Long](n)
+      var pos = 1
+      while (pos < n) {
+        if (compareKeys(keys, order(pos), keys, order(pos - 1)) == 0) eqFlags(pos) = 1L
+        pos += 1
       }
-      foldRuns(a.fn, same, agg)
-      agg
-    }
+      val same = engine.input(eqFlags)
 
-    // 8. Shuffle, open keep flags, discard: all parties learn the number of
-    //    groups (the output size).
-    lastOfRuns(relName, outSchema, groupIdxs.map(sorted.cols) ++ outs, same, None, live)
-  }
+      // 5-6. Parties reorder the shuffled relation by the public ordering (no
+      //      oblivious cost beyond I/O).
+      engine.chargeRows(2L * n)
+      Grouped(shuffled.gather(order), None, () => same)
+    }
 }
 
 object MpcBackend {
+
+  /** An aggregation's input in group order: its `rows`, their 0/1 `valid`
+    * flags (none once compacted), and `runs`, which gives the run flags
+    * `same(i)` = 1 iff row i continues row i-1's group. `runs` is called
+    * after the outputs' contributions are taken.
+    */
+  private final case class Grouped(rows: SharedRelation, valid: Option[SharedCol],
+      runs: () => SharedCol)
 
   // ------------------------------------------- the STP's cleartext steps
 

@@ -73,7 +73,7 @@ object AspirinCount {
     Split(
       Hospitals.zip(sliced.localParts).map { case (h, rels) =>
         val plan = Compiler.compile(build(Seq(h)))
-        val out = new Executor(spark, MpcBackend.sharemind(Set(pH1, pH2))).run(plan, rels)
+        val out = new Executor(spark, MpcBackend.sharemind(plan.dag.parties)).run(plan, rels)
           .outputs(OutputName)
         try out.collect().head.getDouble(0).toLong finally out.unpersist()
       }.sum,

@@ -27,8 +27,7 @@ object AspirinSliced {
 
     // Shared slices through the compiled Conclave plan.
     val plan = Compiler.compile(AspirinCount.build(), CompileConfig.smcqlCompat)
-    val backend = MpcBackend.sharemind(Set(AspirinCount.pH1, AspirinCount.pH2))
-    val res = new Executor(spark, backend).run(plan, split.shared)
+    val res = new Executor(spark, MpcBackend.sharemind(plan.dag.parties)).run(plan, split.shared)
     val mpcCount = res.outputs(AspirinCount.OutputName).collect().head.getDouble(0).toLong
     Result(split.localCount + mpcCount,
       localSeconds + math.max(0.0, res.metrics.wallSeconds - res.metrics.mpcRealSeconds),

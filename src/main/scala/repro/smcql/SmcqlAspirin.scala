@@ -23,8 +23,6 @@ object SmcqlAspirin {
     def reportedSeconds: Double = localSeconds + mpcModeledSeconds
   }
 
-  private val parties: Set[Party] = Set(AspirinCount.pH1, AspirinCount.pH2)
-
   /** @param inputs diag1/diag2/med1/med2 DataFrames (patient, diag|med, time) */
   def run(spark: SparkSession, inputs: Map[String, DataFrame]): Result = {
     val dag = Compiler.compile(AspirinCount.build(), CompileConfig.mpcOnly).dag
@@ -37,27 +35,31 @@ object SmcqlAspirin {
 
     val t0 = System.nanoTime()
     val split = AspirinCount.split(spark, inputs)
-    // Each input's shared rows, by patient ID, every cell checked as the
-    // executor checks what it closes.
-    val rows = ins.map { case (n, rel) =>
+    // Each input's shared columns, every cell checked as the executor checks
+    // what it closes, and their row indexes by patient ID.
+    val cols = ins.map { case (n, rel) =>
       val df = split.shared(rel)
-      val cols = Executor.columns(rel, n.schema, df.select(n.schema.map(df.col): _*).collect())
-      rel -> cols.head.indices.map(i => cols.map(_(i))).groupBy(_(n.schema.indexOf("patient")))
+      rel -> Executor.columns(rel, n.schema, df.select(n.schema.map(df.col): _*).collect())
+    }.toMap
+    val byPatient = ins.map { case (n, rel) =>
+      val patients = cols(rel)(n.schema.indexOf("patient"))
+      rel -> patients.indices.groupBy(i => patients(i))
     }.toMap
     val localSeconds = (System.nanoTime() - t0) / 1e9
 
     // One ObliVM MPC per shared patient with a diagnosis and a medication.
-    val backend = MpcBackend.oblivm(parties)
+    val backend = MpcBackend.oblivm(dag.parties)
     var mpcCount = 0L
     var slices = 0
     split.sharedKeys.toSeq.sorted.foreach { patient =>
-      def slice(rel: String) = rows(rel).getOrElse(patient, Seq.empty)
-      if (Seq("diag", "med").forall(r => Seq("1", "2").exists(h => slice(r + h).nonEmpty))) {
+      def rows(rel: String) = byPatient(rel).getOrElse(patient, IndexedSeq.empty)
+      if (Seq("diag", "med").forall(r => Seq("1", "2").exists(h => rows(r + h).nonEmpty))) {
         slices += 1
         backend.meter.addSetup() // per-slice circuit generation + handshake
         val vals = scala.collection.mutable.HashMap.empty[Int, SharedRelation]
         ins.foreach { case (n, rel) =>
-          vals(n.id) = backend.closeRows(s"slice:$patient:$rel", n.schema, slice(rel))
+          val slice = cols(rel).map(c => rows(rel).map(i => c(i)).toArray)
+          vals(n.id) = backend.close(s"slice:$patient:$rel", n.schema, slice)
         }
         inner.foreach { n =>
           vals(n.id) = Executor.mpcOp(backend, n, n.children.map(c => vals(c.id)).toSeq, n.schema)

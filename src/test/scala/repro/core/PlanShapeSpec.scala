@@ -160,8 +160,10 @@ class PlanShapeSpec extends AnyFunSuite {
         val at = s"$name/$config #${n.id}"
         assert(live(n.id).nonEmpty && live(n.id).forall(n.schema.contains), s"$at: ${live(n.id)}")
         val reads = Ir.reads(n.kind, live(n.id), n.children.map(_.schema).toSeq)
-        for ((c, cols) <- n.children.zip(reads))
+        for ((c, cols) <- n.children.zip(reads)) {
+          assert(cols.nonEmpty, s"$at reads no column of #${c.id}")
           assert(cols.forall(live(c.id).contains), s"$at reads $cols of #${c.id}, live ${live(c.id)}")
+        }
         if (n.kind.isInstanceOf[OpKind.Output])
           assert(live(n.children.head.id) == n.children.head.schema, s"$at: an output keeps every column")
       }

@@ -220,7 +220,6 @@ class EvalSpec extends SparkSpec {
       SmcqlAspirin.run(spark, Fig7Smcql.aspirinInputs(spark, n)).mpcModeledSeconds, "T5")
     atMost(Fig7Smcql.smcqlComorbidityPredicted(n),
       Bench.runConclave(spark, Comorbidity.build(), CompileConfig.default,
-        Fig7Smcql.comorbidityInputs(spark, n), Set(Comorbidity.pH1, Comorbidity.pH2),
-        MpcBackend.oblivm(_)).metrics.mpcModeledSeconds, "T6")
+        Fig7Smcql.comorbidityInputs(spark, n), MpcBackend.oblivm(_)).metrics.mpcModeledSeconds, "T6")
   }
 }

@@ -348,7 +348,7 @@ object GoldenCountersSpec {
         Map("card(lim,0)->a+b+c" -> 1)),
     "sharemind: hybridAggregate on 0 rows" ->
       Golden(CostSnapshot(0L, 0L, 0L, 0L, 4L, 0L, 0L, 0L, 0L, 0.004),
-        Map("card(hagg:in,0)->a+b+c" -> 1)),
+        Map("card(hagg,0)->a+b+c" -> 1, "card(hagg:in,0)->a+b+c" -> 1)),
     "sharemind: hybridJoin on 0 rows" ->
       Golden(CostSnapshot(0L, 0L, 0L, 0L, 4L, 0L, 0L, 0L, 0L, 0.004),
         Map("card(hj,0)->a+b+c" -> 1, "card(hj:left,0)->a+b+c" -> 1)),
@@ -455,7 +455,7 @@ object GoldenCountersSpec {
         Map("card(lim,0)->a+b" -> 1)),
     "obliv-c: hybridAggregate on 0 rows" ->
       Golden(CostSnapshot(0L, 0L, 0L, 0L, 1L, 0L, 0L, 0L, 0L, 0.0),
-        Map("card(hagg:in,0)->a+b" -> 1)),
+        Map("card(hagg,0)->a+b" -> 1, "card(hagg:in,0)->a+b" -> 1)),
     "obliv-c: hybridJoin on 0 rows" ->
       Golden(CostSnapshot(0L, 0L, 0L, 0L, 1L, 0L, 0L, 0L, 0L, 0.0),
         Map("card(hj,0)->a+b" -> 1, "card(hj:left,0)->a+b" -> 1)),

@@ -243,14 +243,15 @@ class ProtocolsSpec extends AnyFunSuite {
     ("aggregate", true, (b, name, r, aggs) => b.aggregate(name, r, Seq("k"), aggs)),
     ("globalAggregate", false, (b, _, r, aggs) => b.globalAggregate(r, aggs)))
 
+  private val aggEngines = Seq[(String, () => MpcBackend)](
+    "sharemind" -> (() => sharemind(seed = 3L)), "obliv-c" -> (() => oblivc()))
+
   private val outputPairs = Seq(
     (AggSpec(AggFn.Sum, Some("v"), "s"), AggSpec(AggFn.Count, None, "c")),
     (AggSpec(AggFn.Min, Some("v"), "lo"), AggSpec(AggFn.Max, Some("v"), "hi")),
     (AggSpec(AggFn.Max, Some("v"), "hi"), AggSpec(AggFn.Sum, Some("v"), "s")))
 
-  for ((engine, mk) <- Seq[(String, () => MpcBackend)]("sharemind" -> (() => sharemind(seed = 3L)),
-         "obliv-c" -> (() => oblivc()));
-       (method, grouped, call) <- aggMethods)
+  for ((engine, mk) <- aggEngines; (method, grouped, call) <- aggMethods)
     test(s"$engine: a two-output $method opens the rows of two one-output calls joined by key") {
       val rows = (0 until 23).map(i => Seq((i * 5 % 4).toDouble, (i * 17 % 31).toDouble))
       def input(b: MpcBackend) = b.filter(rel(b, Seq("k", "v"), rows), "v", CmpOp.Gt, Right(4.0))
@@ -277,6 +278,19 @@ class ProtocolsSpec extends AnyFunSuite {
         assert(events.collect { case ColumnLeak("agg", c, _) => c } ==
           (if (method == "hybridAggregate") Seq("k") else Seq()))
       }
+    }
+
+  for ((engine, mk) <- aggEngines; (method, true, call) <- aggMethods;
+       (input, filtered) <- Seq("an empty" -> false, "an all-invalid" -> true))
+    test(s"$engine: $method over $input input returns no rows and records 0 groups") {
+      val b = mk()
+      val in =
+        if (!filtered) rel(b, Seq("k", "v"), Seq.empty)
+        else b.filter(rel(b, Seq("k", "v"), Seq(Seq(1.0, 2.0), Seq(3.0, 4.0))), "v", CmpOp.Gt, Right(50.0))
+      b.leakage.clear()
+      val out = call(b, "agg", in, sumCount)
+      assert(out.size == 0 && open(b, out).isEmpty)
+      assert(b.leakage.events.collect { case CardinalityLeak("agg", n, _) => n } == Seq(0L))
     }
 
   // ------------------------------------------------------ pinned STP order
@@ -339,6 +353,7 @@ class ProtocolsSpec extends AnyFunSuite {
 
   pinnedCase("hybrid aggregation", """
     |CostSnapshot(21,0,0,6,8,147,0,0,0,0.013388)
+    |CardinalityLeak(ha0,0,Set(a, b, c))
     |ColumnLeak(ha,k1,Set(c))
     |ColumnLeak(ha,k2,Set(c))
     |CardinalityLeak(ha,5,Set(a, b, c))

@@ -4,10 +4,10 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.execution.columnar.InMemoryRelation
 import org.apache.spark.sql.functions.lit
 import repro.SparkSpec
-import repro.core.CompileConfig
+import repro.core.{CompileConfig, Compiler}
 import repro.data.Generators
 import repro.eval.{Bench, Fig7Smcql}
-import repro.mpc.MpcBackend
+import repro.mpc.{CardinalityLeak, MpcBackend}
 import repro.queries.{AspirinCount, AspirinSliced, Comorbidity}
 
 /** SMCQL baseline and the Conclave+slicing driver: result correctness vs.
@@ -24,8 +24,7 @@ class SmcqlSpec extends SparkSpec {
 
   /** SMCQL's comorbidity plan is Conclave's, run on the ObliVM backend. */
   private def smcqlComorbidity(inputs: Map[String, org.apache.spark.sql.DataFrame]) =
-    Bench.runConclave(spark, Comorbidity.build(), CompileConfig.default, inputs,
-      Set(Comorbidity.pH1, Comorbidity.pH2), MpcBackend.oblivm(_))
+    Bench.runConclave(spark, Comorbidity.build(), CompileConfig.default, inputs, MpcBackend.oblivm(_))
 
   private def referenceCount(inputs: Map[String, org.apache.spark.sql.DataFrame]): Long = {
     inputs.foreach { case (nm, df) => df.createOrReplaceTempView(nm) }
@@ -169,9 +168,19 @@ class SmcqlSpec extends SparkSpec {
       "cdiag2" -> Generators.comorbidityDiagnoses(spark, 400, party = 1))
     val s = smcqlComorbidity(inputs).metrics
     val c = repro.eval.Bench.runConclave(spark, repro.queries.Comorbidity.build(),
-      repro.core.CompileConfig.default, inputs,
-      Set(repro.queries.Comorbidity.pH1, repro.queries.Comorbidity.pH2))
+      repro.core.CompileConfig.default, inputs)
     assert(c.metrics.mpcModeledSeconds < s.mpcModeledSeconds,
       s"conclave=${c.metrics.mpcModeledSeconds}s smcql=${s.mpcModeledSeconds}s")
+  }
+
+  test("a comorbidity run's cardinality leaks go to exactly the plan's parties") {
+    val inputs = Map(
+      "cdiag1" -> Generators.comorbidityDiagnoses(spark, 200, party = 0),
+      "cdiag2" -> Generators.comorbidityDiagnoses(spark, 200, party = 1))
+    val parties = Compiler.compile(Comorbidity.build(), CompileConfig.default).dag.parties
+    assert(parties == Set(Comorbidity.pH1, Comorbidity.pH2))
+    val leaks = Bench.runConclave(spark, Comorbidity.build(), CompileConfig.default, inputs)
+      .leakage.events.collect { case l: CardinalityLeak => l }
+    assert(leaks.nonEmpty && leaks.forall(_.to == parties), leaks)
   }
 }
