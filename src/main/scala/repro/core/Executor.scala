@@ -77,7 +77,14 @@ final class Executor(
     val outputs = scala.collection.mutable.LinkedHashMap.empty[String, DataFrame]
 
     plan.dag.topo.foreach { n =>
-      val childVals = n.children.map(c => cache(c.id)).toSeq
+      // A fresh shared value stays fresh only for its one reader reading it
+      // once (an output counts, and a self-join reads twice): two readings
+      // could each open columns aligned with the same rows, which the STP
+      // could then link (`SharedRelation.fresh`).
+      val childVals = n.children.map(c => cache(c.id) match {
+        case SecureRel(rel) if c.parents.size > 1 => SecureRel(rel.copy(fresh = false))
+        case v                                    => v
+      }).toSeq
       n.kind match {
         case OpKind.Output(name, recipients) =>
           outputs(name) = output(name, recipients, childVals.head)

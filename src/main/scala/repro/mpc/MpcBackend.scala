@@ -74,7 +74,7 @@ final class MpcBackend(
     val idxs = rel.colIdxs(cols)
     engine.chargeRows(rel.size.toLong)
     engine.checkRelationMem("project", rel.size.toLong, GcOpWidth.Projection)
-    SharedRelation(cols.toVector, idxs.map(rel.cols), rel.validity)
+    SharedRelation(cols.toVector, idxs.map(rel.cols), rel.validity, rel.fresh)
   }
 
   /** Oblivious filter of column `col` against a public literal or another
@@ -101,20 +101,23 @@ final class MpcBackend(
   // ------------------------------------------------------------ compaction
 
   /** `rel` without its invalid rows. The rows are shuffled with their
-    * validity flags, and the flags are opened in that order (one round),
-    * which discloses only how many rows are kept. Callers record that count,
-    * or reveal the rows themselves.
+    * validity flags, unless `rel` is fresh already ([[Oblivious.shuffle]]),
+    * and the flags are opened in that order (one round), which discloses
+    * only how many rows are kept. The kept rows are fresh: over a secret
+    * uniform order, where the valid rows stand is independent of their
+    * order among themselves. Callers record the count, or reveal the rows
+    * themselves.
     */
   private def compacted(rel: SharedRelation): SharedRelation = rel.validity match {
     case None => rel
     case Some(v) =>
-      val perm = Oblivious.shufflePermutation(engine, rel)
+      val perm = Oblivious.shufflePermutation(engine, rel).getOrElse(Array.range(0, rel.size))
       val opened = engine.open(v.gather(perm))
       val kept = new ArrayBuilder.ofInt
       var t = 0
       while (t < perm.length) { if (opened(t) == 1L) kept += perm(t); t += 1 }
       val idx = kept.result()
-      SharedRelation(rel.schema, rel.cols.map(_.gather(idx)))
+      SharedRelation(rel.schema, rel.cols.map(_.gather(idx)), fresh = true)
   }
 
   /** Compact away invalid rows; reveals the surviving count to all parties. */
@@ -318,7 +321,7 @@ final class MpcBackend(
     val newValid = valid.slice(0, n)
     engine.not(seen, seen, n - 1, ai = 1, oi = 1)
     engine.mulFlag(valid, seen, newValid, n - 1, ai = 1, bi = 1, oi = 1)
-    sorted.copy(validity = Some(newValid))
+    sorted.copy(validity = Some(newValid), fresh = false)
   }
 
   def sort(rel: SharedRelation, keys: Seq[(String, Boolean)]): SharedRelation = {
@@ -387,14 +390,14 @@ final class MpcBackend(
     }
     val existing = rel.schema.indexOf(outName)
     if (existing >= 0) rel.copy(cols = rel.cols.updated(existing, out))
-    else SharedRelation(rel.schema :+ outName, rel.cols :+ out, rel.validity)
+    else SharedRelation(rel.schema :+ outName, rel.cols :+ out, rel.validity, rel.fresh)
   }
 
   /** Append a public constant column (used to key group-less join results). */
   def constCol(rel: SharedRelation, name: String, value: Double): SharedRelation = {
     engine.chargeRows(rel.size.toLong)
     SharedRelation(rel.schema :+ name, rel.cols :+ engine.constant(Fixed.encode(value), rel.size),
-      rel.validity)
+      rel.validity, rel.fresh)
   }
 
   // ------------------------------------------- hybrid and public protocols
@@ -432,9 +435,12 @@ final class MpcBackend(
     * MPC operations instead of the Cartesian join's O(n·m). The STP sees
     * only the shuffled keys; all parties learn the output cardinality.
     * Each side shuffles its keys and its `live` output columns, and selects
-    * and reshuffles only the latter. If a side has no rows, the output is
-    * empty: every party knows that side's size already, so the other side
-    * is neither shuffled nor opened to the STP.
+    * and reshuffles only the latter. A side that is fresh, as it comes or
+    * from its compaction, is not shuffled again ([[Oblivious.shuffle]]); the
+    * caller hands over a fresh relation only to one side of one join. The
+    * output is fresh. If a side has no rows, the output is empty: every
+    * party knows that side's size already, so the other side is neither
+    * shuffled nor opened to the STP.
     */
   def hybridJoin(relName: String, left: SharedRelation, right: SharedRelation,
       lKeys: Seq[String], rKeys: Seq[String], stp: Party,
@@ -448,7 +454,7 @@ final class MpcBackend(
     }
 
     // 1. Obliviously shuffle both inputs so revealed keys are unlinkable to
-    //    input positions.
+    //    input positions; a fresh side is unlinkable already.
     val lS = Oblivious.shuffle(engine, l)
     val rS = Oblivious.shuffle(engine, r)
 
@@ -470,7 +476,8 @@ final class MpcBackend(
     def select(rel: SharedRelation, idx: SharedCol)(cs: Seq[Int]): Seq[SharedCol] =
       if (cs.isEmpty) Seq.empty else Oblivious.select(engine, rel.only(cs.map(rel.schema)), idx).cols
 
-    // 7. Concatenate column-wise and reshuffle.
+    // 7. Concatenate column-wise and reshuffle: the selected rows are in
+    //    the STP's pair order, and the output is fresh.
     Oblivious.shuffle(engine, Oblivious.joinOutput(l.schema, r.schema, lk, rk, live)(
       select(lS, lIdx), select(rS, rIdx)))
   }
@@ -535,17 +542,19 @@ final class MpcBackend(
 
   /** Hybrid aggregation (§5.3): Jónsson's aggregation with the STP's
     * ordering in place of the sorting network. The input is compacted, then
-    * obliviously shuffled; its group-by columns are revealed to the STP,
-    * which sorts them in the clear, publishes the ordering and
-    * secret-shares the equality flags of adjacent rows; [[groupedAggregate]]
-    * does the rest. Replaces the O(n log^2 n) sorting network with an
-    * O(n log n) shuffle and avoids all oblivious comparisons (for sum/count).
+    * obliviously shuffled, unless it is fresh by then, as a compaction's or
+    * a hybrid join's output is ([[Oblivious.shuffle]]); its group-by columns
+    * are revealed to the STP, which sorts them in the clear, publishes the
+    * ordering and secret-shares the equality flags of adjacent rows;
+    * [[groupedAggregate]] does the rest. Replaces the O(n log^2 n) sorting
+    * network with an O(n log n) shuffle and avoids all oblivious comparisons
+    * (for sum/count).
     */
   def hybridAggregate(relName: String, rel: SharedRelation, group: Seq[String],
       aggs: Seq[AggSpec], stp: Party, live: String => Boolean = _ => true): SharedRelation =
     groupedAggregate(relName, rel, group, aggs, live, compact(relName + ":in", _)) { in =>
-      // 1. Oblivious shuffle, then reveal the (shuffled) group-by columns to
-      //    the STP.
+      // 1. Oblivious shuffle (skipped if `in` is fresh), then reveal the
+      //    (shuffled) group-by columns to the STP.
       val shuffled = Oblivious.shuffle(engine, in)
       leakColumns(relName, group, Set(stp))
       val keys = openKeys(shuffled, in.colIdxs(group)).toArray

@@ -26,19 +26,30 @@ object Oblivious {
 
   // ---------------------------------------------------------------- shuffle
 
-  /** Draw and charge the permutation of a resharing-based oblivious shuffle
-    * of `rel`, which moves its columns and its validity flags, if any: no
-    * party learns it.
+  /** The permutation of a resharing-based oblivious shuffle of `rel`, which
+    * moves its columns and its validity flags, if any: no party learns it.
+    *
+    * Shuffle elimination, the shuffle's counterpart of sort elimination
+    * (§5.4): a fresh relation ([[SharedRelation.fresh]]) is not shuffled
+    * again, and this is `None`. Its rows are already in a secret uniform
+    * order that no opening has exposed, and a second secret uniform
+    * permutation composed with the first is again one, so the parties' view
+    * of what is opened next is the same with or without it. Otherwise the
+    * permutation is drawn and charged.
     */
-  private[mpc] def shufflePermutation(e: MpcEngine, rel: SharedRelation): Array[Int] = {
-    val perm = e.secretPermutation(rel.size)
-    e.chargeShuffle(rel.size.toLong, rel.width.toLong + (if (rel.validity.isDefined) 1 else 0))
-    perm
-  }
+  private[mpc] def shufflePermutation(e: MpcEngine, rel: SharedRelation): Option[Array[Int]] =
+    if (rel.fresh) None
+    else {
+      val perm = e.secretPermutation(rel.size)
+      e.chargeShuffle(rel.size.toLong, rel.width.toLong + (if (rel.validity.isDefined) 1 else 0))
+      Some(perm)
+    }
 
-  /** Resharing-based oblivious shuffle: no party learns the permutation. */
+  /** Resharing-based oblivious shuffle: no party learns the permutation.
+    * The output is fresh; a fresh input is returned as it is.
+    */
   def shuffle(e: MpcEngine, rel: SharedRelation): SharedRelation =
-    rel.gather(shufflePermutation(e, rel))
+    shufflePermutation(e, rel).fold(rel)(rel.gather(_).copy(fresh = true))
 
   // ----------------------------------------------------------------- blocks
 
@@ -207,7 +218,8 @@ object Oblivious {
     * then an oblivious shuffle of the candidates and an opening of the match
     * flags. Leaks the output size (as the paper's Sharemind baseline does,
     * §7.3). The output is laid out as [[joinOutput]]'s, with only the
-    * `live` columns gathered and shuffled.
+    * `live` columns gathered and shuffled; it is fresh, in the order of a
+    * secret permutation of the matches.
     */
   def cartesianJoin(
       e: MpcEngine,
@@ -269,7 +281,7 @@ object Oblivious {
     val out = joinOutput(left.schema, right.schema, lKeys, rKeys, live)(
       _.map(left.cols(_).gather(lIdx)), _.map(right.cols(_).gather(rIdx)))
     e.chargeShuffle(matches, out.width.toLong)
-    out
+    out.copy(fresh = true)
   }
 
   /** The `live` output columns of an equi-join, laid out by

@@ -126,4 +126,29 @@ class EdgeCaseSpec extends SparkSpec {
           "WHERE CAST(v AS DOUBLE) > 0",
         "t" -> inputs("t"), "u" -> inputs("u"))
   }
+
+  test("a group-less SUM, MIN or MAX over no valid rows is NULL (pending: aim 3's open defect)") {
+    // Every v is at most 100, so the filter keeps no row of either party.
+    def dag(fn: AggFn): Dag = {
+      val dag = new Dag
+      val q = new Dsl(dag)
+      import q._
+      concat(table("t", pA, col("k"), col("v")), table("u", pB, col("k"), col("v")))
+        .filter("v", CmpOp.Gt, 100)
+        .aggregate(Seq.empty, fn, if (fn == AggFn.Count) None else Some("v"), "s").writeTo("out", pA)
+      dag
+    }
+    val inputs = Map("t" -> df(Seq((1.0, 5.0), (2.0, 100.0))), "u" -> df(Seq((1.0, -3.0), (3.0, 7.0))))
+    val configs = Seq(CompileConfig.default, CompileConfig.mpcOnly)
+    for (config <- configs)
+      assert(run(dag(AggFn.Count), inputs, config).outputs("out").collect().map(_.getDouble(0)).toSeq ==
+        Seq(0.0))
+    pendingUntilFixed {
+      for (fn <- Seq(AggFn.Sum, AggFn.Min, AggFn.Max); config <- configs)
+        Oracle.assertEquivalent(run(dag(fn), inputs, config).outputs("out"),
+          s"SELECT ${fn.toString.toUpperCase}(CAST(v AS DOUBLE)) AS s " +
+            "FROM (SELECT * FROM t UNION ALL SELECT * FROM u) WHERE CAST(v AS DOUBLE) > 100",
+          "t" -> inputs("t"), "u" -> inputs("u"))
+    }
+  }
 }

@@ -408,6 +408,87 @@ class ExecutorSpec extends SparkSpec {
     assert(res2.leakage.columns.isEmpty)
   }
 
+  // ------------------------------------- shuffle elimination: the readers
+
+  /** Elements a Sharemind shuffle of `rows` rows of `cols` columns moves. */
+  private def shuffled(rows: Long, cols: Long): Long =
+    rows * (if (rows <= 1) 1L else 64L - java.lang.Long.numberOfLeadingZeros(rows - 1)) * cols
+
+  private def leaks(res: ExecResult): Map[String, Int] = repro.mpc.GoldenCountersSpec.leakMultiset(res.leakage.events)
+
+  test("shuffle elimination: a hybrid join read by two hybrid aggregations is shuffled for each") {
+    import spark.implicits._
+    val rnd = new scala.util.Random(93L)
+    val t = (1 to 30).map(k => (k.toDouble, (k % 4).toDouble, rnd.nextInt(100).toDouble))
+    val u = Seq.fill(20)(((rnd.nextInt(40) + 1).toDouble, rnd.nextInt(100).toDouble))
+    val w = Seq.fill(15)(((rnd.nextInt(40) + 1).toDouble, rnd.nextInt(100).toDouble))
+    val inputs = Map("t" -> t.toDF("k", "g", "v"), "u" -> u.toDF("k", "w"), "w" -> w.toDF("k", "w"))
+    // The plan of PlanShapeSpec's small-trusted-minmax: hybrid join #4 feeds
+    // hybrid aggregations #5 and #7.
+    val dag = new Dag
+    val q = new Dsl(dag)
+    import q._
+    val joined = table("t", pA, col("k", trust = Set(pC)), col("g", trust = Set(pC)), col("v"))
+      .join(concat(table("u", pB, col("k", trust = Set(pC)), col("w")),
+        table("w", pC, col("k"), col("w"))), Seq("k"), Seq("k"))
+    joined.aggregate(Seq("g"), AggFn.Min, Some("w"), "lo").writeTo("lo", pC)
+    joined.aggregate(Seq("g"), AggFn.Max, Some("v"), "hi").writeTo("hi", pC)
+    val res = run(dag, CompileConfig.default, inputs, Set(pA, pB, pC))
+    for ((out, fn, c) <- Seq(("lo", "MIN", "x.w"), ("hi", "MAX", "t.v")))
+      Oracle.assertEquivalent(res.outputs(out),
+        s"""SELECT t.g AS g, $fn(CAST($c AS DOUBLE)) AS $out
+           |FROM t JOIN (SELECT * FROM u UNION ALL SELECT * FROM w) x ON t.k = x.k GROUP BY t.g""".stripMargin,
+        inputs.toSeq: _*)
+
+    val pairs = for (a <- t; b <- u ++ w; if a._1 == b._1) yield a._2
+    val (m, groups) = (pairs.length.toLong, pairs.distinct.length)
+    assert(leaks(res) == Map(
+      "card(#0@a,30)->a+b+c" -> 1, "card(#3@b,20)->a+b+c" -> 1, "card(#3@c,15)->a+b+c" -> 1,
+      "column(#4,left:k)->c" -> 1, "column(#4,right:k)->c" -> 1, s"card(#4,$m)->a+b+c" -> 1,
+      "column(#5,g)->c" -> 1, s"card(#5,$groups)->a+b+c" -> 1,
+      "column(#7,g)->c" -> 1, s"card(#7,$groups)->a+b+c" -> 1,
+      "relation(lo)->c" -> 1, "relation(hi)->c" -> 1))
+    // The join shuffles (k, g, v) and (k, w), then its m output rows of
+    // (g, v, w). Each aggregation shuffles its m rows of two columns again
+    // (the join's output has two readers) and compacts m rows of two
+    // columns and their flags.
+    assert(res.metrics.cost.shuffledElems ==
+      shuffled(30, 3) + shuffled(35, 2) + shuffled(m, 3) + 2 * (shuffled(m, 2) + shuffled(m, 3)))
+  }
+
+  test("shuffle elimination: a self-join of a fresh hybrid join output shuffles both sides") {
+    val inputs = Map(
+      "t" -> Generators.keyed(spark, 12, 6, seed = 5),
+      "u" -> Generators.keyed(spark, 10, 6, seed = 6).toDF("k", "w"))
+    val dag = new Dag
+    val q = new Dsl(dag)
+    import q._
+    val x = table("t", pA, col("k", trust = Set(pC)), col("v"))
+      .join(table("u", pB, col("k", trust = Set(pC)), col("w")), Seq("k"), Seq("k")).project("k")
+    x.join(x, Seq("k"), Seq("k")).writeTo("out", pC)
+    val plan = Compiler.compile(dag, CompileConfig.default)
+    val (Seq(self), Seq(xj)) = plan.mpcNodes.filter(_.kind.isInstanceOf[OpKind.HybridJoin])
+      .partition(n => n.children.length == 2 && (n.children(0) eq n.children(1)))
+    val res = new Executor(spark, MpcBackend.sharemind(Set(pA, pB, pC))).run(plan, inputs)
+    Oracle.assertEquivalent(res.outputs("out"),
+      """WITH x AS (SELECT t.k AS k FROM t JOIN u ON t.k = u.k)
+        |SELECT a.k AS k FROM x a JOIN x b ON a.k = b.k""".stripMargin, inputs.toSeq: _*)
+
+    def keys(df: DataFrame) = df.collect().map(_.getAs[Any]("k").toString.toDouble).toSeq
+    val xKeys = for (a <- keys(inputs("t")); b <- keys(inputs("u")); if a == b) yield a
+    val (m, p) = (xKeys.length.toLong, xKeys.groupBy(identity).values.map(g => g.length.toLong * g.length).sum)
+    val (x1, s1) = (s"#${xj.id}", s"#${self.id}")
+    assert(leaks(res) == Map(
+      "card(#0@a,12)->a+b+c" -> 1, "card(#1@b,10)->a+b+c" -> 1,
+      s"column($x1,left:k)->c" -> 1, s"column($x1,right:k)->c" -> 1, s"card($x1,$m)->a+b+c" -> 1,
+      s"column($s1,left:k)->c" -> 1, s"column($s1,right:k)->c" -> 1, s"card($s1,$p)->a+b+c" -> 1,
+      "relation(out)->c" -> 1), res.leakage.events)
+    // The first join shuffles t's and u's keys and its m output keys; the
+    // self-join reads them twice, so each side shuffles them again.
+    assert(res.metrics.cost.shuffledElems ==
+      shuffled(12, 1) + shuffled(10, 1) + shuffled(m, 1) + 2 * shuffled(m, 1) + shuffled(p, 1))
+  }
+
   // ---------------------------------------- fused sibling aggregations
 
   /** t(k, g1, g2) at A, 40 rows; u(k, v) at B, 50 rows; keys 1..45. */

@@ -104,6 +104,11 @@ class GoldenCountersSpec extends SparkSpec {
       val r = rel(b, Seq("k", "y"), rows(10, 15, 6, 9))
       capture(b)(b.hybridJoin("hj", l, r, Seq("k"), Seq("k"), pC))
     },
+    op("hybridAggregate over a hybridJoin output") { b =>
+      val hj = b.hybridJoin("hj", rel(b, Seq("k", "x"), rows(12, 23, 6, 9)),
+        rel(b, Seq("k", "y"), rows(10, 24, 6, 9)), Seq("k"), Seq("k"), pC)
+      capture(b)(b.hybridAggregate("hagg", hj, Seq("k"), Seq(AggSpec(AggFn.Sum, Some("y"), "out")), pC))
+    },
     op("publicJoin") { b =>
       val l = rel(b, Seq("k", "x"), rows(10, 16, 6, 9))
       val r = rel(b, Seq("k", "y"), rows(9, 17, 6, 9))
@@ -176,6 +181,27 @@ class GoldenCountersSpec extends SparkSpec {
     check("sharemind: sortBy 9999 x 2", got)
     assert((got.cost.rowsTouched, got.cost.eqs, got.cost.cmps, got.cost.muls) ==
       ((9999L, 0L, 456195L, 2280975L)))
+  }
+
+  test("sharemind: hybridAggregate over a hybridJoin output shuffles once fewer than the two apart") {
+    // The join's output is fresh; handed over stale, the aggregation
+    // shuffles its m rows of (k, y) again: m·⌈log₂ m⌉·2 elements, 3 rounds.
+    def run(fresh: Boolean): (Long, Golden) = {
+      val b = sharemind()
+      val hj = b.hybridJoin("hj", rel(b, Seq("k", "x"), rows(12, 23, 6, 9)),
+        rel(b, Seq("k", "y"), rows(10, 24, 6, 9)), Seq("k"), Seq("k"), pC)
+      assert(hj.fresh)
+      (hj.size.toLong, capture(b)(b.hybridAggregate("hagg", if (fresh) hj else hj.copy(fresh = false),
+        Seq("k"), Seq(AggSpec(AggFn.Sum, Some("y"), "out")), pC)))
+    }
+    val (m, together) = run(fresh = true)
+    val (_, apart) = run(fresh = false)
+    val logM = 64 - java.lang.Long.numberOfLeadingZeros(m - 1)
+    assert(m > 1 && apart.leaks == together.leaks)
+    assert(apart.cost.shuffledElems - together.cost.shuffledElems == m * logM * 2)
+    assert(apart.cost.rounds - together.cost.rounds == 3L)
+    def rest(c: CostSnapshot) = c.copy(shuffledElems = 0, rounds = 0, modeledSeconds = 0)
+    assert(rest(apart.cost) == rest(together.cost))
   }
 
   // ------------------------------------------------------- end-to-end plans
@@ -267,7 +293,7 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(15L, 0L, 0L, 15L, 0L, 0L, 0L, 0L, 0L, 0.00303),
         Map()),
     "sharemind: hybridAggregate Sum with validity" ->
-      Golden(CostSnapshot(48L, 0L, 0L, 15L, 12L, 620L, 0L, 0L, 0L, 0.026590000000000003),
+      Golden(CostSnapshot(48L, 0L, 0L, 15L, 9L, 492L, 0L, 0L, 0L, 0.022566),
         Map("card(hagg,5)->a+b+c" -> 1, "card(hagg:in,16)->a+b+c" -> 1, "column(hagg,k)->c" -> 1)),
     "sharemind: aggregate Count with validity" ->
       Golden(CostSnapshot(20L, 19L, 103L, 489L, 4L, 300L, 0L, 0L, 0L, 0.042544),
@@ -276,7 +302,7 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(15L, 0L, 0L, 0L, 0L, 0L, 0L, 0L, 0L, 0.003),
         Map()),
     "sharemind: hybridAggregate Count with validity" ->
-      Golden(CostSnapshot(48L, 0L, 0L, 15L, 12L, 456L, 0L, 0L, 0L, 0.025278000000000002),
+      Golden(CostSnapshot(48L, 0L, 0L, 15L, 9L, 392L, 0L, 0L, 0L, 0.021766),
         Map("card(hagg,5)->a+b+c" -> 1, "card(hagg:in,16)->a+b+c" -> 1, "column(hagg,k)->c" -> 1)),
     "sharemind: aggregate Min with validity" ->
       Golden(CostSnapshot(20L, 19L, 122L, 631L, 4L, 300L, 0L, 0L, 0L, 0.04852799999999999),
@@ -285,7 +311,7 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(15L, 0L, 15L, 30L, 0L, 0L, 0L, 0L, 0L, 0.00756),
         Map()),
     "sharemind: hybridAggregate Min with validity" ->
-      Golden(CostSnapshot(48L, 0L, 15L, 30L, 12L, 620L, 0L, 0L, 0L, 0.031120000000000002),
+      Golden(CostSnapshot(48L, 0L, 15L, 30L, 9L, 492L, 0L, 0L, 0L, 0.027096),
         Map("card(hagg,5)->a+b+c" -> 1, "card(hagg:in,16)->a+b+c" -> 1, "column(hagg,k)->c" -> 1)),
     "sharemind: aggregate Max with validity" ->
       Golden(CostSnapshot(20L, 19L, 122L, 631L, 4L, 300L, 0L, 0L, 0L, 0.04852799999999999),
@@ -294,7 +320,7 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(15L, 0L, 15L, 30L, 0L, 0L, 0L, 0L, 0L, 0.00756),
         Map()),
     "sharemind: hybridAggregate Max with validity" ->
-      Golden(CostSnapshot(48L, 0L, 15L, 30L, 12L, 620L, 0L, 0L, 0L, 0.031120000000000002),
+      Golden(CostSnapshot(48L, 0L, 15L, 30L, 9L, 492L, 0L, 0L, 0L, 0.027096),
         Map("card(hagg,5)->a+b+c" -> 1, "card(hagg:in,16)->a+b+c" -> 1, "column(hagg,k)->c" -> 1)),
     "sharemind: aggregate preSorted" ->
       Golden(CostSnapshot(0L, 11L, 0L, 57L, 4L, 144L, 0L, 0L, 0L, 0.00542),
@@ -312,9 +338,12 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(14L, 0L, 0L, 112L, 4L, 0L, 0L, 0L, 0L, 0.007024),
         Map()),
     "sharemind: hybridJoin with validity" ->
-      Golden(CostSnapshot(102L, 0L, 0L, 460L, 25L, 612L, 0L, 0L, 0L, 0.051216),
+      Golden(CostSnapshot(102L, 0L, 0L, 460L, 22L, 524L, 0L, 0L, 0L, 0.047512),
         Map("card(hj,20)->a+b+c" -> 1, "card(hj:left,11)->a+b+c" -> 1, "column(hj,left:k)->c" -> 1,
           "column(hj,right:k)->c" -> 1)),
+    "sharemind: hybridAggregate over a hybridJoin output" ->
+      Golden(CostSnapshot(39L, 0L, 0L, 12L, 5L, 156L, 0L, 0L, 0L, 0.014072000000000001),
+        Map("card(hagg,4)->a+b+c" -> 1, "column(hagg,k)->c" -> 1)),
     "sharemind: publicJoin" ->
       Golden(CostSnapshot(31L, 0L, 0L, 0L, 2L, 0L, 0L, 0L, 0L, 0.0082),
         Map("card(pj,12)->a+b+c" -> 1, "column(pj,left:k)->a+b+c" -> 1,
@@ -375,7 +404,7 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(15L, 0L, 0L, 0L, 0L, 0L, 1920L, 0L, 491520L, 0.0026699999999999996),
         Map()),
     "obliv-c: hybridAggregate Sum with validity" ->
-      Golden(CostSnapshot(48L, 0L, 0L, 0L, 3L, 0L, 42560L, 0L, 0L, 0.04496),
+      Golden(CostSnapshot(48L, 0L, 0L, 0L, 3L, 0L, 34368L, 0L, 0L, 0.036767999999999995),
         Map("card(hagg,5)->a+b" -> 1, "card(hagg:in,16)->a+b" -> 1, "column(hagg,k)->c" -> 1)),
     "obliv-c: aggregate Count with validity" ->
       Golden(CostSnapshot(20L, 0L, 0L, 0L, 1L, 0L, 180160L, 0L, 655360L, 0.18116),
@@ -384,7 +413,7 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(15L, 0L, 0L, 0L, 0L, 0L, 31200L, 0L, 491520L, 0.03195),
         Map()),
     "obliv-c: hybridAggregate Count with validity" ->
-      Golden(CostSnapshot(48L, 0L, 0L, 0L, 3L, 0L, 32064L, 0L, 0L, 0.034463999999999995),
+      Golden(CostSnapshot(48L, 0L, 0L, 0L, 3L, 0L, 27968L, 0L, 0L, 0.030368),
         Map("card(hagg,5)->a+b" -> 1, "card(hagg:in,16)->a+b" -> 1, "column(hagg,k)->c" -> 1)),
     "obliv-c: aggregate Min with validity" ->
       Golden(CostSnapshot(20L, 0L, 0L, 0L, 1L, 0L, 173696L, 0L, 655360L, 0.174696),
@@ -393,7 +422,7 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(15L, 0L, 0L, 0L, 0L, 0L, 6720L, 0L, 491520L, 0.007469999999999999),
         Map()),
     "obliv-c: hybridAggregate Min with validity" ->
-      Golden(CostSnapshot(48L, 0L, 0L, 0L, 3L, 0L, 45440L, 0L, 0L, 0.04784),
+      Golden(CostSnapshot(48L, 0L, 0L, 0L, 3L, 0L, 37248L, 0L, 0L, 0.039647999999999996),
         Map("card(hagg,5)->a+b" -> 1, "card(hagg:in,16)->a+b" -> 1, "column(hagg,k)->c" -> 1)),
     "obliv-c: aggregate Max with validity" ->
       Golden(CostSnapshot(20L, 0L, 0L, 0L, 1L, 0L, 173696L, 0L, 655360L, 0.174696),
@@ -402,7 +431,7 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(15L, 0L, 0L, 0L, 0L, 0L, 6720L, 0L, 491520L, 0.007469999999999999),
         Map()),
     "obliv-c: hybridAggregate Max with validity" ->
-      Golden(CostSnapshot(48L, 0L, 0L, 0L, 3L, 0L, 45440L, 0L, 0L, 0.04784),
+      Golden(CostSnapshot(48L, 0L, 0L, 0L, 3L, 0L, 37248L, 0L, 0L, 0.039647999999999996),
         Map("card(hagg,5)->a+b" -> 1, "card(hagg:in,16)->a+b" -> 1, "column(hagg,k)->c" -> 1)),
     "obliv-c: aggregate preSorted" ->
       Golden(CostSnapshot(0L, 0L, 0L, 0L, 1L, 0L, 14976L, 0L, 393216L, 0.014976),
@@ -420,9 +449,12 @@ object GoldenCountersSpec {
       Golden(CostSnapshot(14L, 0L, 0L, 0L, 4L, 0L, 7168L, 0L, 0L, 0.007868),
         Map()),
     "obliv-c: hybridJoin with validity" ->
-      Golden(CostSnapshot(102L, 0L, 0L, 0L, 13L, 0L, 68608L, 0L, 0L, 0.073708),
+      Golden(CostSnapshot(102L, 0L, 0L, 0L, 13L, 0L, 62976L, 0L, 0L, 0.068076),
         Map("card(hj,20)->a+b" -> 1, "card(hj:left,11)->a+b" -> 1, "column(hj,left:k)->c" -> 1,
           "column(hj,right:k)->c" -> 1)),
+    "obliv-c: hybridAggregate over a hybridJoin output" ->
+      Golden(CostSnapshot(39L, 0L, 0L, 0L, 2L, 0L, 12288L, 0L, 0L, 0.014238),
+        Map("card(hagg,4)->a+b" -> 1, "column(hagg,k)->c" -> 1)),
     "obliv-c: publicJoin" ->
       Golden(CostSnapshot(31L, 0L, 0L, 0L, 2L, 0L, 0L, 0L, 0L, 0.0015500000000000002),
         Map("card(pj,12)->a+b" -> 1, "column(pj,left:k)->a+b" -> 1, "column(pj,right:k)->a+b" -> 1)),
@@ -471,7 +503,7 @@ object GoldenCountersSpec {
         Map("card(#10,5)->a+b+c" -> 1, "card(#3@a,100)->a+b+c" -> 1, "card(#3@b,100)->a+b+c" -> 1,
           "card(#3@c,100)->a+b+c" -> 1, "card(#6,5)->a+b+c" -> 1, "relation(hhi)->a" -> 1)),
     "credit-hybrid" ->
-      Golden(CostSnapshot(3696L, 0L, 48L, 12598L, 40L, 32400L, 0L, 0L, 0L, 1.0779960000000002),
+      Golden(CostSnapshot(3696L, 0L, 48L, 12598L, 37L, 27000L, 0L, 0L, 0L, 1.0317960000000002),
         Map("card(#0@a,300)->a+b+c" -> 1, "card(#3@b,150)->a+b+c" -> 1,
           "card(#3@c,150)->a+b+c" -> 1, "card(#4,300)->a+b+c" -> 1, "card(#7,48)->a+b+c" -> 1,
           "column(#4,left:ssn)->a" -> 1, "column(#4,right:ssn)->a" -> 1, "column(#7,zip)->a" -> 1,

@@ -231,6 +231,92 @@ class ProtocolsSpec extends AnyFunSuite {
     assertSameRows(open(b, out), Seq(Seq(1.0, 11.0)))
   }
 
+  // ------------------------------------------------- shuffle elimination
+
+  /** `(k, v)`, 12 rows with k = i mod 3 and v = i, straight from an
+    * oblivious shuffle, so fresh.
+    */
+  private def freshRel(b: MpcBackend): SharedRelation =
+    Oblivious.shuffle(b.engine, rel(b, Seq("k", "v"), (0 until 12).map(i => Seq((i % 3).toDouble, i.toDouble))))
+
+  test("a shuffle's output is fresh, and a fresh relation is not shuffled again") {
+    val b = sharemind()
+    val closed = rel(b, Seq("k", "v"), Seq(Seq(1.0, 2.0), Seq(3.0, 4.0)))
+    assert(!closed.fresh)
+    val s = freshRel(b)
+    assert(s.fresh)
+    val before = b.meter.snapshot
+    assert(Oblivious.shuffle(b.engine, s) eq s)
+    assert(b.meter.snapshot == before)
+  }
+
+  test("project, filter, arith, constCol and only keep a relation fresh") {
+    val b = sharemind()
+    val s = freshRel(b)
+    val kept = Seq(
+      b.project(s, Seq("v")),
+      b.filter(s, "v", CmpOp.Gt, Right(4.0)),
+      b.filter(s, "v", CmpOp.Lt, Left("k")),
+      b.arith(s, ArithFn.Add, "w", "v", Right(1.0)),
+      b.arith(s, ArithFn.Mul, "v", "v", Left("k")),
+      b.constCol(s, "one", 1.0),
+      s.only(Seq("v")),
+      s.only(s.schema))
+    assert(kept.forall(_.fresh))
+  }
+
+  test("gather, take, concat, sort, distinct and any opening of row-aligned values clear freshness") {
+    val b = sharemind()
+    val s = freshRel(b)
+    val f = b.filter(s, "v", CmpOp.Gt, Right(4.0))
+    val cleared = Seq(
+      s.gather(Array.range(0, s.size)),
+      s.take(5),
+      b.concat(Seq(s, freshRel(b))),
+      b.sort(s, Seq("k" -> true)),
+      b.distinct(s, preSorted = true),
+      Oblivious.select(b.engine, s, b.engine.input(Array(2L, 0L))),
+      // Both sides' keys are opened in their row order.
+      b.publicJoin("pj", s, freshRel(b), Seq("k"), Seq("k")),
+      // The prefix's validity flags are opened in place.
+      b.limit("lim", b.sort(f, Seq("v" -> true)), 3, sorted = true))
+    assert(cleared.forall(!_.fresh))
+  }
+
+  test("a compaction's output is fresh; a fresh input's flags are opened in place, unshuffled") {
+    val b = sharemind()
+    val f = b.filter(rel(b, Seq("k", "v"), (0 until 12).map(i => Seq((i % 3).toDouble, i.toDouble))),
+      "v", CmpOp.Gt, Right(4.0))
+    assert(!f.fresh)
+    b.meter.reset()
+    val c = b.compact("c", f)
+    assert(c.fresh && b.meter.shuffledElems == 12L * 4 * 3)
+
+    val g = b.filter(freshRel(b), "v", CmpOp.Gt, Right(4.0))
+    b.meter.reset()
+    val d = b.compact("d", g)
+    assert(d.fresh && d.validity.isEmpty)
+    assert(b.meter.shuffledElems == 0L && b.meter.rounds == 1L, "one opening round, no shuffle")
+    val expected = (5 until 12).map(i => Seq((i % 3).toDouble, i.toDouble))
+    assertSameRows(open(b, d), expected)
+    assertSameRows(open(b, c), expected)
+  }
+
+  test("hybrid aggregation over a filtered hybrid join output matches the cleartext reference (property)") {
+    // The join's output is fresh, so its filtered rows are compacted with
+    // no shuffle and their keys opened to the STP in that order.
+    Props.forAll2(genRows(20, 6), genRows(20, 6), runs = 20) { (l, r) =>
+      val b = sharemind()
+      val hj = b.hybridJoin("hj", rel(b, Seq("k", "x"), l), rel(b, Seq("k", "y"), r),
+        Seq("k"), Seq("k"), stp = pA)
+      assert(hj.fresh || hj.size == 0)
+      val f = b.filter(hj, "y", CmpOp.Gt, Right(30.0))
+      val out = b.hybridAggregate("ha", f, Seq("k"), Seq(AggSpec(AggFn.Sum, Some("x"), "s")), stp = pA)
+      assertSameRows(open(b, out),
+        refAgg(refJoin(l, r).filter(_(2) > 30.0).map(row => Seq(row(0), row(1))), AggFn.Sum))
+    }
+  }
+
   // --------------------------------------------- several outputs at once
 
   /** An aggregation method called with the outputs `aggs` of a relation

@@ -175,11 +175,11 @@ object SharePinSpec {
     "ss ops shares=e9b411bc174041af cost=CostSnapshot(0,26,52,138,1,0,0,0,0,0.01724)",
     "ss sort shares=f0709a830c26016a cost=CostSnapshot(3000,100602,201204,704214,0,0,0,0,0,63.778056)",
     "ss join shares=7f4a7d0809adcd76 cost=CostSnapshot(696,18000,0,18000,7,11610,0,0,0,0.52708)",
-    "ss protocols shares=17d4ad85c12591f7 cost=CostSnapshot(1024,0,143,3438,41,7154,0,0,0,0.352808)",
-    "ss relational operators shares=c001f513383a7549 cost=CostSnapshot(1026,398,1851,8330,105,7830,0,0,0,0.9503719999999999)",
+    "ss protocols shares=82f89cb0d567b1f6 cost=CostSnapshot(1024,0,143,3438,35,5388,0,0,0,0.33268000000000003)",
+    "ss relational operators shares=2132fa4b98636582 cost=CostSnapshot(1026,398,1851,8330,93,7200,0,0,0,0.9333319999999998)",
     "gc ops shares=48fe2bf634109a9d cost=CostSnapshot(0,0,0,0,1,0,384064,0,0,0.38406399999999996)",
     "gc sort shares=d538da3f5119a486 cost=CostSnapshot(3000,0,0,0,0,0,167401728,0,0,167.551728)",
     "gc join shares=0b9b96f43aec0463 cost=CostSnapshot(696,0,0,0,1,0,3047040,0,0,3.08184)",
-    "gc protocols shares=b6011197423bea8a cost=CostSnapshot(1024,0,0,0,23,0,706816,0,532480,0.758016)",
-    "gc relational operators shares=2042e2ac746d9671 cost=CostSnapshot(1026,0,0,0,27,0,2696896,0,786432,2.7481959999999996)")
+    "gc protocols shares=0759d09310b8c395 cost=CostSnapshot(1024,0,0,0,23,0,593792,0,532480,0.644992)",
+    "gc relational operators shares=ef4fe0886aa6a7e3 cost=CostSnapshot(1026,0,0,0,27,0,2656576,0,786432,2.7078759999999997)")
 }
